@@ -135,15 +135,18 @@ def cmd_image(args: argparse.Namespace) -> CommandResult:
     form = parse_form(args.form)
     a, source = _resolve_set(args)
     inputs = {"form": _form_str(form), "set": source, "strategy": args.strategy}
-    if args.full:
-        img = image(form, a, strategy=args.strategy)
-        card = len(img)
-        outputs: dict = {"cardinality": card, "image": list(img.elements)}
-        text = f"|f(A)| = {card}\n" + " ".join(str(x) for x in img.elements)
-    else:
-        card = image_cardinality(form, a, strategy=args.strategy)
-        outputs = {"cardinality": card}
-        text = f"|f(A)| = {card}"
+    try:
+        if args.full:
+            img = image(form, a, strategy=args.strategy)
+            card = len(img)
+            outputs: dict = {"cardinality": card, "image": list(img.elements)}
+            text = f"|f(A)| = {card}\n" + " ".join(str(x) for x in img.elements)
+        else:
+            card = image_cardinality(form, a, strategy=args.strategy)
+            outputs = {"cardinality": card}
+            text = f"|f(A)| = {card}"
+    except ValueError as exc:  # an explicit strategy that cannot take this set
+        raise UsageError(str(exc)) from None
     return CommandResult("image", inputs, outputs, text=text)
 
 
@@ -179,6 +182,13 @@ def cmd_classify3(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_witness(args: argparse.Namespace) -> CommandResult:
+    try:
+        return _witness(args)
+    except ValueError as exc:  # the constructors reject forms and parameters outside their range
+        raise UsageError(str(exc)) from None
+
+
+def _witness(args: argparse.Namespace) -> CommandResult:
     kind = args.kind
     if kind == "three":
         if args.form_f is None or args.form_g is None:

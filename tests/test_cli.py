@@ -65,6 +65,14 @@ class TestImageCommand:
         assert code == 2
         assert "inline" in err
 
+    def test_bitset_beyond_width_cap_is_usage_error(self, capsys):
+        for extra in ((), ("--full",)):
+            code, out, err = run(capsys, "image", "-f", "1,1", "--inline", f"0,{10**27}",
+                                 "--strategy", "bitset", *extra)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: strategy 'bitset' allows windows up to 134217728 bits")
+
 
 class TestCompareCommand:
     def test_ordering(self, capsys):
@@ -110,6 +118,18 @@ class TestWitnessCommand:
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "witness", "five", "-u", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (("five", "-u", "3", "-v", "3"), "need u > v >= 1, got u=3, v=3"),
+        (("four", "-u", "3", "-v", "3"), "need u > v >= 1, got u=3, v=3"),
+        (("ap", "-u", "3", "-v", "2", "-t", "0"), "progression length must satisfy"),
+        (("three", "-f", "3,1", "-g", "3,-1"), "forms with equal (u, |v|) admit no 3-element witness"),
+    ])
+    def test_parameters_outside_constructor_range(self, capsys, argv, message):
+        code, out, err = run(capsys, "witness", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
 
 class TestLocalSearchCommand:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_image
+from linform import intsets
 from linform.intsets import (
     DIFFERENCE,
     SUM,
@@ -31,6 +32,7 @@ from linform.intsets import (
     set_to_text,
     sumset,
 )
+from linform.modular import ResidueSet, crt_product, rectify
 
 MSTD = FiniteIntSet((0, 2, 3, 4, 7, 11, 12, 14))
 
@@ -125,6 +127,56 @@ class TestImage:
             assert results["pairs"] == results["merge"] == results["bitset"]
             cards = {image_cardinality(f, elems, strategy=s) for s in ("pairs", "merge", "bitset")}
             assert cards == {len(results["pairs"])}
+
+    def test_strategies_agree_on_wide_windows(self, monkeypatch):
+        # Windows wide enough that the auto-selected bitset kernel runs on
+        # uint64 words; a spy confirms every case reaches that path.
+        word_folds = []
+        word_fold = intsets._word_fold
+        monkeypatch.setattr(intsets, "_word_fold", lambda terms: word_folds.append(1) or word_fold(terms))
+        rng = random.Random(17)
+        top = 1 << 20
+        edges = [0, 63, 64, 65, 127, 128]
+        cases = [
+            ((3, -2), rng.sample(range(top), 64)),
+            ((-1, -4), rng.sample(range(top), 48)),
+            ((1, 2, -3), rng.sample(range(top // 2), 24)),
+            ((2, 1), [10**40 + x for x in rng.sample(range(top), 64)]),
+            ((1, -1), [-10**40 - x for x in rng.sample(range(top), 64)]),
+            ((1, 1), edges + [top - e for e in edges] + rng.sample(range(129, top - 128), 30)),
+            ((1, -1), edges + [top - e for e in edges] + rng.sample(range(129, top - 128), 30)),
+        ]
+        for coeffs, elems in cases:
+            f = LinearForm(coeffs)
+            results = {s: image(f, elems, strategy=s).elements for s in ("pairs", "merge", "bitset")}
+            assert results["pairs"] == results["merge"] == results["bitset"] == image(f, elems).elements
+            assert list(results["pairs"]) == brute_image(coeffs, elems)
+            cards = {image_cardinality(f, elems, strategy=s) for s in ("auto", "pairs", "merge", "bitset")}
+            assert cards == {len(results["pairs"])}
+        # a one-element term
+        elems = rng.sample(range(top), 128)
+        shifted = tuple(sorted(x + 7 for x in elems))
+        for s in ("auto", "pairs", "merge", "bitset"):
+            assert sumset([7], elems, strategy=s).elements == shifted
+        assert len(word_folds) == 2 * len(cases) + 1
+
+    def test_word_kernel_matches_big_int_kernel(self, monkeypatch):
+        rng = random.Random(19)
+        cases = []
+        for _ in range(200):
+            elems = rng.sample(range(-500, 500), rng.randint(1, 64))
+            coeffs = tuple(rng.choice([c for c in range(-10, 11) if c]) for _ in range(rng.randint(1, 3)))
+            cases.append((coeffs, elems))
+        qr = [ResidueSet(p, {x * x % p for x in range(1, p)}) for p in (13, 29, 37)]
+        rectified = rectify(crt_product(qr), 1)
+        assert len(rectified) == 6 * 14 * 18
+        cases += [(coeffs, rectified) for coeffs in ((2, 1), (1, 1), (1, -1), (1, 1, 1))]
+        for coeffs, elems in cases:
+            terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
+            monkeypatch.setattr(intsets, "_WORD_FOLD_COST", math.inf)
+            big_int = intsets._bitset_fold(terms)
+            monkeypatch.setattr(intsets, "_WORD_FOLD_COST", 0)
+            assert intsets._bitset_fold(terms) == big_int
 
     @given(a=small_sets, f=binary_forms)
     @settings(max_examples=100, deadline=None)
