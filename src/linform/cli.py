@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ from typing import Sequence
 
 from .intsets import (
     DIFFERENCE,
+    STRATEGIES,
     SUM,
     FiniteIntSet,
     LinearForm,
@@ -168,7 +168,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
 def cmd_classify3(args: argparse.Namespace) -> CommandResult:
     form = parse_form(f"{args.u},{args.v}")
     try:
-        result = classify_triples(form, bound=args.bound, threads=args.threads)
+        result = classify_triples(form, bound=args.bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     pairs = result.as_pairs()
@@ -346,7 +346,7 @@ def _binary_coefficients(form: LinearForm) -> tuple[int, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> CommandResult:
-    results = verify_mod.run_checks(only=args.only, threads=args.threads)
+    results = verify_mod.run_checks(only=args.only)
     ok = all(r.ok for r in results) and bool(results)
     return CommandResult(
         "verify",
@@ -367,11 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linform",
         description="images of integer linear forms over finite sets and residue rings",
     )
-    default_threads = int(os.environ.get("LINFORM_THREADS", "1"))
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON result document")
-    common.add_argument("--threads", type=int, default=default_threads,
-                        help="worker cap for parallel sections (results independent of it)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -379,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--form", required=True, help="comma-separated coefficients, e.g. 2,1")
     p.add_argument("-A", "--set-file", help="set file: one integer per line, or .json array")
     p.add_argument("--inline", help="inline set, e.g. 0,1,2")
-    p.add_argument("--strategy", choices=["auto", "pairs", "merge", "bitset"], default="auto")
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--full", action="store_true", help="print the image, not just its size")
     p.set_defaults(handler=cmd_image)
 

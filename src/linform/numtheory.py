@@ -40,22 +40,21 @@ def jacobi(a: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for arbitrary integers; n <= 1 is not prime."""
+    """Deterministic primality for n below the proven Miller-Rabin bound.
+
+    n <= 1 is not prime, and any n with a factor among the small primes
+    is decided exactly.  For any other n at or above _MR_PROVEN_BOUND
+    (about 3.3e24) no witness set is proven and trial division is
+    unbounded, so ValueError is raised instead of answering.
+    """
     if n <= 1:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < _MR_PROVEN_BOUND:
-        return _miller_rabin(n, _MR_WITNESSES)
-    # Outside the proven witness range fall back to trial division.  Exact,
-    # slow, and unreachable for the moduli this library actually handles.
-    f = 41
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    if n >= _MR_PROVEN_BOUND:
+        raise ValueError(f"is_prime is proven only below {_MR_PROVEN_BOUND}, got {n}")
+    return _miller_rabin(n, _MR_WITNESSES)
 
 
 def _miller_rabin(n: int, witnesses: Sequence[int]) -> bool:
@@ -92,10 +91,12 @@ def primes_between(lo: int, hi: int) -> Iterator[int]:
 
 
 def crt_combine(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Combine congruences x = r (mod m) with pairwise coprime moduli.
+    """Combine congruences x = r (mod m) into one x = residue (mod modulus).
 
-    Returns (residue, modulus) with 0 <= residue < modulus = product of
-    the input moduli.  Non-coprime moduli are rejected.
+    Returns (residue, modulus) with 0 <= residue < modulus = lcm of the
+    input moduli, which is their product when they are pairwise coprime.
+    Compatible non-coprime moduli merge; contradictory congruences raise
+    ValueError.
     """
     if not pairs:
         raise ValueError("crt_combine needs at least one congruence")
@@ -103,31 +104,14 @@ def crt_combine(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
     for r, m in pairs:
         if m < 1:
             raise ValueError(f"modulus must be positive, got {m}")
-        if math.gcd(modulus, m) != 1:
-            raise ValueError(f"moduli are not pairwise coprime: gcd includes {math.gcd(modulus, m)}")
-        # x = residue (mod modulus), x = r (mod m)
-        inv = pow(modulus, -1, m)
-        t = ((r - residue) * inv) % m
-        residue += modulus * t
-        modulus *= m
-    return residue % modulus, modulus
-
-
-def _merge_congruences(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Like crt_combine but allows compatible non-coprime moduli.
-
-    Raises ValueError when the system is contradictory.
-    """
-    residue, modulus = 0, 1
-    for r, m in pairs:
         g = math.gcd(modulus, m)
         if (r - residue) % g != 0:
             raise ValueError(f"contradictory congruences: x={residue} (mod {modulus}) vs x={r} (mod {m})")
-        lcm = modulus // g * m
-        t = ((r - residue) // g * pow(modulus // g, -1, m // g)) % (m // g)
-        residue = (residue + modulus * t) % lcm
-        modulus = lcm
-    return residue, modulus
+        # x = residue (mod modulus), x = r (mod m)
+        t = (r - residue) // g * pow(modulus // g, -1, m // g) % (m // g)
+        residue += modulus * t
+        modulus = modulus // g * m
+    return residue % modulus, modulus
 
 
 @dataclass(frozen=True)
@@ -186,7 +170,7 @@ def find_primes(spec: PrimeSearchSpec, count: int) -> PrimeSearchResult:
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    residue, step = _merge_congruences(spec.residue_conditions)
+    residue, step = crt_combine(spec.residue_conditions) if spec.residue_conditions else (0, 1)
     found: list[int] = []
     c = max(spec.lower_bound + 1, 2)
     c += (residue - c) % step

@@ -11,6 +11,7 @@ power-residue test.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -52,17 +53,8 @@ class PowerSubgroup:
 
     def __contains__(self, value: int) -> bool:
         v = value % self.p
-        i = 0
-        lo, hi = 0, len(self.classes)
-        while lo < hi:
-            i = (lo + hi) // 2
-            if self.classes[i] < v:
-                lo = i + 1
-            elif self.classes[i] > v:
-                hi = i
-            else:
-                return True
-        return False
+        i = bisect.bisect_left(self.classes, v)
+        return i < len(self.classes) and self.classes[i] == v
 
 
 def power_subgroup(p: int, k: int) -> PowerSubgroup:

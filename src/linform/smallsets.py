@@ -10,7 +10,6 @@ cardinalities by direct computation before returning.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .intsets import (
@@ -71,7 +70,7 @@ def _require_normalized(form: LinearForm) -> tuple[int, int]:
     return form.coefficients
 
 
-def classify_triples(form: LinearForm, bound: int | None = None, threads: int = 1) -> TripleClassification:
+def classify_triples(form: LinearForm, bound: int | None = None) -> TripleClassification:
     """Enumerate canonical triples {0,a,b} with a < b <= bound and |f| < 9.
 
     Candidates with gcd(a, b) = 1 are deduplicated up to full affine
@@ -85,40 +84,23 @@ def classify_triples(form: LinearForm, bound: int | None = None, threads: int = 
     if bound < min_bound:
         raise ValueError(f"bound {bound} is below the exhaustive minimum {min_bound}")
 
-    candidates = [(a, b) for b in range(2, bound + 1) for a in range(1, b) if math.gcd(a, b) == 1]
-
-    def scan(chunk: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
-        found: dict[tuple[int, ...], int] = {}
-        for a, b in chunk:
+    found: dict[tuple[int, ...], int] = {}
+    for b in range(2, bound + 1):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
             card = image_cardinality(form, FiniteIntSet((0, a, b)), strategy="pairs")
             if card < 9:
                 key = canonical_pair(FiniteIntSet((0, a, b))).elements
-                prev = found.setdefault(key, card)
-                if prev != card:
+                if found.setdefault(key, card) != card:
                     raise RuntimeError(f"cardinality disagrees within equivalence class {key}")
-        return found
 
-    if threads > 1 and len(candidates) > 1:
-        step = (len(candidates) + threads - 1) // threads
-        chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(scan, chunks))
-    else:
-        partials = [scan(candidates)]
-
-    merged: dict[tuple[int, ...], int] = {}
-    for part in partials:
-        for key, card in part.items():
-            prev = merged.setdefault(key, card)
-            if prev != card:
-                raise RuntimeError(f"cardinality disagrees within equivalence class {key}")
-
-    keys = sorted(merged)
+    keys = sorted(found)
     return TripleClassification(
         form=form,
         bound=bound,
         exceptional_canonicals=tuple(FiniteIntSet(k) for k in keys),
-        cardinalities=tuple(merged[k] for k in keys),
+        cardinalities=tuple(found[k] for k in keys),
     )
 
 

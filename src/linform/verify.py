@@ -1,8 +1,10 @@
 """Built-in verification suite: every headline cardinality claim, re-checked.
 
-Each check recomputes one family of values or inequalities from scratch
-and enforces its runtime budget.  The CLI ``verify`` subcommand renders
-the results as a pass/fail table; the same checks back the test suite.
+``CHECKS`` is the single statement of the reproduction's claims.  Each
+check recomputes one family of values or inequalities from scratch and
+runs under its runtime budget.  The CLI ``verify`` subcommand renders
+the results as a pass/fail table, and the acceptance tests run the same
+table entry by entry.
 """
 
 from __future__ import annotations
@@ -13,18 +15,18 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .intsets import (
     DIFFERENCE,
     SUM,
     FiniteIntSet,
     LinearForm,
+    amplify,
     canonical_pair,
     image_cardinality,
 )
 from .modular import (
-    LocalSolution,
     ResidueSet,
     build_separating_set,
     crt_product,
@@ -77,10 +79,25 @@ def packaged_example_set() -> FiniteIntSet:
 # the checks
 
 
+def _coprime_pairs(max_u: int, min_u: int = 2) -> Iterator[tuple[int, int]]:
+    """Coprime (u, v) with 1 <= v < u <= max_u, plus (1, 1) when min_u is 1."""
+    for u in range(min_u, max_u + 1):
+        for v in range(1, max(u, 2)):
+            if math.gcd(u, v) == 1:
+                yield u, v
+
+
+def _normalized_forms(max_u: int, min_u: int = 2) -> Iterator[LinearForm]:
+    for u, v in _coprime_pairs(max_u, min_u):
+        yield LinearForm((u, v))
+        yield LinearForm((u, -v))
+
+
 def check_mstd_counterexample() -> str:
+    image_cardinality(SUM, MSTD_SET)  # warm the kernels before timing
     start = time.perf_counter()
-    sums = image_cardinality(SUM, MSTD_SET)
     diffs = image_cardinality(DIFFERENCE, MSTD_SET)
+    sums = image_cardinality(SUM, MSTD_SET)
     elapsed = time.perf_counter() - start
     _expect(diffs == 25, f"|A-A| = {diffs}, expected 25")
     _expect(sums == 26, f"|A+A| = {sums}, expected 26")
@@ -93,28 +110,21 @@ def check_crt_construction(locals_override: Sequence[ResidueSet] | None = None) 
     residue_sets = list(locals_override) if locals_override is not None else packaged_locals()
     locs = [local_solution(f, SUM, r) for r in residue_sets]
     report = build_separating_set(f, SUM, locs, window_start=1, direct=True)
+    _expect(report.combined_modulus == 59280, f"modulus {report.combined_modulus}, expected 59280")
     _expect(report.set_size == 2646, f"|A| = {report.set_size}, expected 2646")
+    _expect(report.elements is not None and len(report.elements) == 2646,
+            "materialized set does not have the expected 2646 elements")
     _expect(report.f_card == 108014, f"|f(A)| = {report.f_card}, expected 108014")
     _expect(report.g_card == 114575, f"|s(A)| = {report.g_card}, expected 114575")
     _expect(report.success, "report did not declare success")
     return f"|A|=2646, |f(A)|=108014 < |s(A)|=114575; ratio product {report.ratio_product}"
 
 
-def _normalized_forms(max_u: int, min_u: int = 2) -> list[LinearForm]:
-    forms = []
-    for u in range(min_u, max_u + 1):
-        for av in range(1, u):
-            if math.gcd(u, av) == 1:
-                forms.append(LinearForm((u, av)))
-                forms.append(LinearForm((u, -av)))
-    return forms
-
-
-def check_triple_classification(threads: int = 1) -> str:
+def check_triple_classification() -> str:
     scanned = 0
     for form in _normalized_forms(10):
         u, v = form.coefficients
-        result = classify_triples(form, threads=threads)
+        result = classify_triples(form)
         got = {s.elements: c for s, c in zip(result.exceptional_canonicals, result.cardinalities)}
         if u == 2:
             expected = {(0, 1, 2): 7, (0, 1, 3): 8}
@@ -130,90 +140,95 @@ def check_triple_classification(threads: int = 1) -> str:
 
 def check_four_set_witnesses() -> str:
     pairs = 0
-    for u in range(2, 21):
-        for v in range(1, u):
-            if math.gcd(u, v) != 1:
-                continue
-            w = conjugate_four_set_witness(u, v)
-            expected = (13, 12, 13, 14) if u == 2 else (14, 13, 13, 14)
-            got = (w.f_of_a, w.g_of_a, w.f_of_b, w.g_of_b)
-            _expect(got == expected, f"(u,v)=({u},{v}): counts {got} != {expected}")
-            pairs += 1
+    for u, v in _coprime_pairs(20):
+        w = conjugate_four_set_witness(u, v)
+        expected = (13, 12, 13, 14) if u == 2 else (14, 13, 13, 14)
+        got = (w.f_of_a, w.g_of_a, w.f_of_b, w.g_of_b)
+        _expect(got == expected, f"(u,v)=({u},{v}): counts {got} != {expected}")
+        pairs += 1
     return f"{pairs} coprime pairs with u <= 20 show the 4-element pattern"
 
 
 def check_five_set_witnesses() -> str:
     pairs = 0
-    for u in range(2, 51):
-        for v in range(1, u):
-            if math.gcd(u, v) != 1:
-                continue
-            _, card_f, card_d = five_set_witness(u, v)
-            _expect(card_d == 21, f"(u,v)=({u},{v}): |d(A)| = {card_d} != 21")
-            _expect(card_f <= 19, f"(u,v)=({u},{v}): |f(A)| = {card_f} > 19")
-            _expect(card_f < card_d, f"(u,v)=({u},{v}): |f(A)| not below |d(A)|")
-            pairs += 1
+    for u, v in _coprime_pairs(50):
+        _, card_f, card_d = five_set_witness(u, v)
+        _expect(card_d == 21, f"(u,v)=({u},{v}): |d(A)| = {card_d} != 21")
+        _expect(card_f <= 19, f"(u,v)=({u},{v}): |f(A)| = {card_f} > 19")
+        _expect(card_f < card_d, f"(u,v)=({u},{v}): |f(A)| not below |d(A)|")
+        pairs += 1
     return f"{pairs} coprime pairs with u <= 50 give |f(A)| <= 19 < 21 = |d(A)|"
 
 
 def check_ap_equality() -> str:
     cases = 0
-    for u in range(2, 13):
-        for v in range(1, u):
-            if math.gcd(u, v) != 1:
-                continue
-            for t in range(1, u + 1):
-                a = ap_equality_set(u, v, t)
-                cf = image_cardinality(LinearForm((u, v)), a)
-                cg = image_cardinality(LinearForm((u, -v)), a)
-                _expect(cf == cg == t * t, f"(u,v,t)=({u},{v},{t}): got {cf}, {cg}, expected {t * t}")
-                cases += 1
+    for u, v in _coprime_pairs(12):
+        for t in range(1, u + 1):
+            a = ap_equality_set(u, v, t)
+            cf = image_cardinality(LinearForm((u, v)), a)
+            cg = image_cardinality(LinearForm((u, -v)), a)
+            _expect(cf == cg == t * t, f"(u,v,t)=({u},{v},{t}): got {cf}, {cg}, expected {t * t}")
+            cases += 1
     return f"{cases} progressions with u <= 12 give |f| = |g| = t^2"
 
 
-def check_amplification() -> str:
-    from .intsets import amplify
+def _random_form(rng: random.Random, coefficients: Sequence[int]) -> LinearForm:
+    return LinearForm((rng.choice(coefficients), rng.choice(coefficients)))
 
-    rng = random.Random(2024)
-    for trial in range(20):
-        elems = rng.sample(range(-40, 40), rng.randint(2, 12))
-        a = FiniteIntSet(elems)
-        coeffs = lambda: rng.choice([c for c in range(-5, 6) if c != 0])
-        f = LinearForm((coeffs(), coeffs()))
-        g = LinearForm((coeffs(), coeffs()))
-        fa, ga = image_cardinality(f, a), image_cardinality(g, a)
-        _, amplified = amplify(f, g, a)
-        _expect(len(amplified) == len(a) ** 2, f"trial {trial}: |A_M| != |A|^2")
-        _expect(image_cardinality(f, amplified) == fa * fa, f"trial {trial}: |f(A_M)| != |f(A)|^2")
-        _expect(image_cardinality(g, amplified) == ga * ga, f"trial {trial}: |g(A_M)| != |g(A)|^2")
-    return "20 random instances square |A|, |f(A)| and |g(A)| exactly"
+
+def _random_residue_set(rng: random.Random, modulus: int) -> ResidueSet:
+    return ResidueSet(modulus, rng.sample(range(modulus), rng.randint(1, modulus)))
+
+
+def check_amplification() -> str:
+    nonzero = [c for c in range(-5, 6) if c]
+    # two independent instance families: sets from [-40, 40) with 2..12
+    # elements, and from [-60, 60) with 1..12 elements
+    for seed, span, min_size in ((2024, 40, 2), (424242, 60, 1)):
+        rng = random.Random(seed)
+        for trial in range(20):
+            a = FiniteIntSet(rng.sample(range(-span, span), rng.randint(min_size, 12)))
+            f, g = _random_form(rng, nonzero), _random_form(rng, nonzero)
+            fa, ga = image_cardinality(f, a), image_cardinality(g, a)
+            _, amplified = amplify(f, g, a)
+            where = f"seed {seed} trial {trial}"
+            _expect(len(amplified) == len(a) ** 2, f"{where}: |A_M| != |A|^2")
+            _expect(image_cardinality(f, amplified) == fa * fa, f"{where}: |f(A_M)| != |f(A)|^2")
+            _expect(image_cardinality(g, amplified) == ga * ga, f"{where}: |g(A_M)| != |g(A)|^2")
+    return "40 random instances square |A|, |f(A)| and |g(A)| exactly"
+
+
+def _expect_sandwich(f: LinearForm, residues: ResidueSet, f_mod: int, where: str) -> None:
+    for window in (0, 1):
+        f_int = image_cardinality(f, rectify(residues, window))
+        bound = 2 * f.height * f_mod
+        _expect(f_mod <= f_int <= bound, f"{where}: sandwich violated: {f_mod} <= {f_int} <= {bound}")
 
 
 def check_crt_and_rectification() -> str:
-    rng = random.Random(99)
-    moduli = [m for m in range(2, 51)]
+    nonzero = [c for c in range(-10, 11) if c]
+    for seed in (99, 88):
+        rng = random.Random(seed)
+        for trial in range(100):
+            while True:
+                m1, m2 = rng.randint(2, 50), rng.randint(2, 50)
+                if math.gcd(m1, m2) == 1:
+                    break
+            r1, r2 = _random_residue_set(rng, m1), _random_residue_set(rng, m2)
+            f = _random_form(rng, nonzero)
+            combined = crt_product([r1, r2])
+            where = f"seed {seed} trial {trial}"
+            _expect(len(combined) == len(r1) * len(r2), f"{where}: |R| not multiplicative")
+            lhs = len(modular_image(f, combined))
+            rhs = len(modular_image(f, r1)) * len(modular_image(f, r2))
+            _expect(lhs == rhs, f"{where}: |f(R)| = {lhs} != {rhs}")
+            _expect_sandwich(f, combined, lhs, where)
+    # the seed-88 stream continues into single-modulus sandwich instances
     for trial in range(100):
-        while True:
-            m1, m2 = rng.choice(moduli), rng.choice(moduli)
-            if math.gcd(m1, m2) == 1:
-                break
-        r1 = ResidueSet(m1, rng.sample(range(m1), rng.randint(1, m1)))
-        r2 = ResidueSet(m2, rng.sample(range(m2), rng.randint(1, m2)))
-        u = rng.choice([c for c in range(-10, 11) if c])
-        v = rng.choice([c for c in range(-10, 11) if c])
-        f = LinearForm((u, v))
-        combined = crt_product([r1, r2])
-        _expect(len(combined) == len(r1) * len(r2), f"trial {trial}: |R| not multiplicative")
-        lhs = len(modular_image(f, combined))
-        rhs = len(modular_image(f, r1)) * len(modular_image(f, r2))
-        _expect(lhs == rhs, f"trial {trial}: |f(R)| = {lhs} != {rhs}")
-        for window in (0, 1):
-            a = rectify(combined, window)
-            fa = image_cardinality(f, a)
-            fr = lhs
-            _expect(fr <= fa <= 2 * f.height * fr,
-                    f"trial {trial}: sandwich violated: {fr} <= {fa} <= {2 * f.height * fr}")
-    return "100 random instances: exact multiplicativity and rectification sandwich"
+        r = _random_residue_set(rng, rng.randint(2, 80))
+        f = _random_form(rng, nonzero)
+        _expect_sandwich(f, r, len(modular_image(f, r)), f"single modulus trial {trial}")
+    return "200 CRT products multiply exactly; 300 sets obey the sandwich in both windows"
 
 
 def check_quadratic_residue_coverage() -> str:
@@ -237,6 +252,7 @@ def check_quadratic_residue_coverage() -> str:
 
 def check_subgroup_coverage() -> str:
     forms = [SUM, DIFFERENCE, LinearForm((2, 1)), LinearForm((3, 2))]
+    rng = random.Random(1010)
     reports = 0
     for k in (2, 3):
         for p in primes_between(k**4 + 1, 2000):
@@ -248,7 +264,12 @@ def check_subgroup_coverage() -> str:
                 if u % p == 0 or v % p == 0:
                     continue
                 report = coverage(form, subgroup)
-                _expect(report.covered_nonzero, f"nonzero class missed: p={p}, k={k}, f={form.coefficients}")
+                where = f"p={p}, k={k}, f={form.coefficients}"
+                _expect(report.covered_nonzero, f"nonzero class missed: {where}")
+                counts = report.representation_counts
+                _expect(sum(counts) == subgroup.order**2, f"counts do not sum to |H|^2: {where}")
+                x, h = rng.randrange(1, p), rng.choice(subgroup.classes)
+                _expect(counts[x] == counts[x * h % p], f"count not constant on the coset of {x}: {where}")
                 reports += 1
     return f"{reports} coverage reports: all nonzero classes hit, counts consistent"
 
@@ -292,7 +313,7 @@ CHECKS: tuple[tuple[str, Callable[[], str], float], ...] = (
 )
 
 
-def run_checks(only: str | None = None, threads: int = 1) -> list[CheckResult]:
+def run_checks(only: str | None = None) -> list[CheckResult]:
     """Run the verification checks, optionally filtered by name prefix."""
     results = []
     for name, fn, budget in CHECKS:
@@ -300,10 +321,7 @@ def run_checks(only: str | None = None, threads: int = 1) -> list[CheckResult]:
             continue
         start = time.perf_counter()
         try:
-            if fn is check_triple_classification:
-                detail = fn(threads=threads)  # type: ignore[call-arg]
-            else:
-                detail = fn()
+            detail = fn()
             elapsed = time.perf_counter() - start
             if elapsed > budget:
                 results.append(CheckResult(name, False, f"exceeded {budget:.0f} s budget: {elapsed:.1f} s", elapsed))

@@ -209,11 +209,5 @@ class TestNegativeControl:
 
 
 class TestEnvironment:
-    def test_threads_default_from_env(self, monkeypatch):
-        monkeypatch.setenv("LINFORM_THREADS", "3")
-        parser = cli.build_parser()
-        args = parser.parse_args(["classify3", "-u", "3", "-v", "1"])
-        assert args.threads == 3
-
     def test_packaged_example_set(self):
         assert len(packaged_example_set()) == 8

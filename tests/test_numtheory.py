@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_jacobi, brute_legendre, trial_division_is_prime
 from linform.numtheory import (
+    _MR_PROVEN_BOUND,
     PrimeSearchResult,
     PrimeSearchSpec,
     crt_combine,
@@ -93,6 +94,16 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)
         assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
 
+    def test_even_above_proven_bound_is_composite(self):
+        assert not is_prime(2 * _MR_PROVEN_BOUND)
+
+    @pytest.mark.parametrize("n", [_MR_PROVEN_BOUND, 2**89 - 1])
+    def test_refuses_above_proven_bound(self, n):
+        # the bound itself is a composite that passes every witness used;
+        # 2^89 - 1 is prime, and trial division to its root would take days
+        with pytest.raises(ValueError, match=str(_MR_PROVEN_BOUND)):
+            is_prime(n)
+
 
 class TestPrimesBetween:
     def test_range(self):
@@ -116,6 +127,13 @@ class TestCrtCombine:
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             crt_combine([(2, 4), (1, 6)])
+
+    def test_merges_compatible_non_coprime(self):
+        assert crt_combine([(1, 4), (5, 8)]) == (5, 8)
+
+    def test_rejects_contradictory(self):
+        with pytest.raises(ValueError, match="contradictory"):
+            crt_combine([(1, 4), (3, 8)])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

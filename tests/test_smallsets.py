@@ -73,12 +73,6 @@ class TestClassifyTriples:
         with pytest.raises(ValueError):
             classify_triples(LinearForm((3, 1)), bound=3)
 
-    def test_thread_count_does_not_change_results(self):
-        form = LinearForm((7, 3))
-        assert classify_triples(form, bound=25, threads=1) == classify_triples(
-            form, bound=25, threads=4
-        )
-
 
 class TestThreeSetWitness:
     def test_separated_leading_coefficients(self):
