@@ -20,9 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .intsets import (
-    DIFFERENCE,
     STRATEGIES,
-    SUM,
     FiniteIntSet,
     LinearForm,
     image,

@@ -8,7 +8,7 @@ tests.  Everything is pure and exact; no floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 DEFAULT_SEARCH_LIMIT = 10**6

@@ -12,7 +12,6 @@ power-residue test.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .numtheory import (
     is_prime,
     is_qth_power_residue,
     jacobi,
-    nth_root,
 )
 
 # Full quadratic enumeration of a coverage report is O(|H|^2); above this
@@ -277,7 +275,7 @@ def kth_power_local_solutions(
             # order > cap: p > q^4 guarantees nonzero coverage; 0 stays
             # excluded because a is not a q-th power residue, and -1 is a
             # q-th power (q odd) so sums still reach 0.
-            if p - 1 not in subgroup.classes:
+            if p - 1 not in subgroup:
                 raise RuntimeError(f"-1 is not a {q}-th power mod {p} although {q} is odd")
         solutions.append(
             LocalSolution(residues=subgroup.residue_set(), f_card=p - 1, g_card=p)

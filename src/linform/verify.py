@@ -329,6 +329,9 @@ def run_checks(only: str | None = None) -> list[CheckResult]:
                 results.append(CheckResult(name, True, detail, elapsed))
         except CheckFailure as exc:
             results.append(CheckResult(name, False, str(exc), time.perf_counter() - start))
+        except Exception as exc:  # a library self-check raised: a FAIL row, not a traceback
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}",
+                                       time.perf_counter() - start))
     return results
 
 

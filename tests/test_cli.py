@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from linform import cli
+from linform import cli, verify
 from linform.modular import ResidueSet
 from linform.verify import CheckFailure, check_crt_construction, packaged_example_set, packaged_locals
 
@@ -198,6 +198,18 @@ class TestVerifyCommand:
     def test_unknown_prefix_fails(self, capsys):
         code, data, _ = run_json(capsys, "verify", "--only", "nonexistent")
         assert code == 1
+
+    def test_library_error_is_a_fail_row(self, capsys, monkeypatch):
+        def broken():
+            raise RuntimeError("sums over the subgroup mod 97 do not cover Z/97Z")
+
+        monkeypatch.setattr(verify, "CHECKS", (("broken-self-check", broken, 1.0),))
+        code, out, err = run(capsys, "verify")
+        assert code == 1
+        assert "FAIL  broken-self-check" in out
+        assert "RuntimeError: sums over the subgroup mod 97 do not cover Z/97Z" in out
+        assert "0/1 checks passed" in out
+        assert "Traceback" not in out + err
 
 
 class TestNegativeControl:

@@ -116,17 +116,94 @@ class TestImage:
             got = image(LinearForm(coeffs), elems)
             assert list(got) == brute_image(coeffs, elems)
 
-    def test_strategies_agree_on_200_random_instances(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            elems = rng.sample(range(-500, 500), rng.randint(1, 64))
-            coeffs = (rng.choice([c for c in range(-10, 11) if c]),
-                      rng.choice([c for c in range(-10, 11) if c]))
+    def test_strategies_agree_on_200_random_instances(self, monkeypatch):
+        # Once with every pairs/merge call on the int64 sort kernel, once
+        # with every one on Python ints.
+        for crossover in (0, math.inf):
+            monkeypatch.setattr(intsets, "_SORT_FOLD_TUPLES", crossover)
+            rng = random.Random(11)
+            for _ in range(200):
+                elems = rng.sample(range(-500, 500), rng.randint(1, 64))
+                coeffs = (rng.choice([c for c in range(-10, 11) if c]),
+                          rng.choice([c for c in range(-10, 11) if c]))
+                f = LinearForm(coeffs)
+                results = {s: image(f, elems, strategy=s).elements for s in ("pairs", "merge", "bitset")}
+                assert results["pairs"] == results["merge"] == results["bitset"]
+                cards = {image_cardinality(f, elems, strategy=s) for s in ("pairs", "merge", "bitset")}
+                assert cards == {len(results["pairs"])}
+
+    def test_sort_kernel_matches_brute_force_and_python_kernels(self, monkeypatch):
+        # Windows too wide for the bitset kernel but within int64; a spy
+        # confirms every case reaches the sort kernel.
+        sort_folds = []
+        sort_fold = intsets._sort_fold
+        monkeypatch.setattr(intsets, "_sort_fold", lambda terms: sort_folds.append(1) or sort_fold(terms))
+        rng = random.Random(23)
+        top = 1 << 40
+        exact = (2**63 - 1) // 7  # (4, -3) then spans exactly 2**63 integers
+        cases = [
+            ((3, -2), rng.sample(range(top), 64)),
+            ((-1, -4), rng.sample(range(top), 48)),
+            ((-5, 2), rng.sample(range(-top, top), 48)),
+            ((1, 2, -3), rng.sample(range(top), 24)),
+            ((-1, -1, -1), rng.sample(range(top), 16)),
+            ((2, 1), [10**40 + x for x in rng.sample(range(top), 64)]),
+            ((1, -1), [-10**40 - x for x in rng.sample(range(top), 64)]),
+            ((4, -3), [0, exact] + rng.sample(range(1, exact), 30)),
+        ]
+        assert intsets._width(intsets._terms(LinearForm((4, -3)), FiniteIntSet(cases[-1][1]))) == 2**63
+        for coeffs, elems in cases:
             f = LinearForm(coeffs)
-            results = {s: image(f, elems, strategy=s).elements for s in ("pairs", "merge", "bitset")}
-            assert results["pairs"] == results["merge"] == results["bitset"]
-            cards = {image_cardinality(f, elems, strategy=s) for s in ("pairs", "merge", "bitset")}
-            assert cards == {len(results["pairs"])}
+            expected = brute_image(coeffs, elems)
+            for s in ("auto", "pairs", "merge"):
+                assert list(image(f, elems, strategy=s)) == expected
+                assert image_cardinality(f, elems, strategy=s) == len(expected)
+        # a one-element term, first and last
+        elems = rng.sample(range(top), 512)
+        for a, b in (([7], elems), (elems, [-7])):
+            got = sumset(a, b, strategy="pairs").elements
+            assert got == tuple(sorted({x + y for x in a for y in b}))
+        assert len(sort_folds) == 6 * len(cases) + 2
+        # the same cases on Python ints
+        monkeypatch.setattr(intsets, "_SORT_FOLD_TUPLES", math.inf)
+        for coeffs, elems in cases:
+            f = LinearForm(coeffs)
+            for s in ("pairs", "merge"):
+                assert image(f, elems, strategy=s) == image(f, elems, strategy="auto")
+        assert len(sort_folds) == 6 * len(cases) + 2
+
+    def test_window_one_past_int64_stays_on_python(self, monkeypatch):
+        sort_folds = []
+        sort_fold = intsets._sort_fold
+        monkeypatch.setattr(intsets, "_sort_fold", lambda terms: sort_folds.append(1) or sort_fold(terms))
+        rng = random.Random(29)
+        elems = [0, 2**62] + rng.sample(range(1, 2**62), 30)
+        assert intsets._width(intsets._terms(SUM, FiniteIntSet(elems))) == 2**63 + 1
+        expected = brute_image((1, 1), elems)
+        for s in ("auto", "pairs", "merge"):
+            assert list(image(SUM, elems, strategy=s)) == expected
+            assert image_cardinality(SUM, elems, strategy=s) == len(expected)
+        assert sort_folds == []
+
+    def test_sort_kernel_merges_overlapping_blocks(self, monkeypatch):
+        # A block cap of 64 values splits each stage into one block per
+        # accumulator row; on a dense set the blocks share most values.
+        monkeypatch.setattr(intsets, "_SORT_CHUNK", 64)
+        sort_folds = []
+        sort_fold = intsets._sort_fold
+        monkeypatch.setattr(intsets, "_sort_fold", lambda terms: sort_folds.append(1) or sort_fold(terms))
+        rng = random.Random(31)
+        elems = rng.sample(range(300), 60)
+        forms = ((1, 1), (2, -1), (1, 1, 1), (-3, 1, 2))
+        expected = {coeffs: brute_image(coeffs, elems) for coeffs in forms}
+        for crossover in (intsets._SORT_FOLD_TUPLES, math.inf):
+            monkeypatch.setattr(intsets, "_SORT_FOLD_TUPLES", crossover)
+            for coeffs in forms:
+                assert len(expected[coeffs]) < len(elems) ** len(coeffs) // 4
+                for s in ("pairs", "merge"):
+                    assert list(image(LinearForm(coeffs), elems, strategy=s)) == expected[coeffs]
+                    assert image_cardinality(LinearForm(coeffs), elems, strategy=s) == len(expected[coeffs])
+        assert len(sort_folds) == 4 * len(forms)
 
     def test_strategies_agree_on_wide_windows(self, monkeypatch):
         # Windows wide enough that the auto-selected bitset kernel runs on
