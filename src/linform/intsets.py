@@ -324,7 +324,14 @@ def _sort_fold(terms: list[list[int]]) -> np.ndarray:
         rows = max(_SORT_CHUNK // len(offs), 1)
         blocks = [_sorted_distinct((acc[i:i + rows, None] + offs).ravel())
                   for i in range(0, len(acc), rows)]
-        acc = blocks[0] if len(blocks) == 1 else _sorted_distinct(np.concatenate(blocks))
+        if len(blocks) == 1:
+            acc = blocks[0]
+        else:
+            # Drop the blocks first: the merge sort then holds only the
+            # merged copy, its mask and the result.
+            acc = np.concatenate(blocks)
+            del blocks
+            acc = _sorted_distinct(acc)
     return acc
 
 
