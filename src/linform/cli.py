@@ -47,6 +47,15 @@ from . import verify as verify_mod
 
 INLINE_SET_LIMIT = 100_000
 
+# Input caps, each with its measured cost at the cap (Python 3.11, numpy 2.4,
+# 2-CPU Xeon, form 2x+y).  local-search builds Z/mZ and an m-bit mask per
+# image; at m = 4096 and the default budget a search took 13 s.
+LOCAL_SEARCH_MODULUS_CAP = 4096
+# construct verifies each prime local by enumeration, O(p^2/64) words for
+# QR and O(p^2) pairs for k-th powers; 500 locals took 12 s (qr, p up to
+# 17,477) and 41 s (kpower, p up to 12,697).
+CONSTRUCT_COUNT_CAP = 500
+
 
 class UsageError(ValueError):
     """Bad command-line input; maps to exit code 2."""
@@ -247,6 +256,8 @@ def _require_uv(args: argparse.Namespace) -> None:
 def cmd_local_search(args: argparse.Namespace) -> CommandResult:
     form_f = parse_form(args.form_f)
     form_g = parse_form(args.form_g)
+    if args.modulus > LOCAL_SEARCH_MODULUS_CAP:
+        raise UsageError(f"--modulus is capped at {LOCAL_SEARCH_MODULUS_CAP}, got {args.modulus}")
     try:
         sol = local_ratio_search(form_f, form_g, args.modulus, budget=args.budget, seed=args.seed)
     except ValueError as exc:
@@ -300,6 +311,8 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
         u, v = _binary_coefficients(form_f)
         if form_g.coefficients not in ((1, 1), (1, -1)):
             raise UsageError(f"--source {args.source} builds locals against x+y or x-y only")
+        if args.count > CONSTRUCT_COUNT_CAP:
+            raise UsageError(f"--count is capped at {CONSTRUCT_COUNT_CAP}, got {args.count}")
         try:
             if args.source == "qr":
                 locs = qr_local_solutions(u, v, args.count)
@@ -405,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search Z/mZ for a subset with small |f(R)|/|g(R)| and g(R) full")
     p.add_argument("-f", "--form-f", required=True)
     p.add_argument("-g", "--form-g", required=True)
-    p.add_argument("-m", "--modulus", type=int, required=True)
+    p.add_argument("-m", "--modulus", type=int, required=True,
+                   help=f"at most {LOCAL_SEARCH_MODULUS_CAP}")
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_local_search)
@@ -415,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--form-f", required=True)
     p.add_argument("-g", "--form-g", required=True)
     p.add_argument("--source", choices=["qr", "kpower", "file"], required=True)
-    p.add_argument("--count", type=int, default=8, help="local solutions to request (qr/kpower)")
+    p.add_argument("--count", type=int, default=8,
+                   help=f"local solutions to request (qr/kpower), at most {CONSTRUCT_COUNT_CAP}")
     p.add_argument("--locals", help="JSON file of residue sets (file source)")
     p.add_argument("--window", type=int, default=0, help="first representative of the window")
     p.add_argument("--set-out", help="write the materialized set to this file")

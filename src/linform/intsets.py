@@ -84,6 +84,13 @@ class FiniteIntSet:
             seen.add(a)
         object.__setattr__(self, "elements", tuple(sorted(seen)))
 
+    @classmethod
+    def _from_sorted(cls, elements: list[int]) -> "FiniteIntSet":
+        """Trusted constructor: elements already sorted, distinct Python ints."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "elements", tuple(elements))
+        return a
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -217,15 +224,14 @@ def sumset(a: FiniteIntSet | Iterable[int], b: FiniteIntSet | Iterable[int],
     a, b = _as_set(a), _as_set(b)
     _require_nonempty(a)
     _require_nonempty(b)
-    values = _fold_sumsets([list(a.elements), list(b.elements)], strategy)
-    return FiniteIntSet(values)
+    return FiniteIntSet._from_sorted(_fold_sumsets([list(a.elements), list(b.elements)], strategy))
 
 
 def image(form: LinearForm, a: FiniteIntSet | Iterable[int], strategy: str = "auto") -> FiniteIntSet:
     """The image f(A) = {sum ui*ai : ai in A}, sorted and deduplicated."""
     a = _as_set(a)
     _require_nonempty(a)
-    return FiniteIntSet(_fold_sumsets(_terms(form, a), strategy))
+    return FiniteIntSet._from_sorted(_fold_sumsets(_terms(form, a), strategy))
 
 
 def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],

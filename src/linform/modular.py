@@ -48,6 +48,14 @@ class ResidueSet:
         object.__setattr__(self, "classes", tuple(reduced))
 
     @classmethod
+    def _from_sorted(cls, modulus: int, classes: list[int]) -> "ResidueSet":
+        """Trusted constructor: classes already sorted, distinct, nonempty and in [0, m)."""
+        residues = object.__new__(cls)
+        object.__setattr__(residues, "modulus", modulus)
+        object.__setattr__(residues, "classes", tuple(classes))
+        return residues
+
+    @classmethod
     def full_ring(cls, modulus: int) -> "ResidueSet":
         return cls(modulus, range(modulus))
 
@@ -81,20 +89,31 @@ class ResidueSet:
 
 def modular_image(form: LinearForm, residues: ResidueSet) -> ResidueSet:
     """The image {sum ui*ri mod m : ri in R} as a residue set mod m."""
+    return ResidueSet._from_sorted(residues.modulus, _bits.decode(_image_mask(form, residues), 0))
+
+
+def modular_image_cardinality(form: LinearForm, residues: ResidueSet) -> int:
+    """|f(R)| mod m, without decoding the image."""
+    return _image_mask(form, residues).bit_count()
+
+
+def _image_mask(form: LinearForm, residues: ResidueSet) -> int:
+    """The image as an m-bit mask, bit c set when class c is in f(R).
+
+    Each later term shifts the accumulated mask by its classes and folds
+    the bits at m and above back onto [0, m).
+    """
     m = residues.modulus
     full = (1 << m) - 1
-    acc = None
-    for coeff in form.coefficients:
-        term = sorted({coeff * r % m for r in residues.classes})
-        if acc is None:
-            acc = _bits.mask_of(term, 0)
-            continue
+    terms = [residues.classes if c % m == 1 else {c * r % m for r in residues.classes}
+             for c in form.coefficients]
+    acc = _bits.mask_of(terms[0], 0)
+    for term in terms[1:]:
         shifted = 0
         for t in term:
             shifted |= acc << t
         acc = (shifted & full) | (shifted >> m)
-    assert acc is not None
-    return ResidueSet(m, _bits.decode(acc, 0))
+    return acc
 
 
 def crt_product(residue_sets: Sequence[ResidueSet]) -> ResidueSet:
@@ -168,8 +187,8 @@ def local_solution(form_f: LinearForm, form_g: LinearForm, residues: ResidueSet)
     """Compute both image cardinalities of a residue set."""
     return LocalSolution(
         residues=residues,
-        f_card=len(modular_image(form_f, residues)),
-        g_card=len(modular_image(form_g, residues)),
+        f_card=modular_image_cardinality(form_f, residues),
+        g_card=modular_image_cardinality(form_g, residues),
     )
 
 
@@ -402,18 +421,17 @@ def local_ratio_search(
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    full = ResidueSet.full_ring(modulus)
-    if not modular_image(form_g, full).is_full():
-        raise ValueError("infeasible: g does not cover the full ring even on all of Z/mZ")
-
     rng = random.Random(seed)
     m = modulus
 
-    def feasible(classes: frozenset[int]) -> bool:
-        return modular_image(form_g, ResidueSet(m, classes)).is_full()
+    def feasible(classes: Iterable[int]) -> bool:
+        return modular_image_cardinality(form_g, ResidueSet(m, classes)) == m
 
     def f_count(classes: frozenset[int]) -> int:
-        return len(modular_image(form_f, ResidueSet(m, classes)))
+        return modular_image_cardinality(form_f, ResidueSet(m, classes))
+
+    if not feasible(range(m)):
+        raise ValueError("infeasible: g does not cover the full ring even on all of Z/mZ")
 
     best_classes = frozenset(range(m))
     best_count = f_count(best_classes)

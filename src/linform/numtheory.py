@@ -3,6 +3,14 @@
 Jacobi symbols, deterministic primality, prime search in arithmetic
 progressions, Chinese-remainder combination, and q-th power residue
 tests.  Everything is pure and exact; no floating point anywhere.
+
+Primality is Miller-Rabin with witness sets proven deterministic below a
+bound, in two tiers: the witnesses 2, 3, 5, 7 for n < 3,215,031,751, the
+least strong pseudoprime to all four (Jaeschke, "On strong pseudoprimes
+to several bases", Math. Comp. 61, 1993), and the twelve primes up to 37
+for n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, "Strong
+pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  Above that
+no witness set is proven, and is_prime refuses to answer.
 """
 
 from __future__ import annotations
@@ -13,8 +21,10 @@ from typing import Callable, Iterator, Optional, Sequence
 
 DEFAULT_SEARCH_LIMIT = 10**6
 
-# Miller-Rabin with these witnesses is a proven-deterministic primality
-# test for all n below this bound (Sorenson & Webster, 2015).
+# Miller-Rabin witness sets, each proven deterministic for all n below its
+# bound (see the module docstring for the citations).
+_MR_SMALL_WITNESSES = (2, 3, 5, 7)
+_MR_SMALL_BOUND = 3_215_031_751
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
@@ -43,7 +53,9 @@ def is_prime(n: int) -> bool:
     """Deterministic primality for n below the proven Miller-Rabin bound.
 
     n <= 1 is not prime, and any n with a factor among the small primes
-    is decided exactly.  For any other n at or above _MR_PROVEN_BOUND
+    is decided exactly.  Other n below _MR_SMALL_BOUND run Miller-Rabin
+    on the witnesses 2, 3, 5, 7, and n below _MR_PROVEN_BOUND on the
+    twelve primes up to 37.  For any other n at or above _MR_PROVEN_BOUND
     (about 3.3e24) no witness set is proven and trial division is
     unbounded, so ValueError is raised instead of answering.
     """
@@ -54,7 +66,7 @@ def is_prime(n: int) -> bool:
             return n == p
     if n >= _MR_PROVEN_BOUND:
         raise ValueError(f"is_prime is proven only below {_MR_PROVEN_BOUND}, got {n}")
-    return _miller_rabin(n, _MR_WITNESSES)
+    return _miller_rabin(n, _MR_SMALL_WITNESSES if n < _MR_SMALL_BOUND else _MR_WITNESSES)
 
 
 def _miller_rabin(n: int, witnesses: Sequence[int]) -> bool:

@@ -7,6 +7,16 @@ solutions with |f(R_p)| = p - 1 against |s(R_p)| = |d(R_p)| = p.  The
 k-th power subgroups generalize this: for p > k^4 every nonzero class is
 f(h1, h2) with h1, h2 k-th powers, and excluding 0 reduces to a single
 power-residue test.
+
+Both sets are found by full enumeration.  power_subgroup raises every
+x in [1, p) to the k-th power by square-and-multiply on numpy int64,
+which is exact while (p-1)^2 < 2^63, so it takes p below
+POWER_SUBGROUP_P_CAP.  coverage counts the representations of every
+class as a bincount of the n x n sums a_i + b_j, with a = u*h mod p and
+b = v*h mod p over the subgroup's classes h; each sum lies in [0, 2p-2],
+so the counts of x and x + p are added instead of reducing n^2 values
+mod p.  The sums are formed in row blocks of at most _COVERAGE_CHUNK
+values, so memory stays bounded however large the subgroup is.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intsets import DIFFERENCE, SUM, LinearForm
-from .modular import LocalSolution, ResidueSet, modular_image
+from .modular import LocalSolution, ResidueSet, _image_mask, modular_image_cardinality
 from .numtheory import (
     DEFAULT_SEARCH_LIMIT,
     PrimeSearchSpec,
@@ -33,6 +43,14 @@ from .numtheory import (
 # the zero-membership test.
 FULL_ENUMERATION_ORDER_CAP = 10_000
 
+# Most int64 sums (32 MiB) coverage holds at once; at the order cap a
+# single block would take 800 MB.
+_COVERAGE_CHUNK = 1 << 22
+
+# Smallest p power_subgroup rejects: below it (p-1)^2 < 2^63, so the
+# products of its int64 square-and-multiply are exact.
+POWER_SUBGROUP_P_CAP = 3_037_000_500
+
 
 @dataclass(frozen=True)
 class PowerSubgroup:
@@ -47,7 +65,7 @@ class PowerSubgroup:
         return len(self.classes)
 
     def residue_set(self) -> ResidueSet:
-        return ResidueSet(self.p, self.classes)
+        return ResidueSet._from_sorted(self.p, self.classes)
 
     def __contains__(self, value: int) -> bool:
         v = value % self.p
@@ -56,14 +74,35 @@ class PowerSubgroup:
 
 
 def power_subgroup(p: int, k: int) -> PowerSubgroup:
-    """The k-th powers in the multiplicative group mod p; requires k | p-1."""
+    """The k-th powers in the multiplicative group mod p; requires k | p-1.
+
+    Every x in [1, p) is raised to the k-th power on int64, so p must be
+    below POWER_SUBGROUP_P_CAP = 3,037,000,500, where (p-1)^2 < 2^63;
+    larger p raise ValueError before anything is allocated.
+    """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if (p - 1) % k != 0:
         raise ValueError(f"k={k} does not divide p-1={p - 1}")
-    classes = sorted({pow(x, k, p) for x in range(1, p)})
+    if p >= POWER_SUBGROUP_P_CAP:
+        raise ValueError(f"power_subgroup takes p below {POWER_SUBGROUP_P_CAP}, got {p}")
+    base = np.arange(1, p, dtype=np.int64)
+    powers = np.ones(p - 1, dtype=np.int64)
+    e = k
+    while True:
+        if e & 1:
+            powers *= base
+            powers %= p
+        e >>= 1
+        if not e:
+            break
+        base *= base
+        base %= p
+    present = np.zeros(p, dtype=bool)
+    present[powers] = True
+    classes = np.flatnonzero(present).tolist()
     if len(classes) != (p - 1) // k:
         raise RuntimeError(f"subgroup of k-th powers mod {p} has unexpected order {len(classes)}")
     return PowerSubgroup(p=p, k=k, classes=tuple(classes))
@@ -84,10 +123,14 @@ def qr_sum_diff_full(p: int) -> bool:
     """
     if not is_prime(p) or p % 4 != 1 or p <= 5:
         raise ValueError(f"requires a prime p = 1 (mod 4) with p > 5, got {p}")
-    residues = quadratic_residues(p).residue_set()
+    return _sum_diff_full(quadratic_residues(p).residue_set())
+
+
+def _sum_diff_full(residues: ResidueSet) -> bool:
+    m = residues.modulus
     return (
-        modular_image(SUM, residues).is_full()
-        and modular_image(DIFFERENCE, residues).is_full()
+        modular_image_cardinality(SUM, residues) == m
+        and modular_image_cardinality(DIFFERENCE, residues) == m
     )
 
 
@@ -101,7 +144,7 @@ def zero_in_f_of_qr(u: int, v: int, p: int) -> bool:
     if u % p == 0 or v % p == 0:
         raise ValueError(f"p={p} must not divide the coefficients ({u}, {v})")
     residues = quadratic_residues(p).residue_set()
-    return 0 in modular_image(LinearForm((u, v)), residues).classes
+    return bool(_image_mask(LinearForm((u, v)), residues) & 1)
 
 
 @dataclass(frozen=True)
@@ -137,8 +180,14 @@ def coverage(form: LinearForm, subgroup: PowerSubgroup) -> CoverageReport:
         raise ValueError(f"subgroup order must be >= 2, got {n}")
 
     h = np.asarray(subgroup.classes, dtype=np.int64)
-    values = ((u % p) * h[:, None] + (v % p) * h[None, :]) % p
-    counts = np.bincount(values.ravel(), minlength=p)
+    a = (u % p) * h % p
+    b = (v % p) * h % p
+    rows = max(_COVERAGE_CHUNK // n, 1)
+    counts = np.zeros(2 * p, dtype=np.int64)
+    for i in range(0, n, rows):
+        # Each sum is in [0, 2p-2]: the class of x is counted at x and x + p.
+        counts += np.bincount((a[i:i + rows, None] + b).ravel(), minlength=2 * p)
+    counts = counts[:p] + counts[p:]
 
     total = int(counts.sum())
     if total != n * n:
@@ -156,7 +205,7 @@ def coverage(form: LinearForm, subgroup: PowerSubgroup) -> CoverageReport:
         subgroup=subgroup,
         covered_nonzero=covered_nonzero,
         zero_covered=zero_covered,
-        representation_counts=tuple(int(c) for c in counts),
+        representation_counts=tuple(counts.tolist()),
     )
 
 
@@ -203,12 +252,12 @@ def qr_local_solutions(
     solutions = []
     for p in find_primes(spec, count):
         residues = quadratic_residues(p).residue_set()
-        f_image = modular_image(form, residues)
-        if 0 in f_image.classes:
+        f_mask = _image_mask(form, residues)
+        if f_mask & 1:
             raise RuntimeError(f"0 in f(R_{p}) despite jacobi({-u * v}, {p}) = -1")
-        if not qr_sum_diff_full(p):
+        if not _sum_diff_full(residues):
             raise RuntimeError(f"sums/differences of squares do not cover Z/{p}Z")
-        solutions.append(LocalSolution(residues=residues, f_card=len(f_image), g_card=p))
+        solutions.append(LocalSolution(residues=residues, f_card=f_mask.bit_count(), g_card=p))
     return solutions
 
 

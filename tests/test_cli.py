@@ -140,6 +140,13 @@ class TestLocalSearchCommand:
         num, den = data["outputs"]["ratio"]
         assert num / den <= 12 / 13
 
+    def test_modulus_beyond_cap_is_usage_error(self, capsys):
+        m = cli.LOCAL_SEARCH_MODULUS_CAP + 1
+        code, out, err = run(capsys, "local-search", "-f", "2,1", "-g", "1,1", "-m", str(m))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --modulus is capped at {cli.LOCAL_SEARCH_MODULUS_CAP}")
+
 
 class TestConstructCommand:
     def test_file_source_reproduction(self, capsys, tmp_path):
@@ -175,6 +182,15 @@ class TestConstructCommand:
         assert data["outputs"]["locals"][0]["modulus"] == 13
         if data["status"] == "failure":
             assert code == 1 and data["reason"]
+
+    @pytest.mark.parametrize("source", ["qr", "kpower"])
+    def test_count_beyond_cap_is_usage_error(self, capsys, source):
+        count = cli.CONSTRUCT_COUNT_CAP + 1
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1",
+                             "--source", source, "--count", str(count))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --count is capped at {cli.CONSTRUCT_COUNT_CAP}")
 
     def test_qr_source_rejects_other_targets(self, capsys):
         code, _, err = run(capsys, "construct", "-f", "2,1", "-g", "3,1", "--source", "qr")

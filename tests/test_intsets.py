@@ -129,6 +129,14 @@ class TestImage:
                 f = LinearForm(coeffs)
                 results = {s: image(f, elems, strategy=s).elements for s in ("pairs", "merge", "bitset")}
                 assert results["pairs"] == results["merge"] == results["bitset"]
+                # image() and sumset() trust the fold to give sorted, distinct
+                # Python ints; the checking constructor must agree with them.
+                others = [3 * x + 1 for x in elems]
+                sums = [sumset(elems, others, strategy=s).elements for s in ("pairs", "merge", "bitset")]
+                assert sums == [tuple(sorted({x + y for x in elems for y in others}))] * 3
+                for elements in [*results.values(), *sums]:
+                    assert elements == FiniteIntSet(elements).elements
+                    assert all(type(x) is int for x in elements)
                 cards = {image_cardinality(f, elems, strategy=s) for s in ("pairs", "merge", "bitset")}
                 assert cards == {len(results["pairs"])}
 

@@ -21,6 +21,7 @@ from linform.modular import (
     local_ratio_search,
     local_solution,
     modular_image,
+    modular_image_cardinality,
     rectify,
 )
 
@@ -87,6 +88,15 @@ class TestModularImage:
                            for _ in range(rng.randint(1, 3)))
             got = modular_image(LinearForm(coeffs), ResidueSet(m, classes))
             assert list(got.classes) == brute_modular_image(coeffs, m, classes)
+
+    def test_cardinality_matches_image_on_200_random_instances(self):
+        rng = random.Random(200)
+        for _ in range(200):
+            m = rng.randint(2, 60)
+            r = ResidueSet(m, rng.sample(range(m), rng.randint(1, m)))
+            coeffs = tuple(rng.choice([c for c in range(-9, 10) if c]) for _ in range(rng.randint(1, 3)))
+            f = LinearForm(coeffs)
+            assert modular_image_cardinality(f, r) == len(modular_image(f, r)), (m, r.classes, coeffs)
 
     def test_agrees_with_integer_image_reduced(self):
         rng = random.Random(23)

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from conftest import brute_jacobi, brute_legendre, trial_division_is_prime
 from linform.numtheory import (
     _MR_PROVEN_BOUND,
+    _MR_SMALL_BOUND,
+    _MR_SMALL_WITNESSES,
+    _miller_rabin,
     PrimeSearchResult,
     PrimeSearchSpec,
     crt_combine,
@@ -89,6 +92,26 @@ class TestIsPrime:
     )
     def test_rejects_carmichael_and_strong_pseudoprimes(self, n):
         assert not is_prime(n)
+
+    def test_matches_sieve_below_one_million(self):
+        n = 10**6
+        sieve = bytearray([1]) * n
+        sieve[0] = sieve[1] = 0
+        for p in range(2, math.isqrt(n) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+        assert [x for x in range(n) if is_prime(x)] == [x for x in range(n) if sieve[x]]
+
+    def test_small_witness_tier_ends_at_its_pseudoprime(self):
+        # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to 2, 3, 5
+        # and 7, so the four-witness tier must stop just below it.
+        assert _MR_SMALL_BOUND == 3215031751 == 151 * 751 * 28351
+        assert _miller_rabin(_MR_SMALL_BOUND, _MR_SMALL_WITNESSES)
+        assert not is_prime(_MR_SMALL_BOUND)
+        for p in (3215031749, 3215031767):  # the primes either side of the bound
+            assert trial_division_is_prime(p)
+            assert is_prime(p)
+        assert not any(is_prime(n) for n in range(3215031750, 3215031767))
 
     def test_large_primes(self):
         assert is_prime(2**61 - 1)

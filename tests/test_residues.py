@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
+from linform import residues
 from linform.intsets import DIFFERENCE, SUM, LinearForm
 from linform.modular import build_separating_set, modular_image
 from linform.numtheory import jacobi, primes_between
 from linform.residues import (
+    POWER_SUBGROUP_P_CAP,
     choose_power_exponent,
     coverage,
     kth_power_local_solutions,
@@ -19,6 +22,24 @@ from linform.residues import (
     qr_sum_diff_full,
     quadratic_residues,
     zero_in_f_of_qr,
+)
+
+# Every (p, k) with p an odd prime below 200, k | p-1 and |H| = (p-1)/k >= 2.
+SMALL_SUBGROUPS = [(p, k) for p in primes_between(3, 199) for k in range(1, p - 1) if (p - 1) % k == 0
+                   and (p - 1) // k >= 2]
+
+# The moduli of qr_local_solutions(2, 1, 60) and kth_power_local_solutions(2, 1, 40),
+# pinned from the set-based implementation these kernels replaced.
+QR_2_1_MODULI = (
+    13, 29, 37, 53, 61, 101, 109, 149, 157, 173, 181, 197, 229, 269, 277, 293, 317, 349, 373, 389,
+    397, 421, 461, 509, 541, 557, 613, 653, 661, 677, 701, 709, 733, 757, 773, 797, 821, 829, 853,
+    877, 941, 997, 1013, 1021, 1061, 1069, 1093, 1109, 1117, 1181, 1213, 1229, 1237, 1277, 1301,
+    1373, 1381, 1429, 1453, 1493,
+)
+KPOWER_2_1_MODULI = (
+    97, 103, 139, 151, 163, 181, 193, 199, 211, 241, 271, 313, 331, 337, 349, 367, 373, 379, 409,
+    421, 463, 487, 523, 541, 547, 571, 577, 607, 613, 619, 631, 661, 673, 709, 751, 757, 769, 787,
+    823, 829,
 )
 
 
@@ -53,6 +74,19 @@ class TestPowerSubgroup:
             power_subgroup(13, 5)  # 5 does not divide 12
         with pytest.raises(ValueError):
             quadratic_residues(2)
+
+    def test_matches_pow_for_every_divisor_below_200(self):
+        for p, k in SMALL_SUBGROUPS + [(p, p - 1) for p in primes_between(3, 199)]:
+            assert power_subgroup(p, k).classes == tuple(sorted({pow(x, k, p) for x in range(1, p)}))
+
+    def test_rejects_p_beyond_int64_squares_before_allocating(self, monkeypatch):
+        # (p-1)^2 no longer fits int64 from the cap on; with numpy gone, any
+        # allocation would raise something other than ValueError.
+        monkeypatch.setattr(residues, "np", None)
+        for p in (3_037_000_507, 2**61 - 1):
+            assert p >= POWER_SUBGROUP_P_CAP
+            with pytest.raises(ValueError, match=str(POWER_SUBGROUP_P_CAP)):
+                power_subgroup(p, 2)
 
     def test_closure_under_product_and_inverse(self):
         for p, k in ((13, 2), (13, 3), (31, 5), (97, 3), (101, 2), (211, 7)):
@@ -124,6 +158,22 @@ class TestCoverage:
             report = coverage(LinearForm(coeffs), h)
             assert list(report.representation_counts) == [expected.get(x, 0) for x in range(p)]
 
+    def test_counts_match_double_loop_for_every_subgroup_below_200(self):
+        rng = random.Random(200)
+        for p, k in SMALL_SUBGROUPS:
+            h = power_subgroup(p, k)
+            u, v = 0, 0
+            while u % p == 0 or v % p == 0:
+                u, v = rng.randrange(1, 10**6), rng.choice((-1, 1)) * rng.randrange(1, 10**6)
+            counts = [0] * p
+            for h1 in h.classes:
+                for h2 in h.classes:
+                    counts[(u * h1 + v * h2) % p] += 1
+            report = coverage(LinearForm((u, v)), h)
+            assert report.representation_counts == tuple(counts), (p, k, u, v)
+            assert report.zero_covered == (counts[0] > 0)
+            assert report.covered_nonzero == all(counts[1:])
+
     def test_counts_sum_to_order_squared(self):
         report = coverage(LinearForm((3, 2)), power_subgroup(101, 2))
         assert sum(report.representation_counts) == 50 * 50
@@ -172,6 +222,14 @@ class TestQrLocalSolutions:
         with pytest.raises(ValueError):
             qr_local_solutions(1, 2, 1)
 
+    def test_first_sixty_for_two_one_are_pinned(self):
+        sols = qr_local_solutions(2, 1, 60)
+        assert [(s.residues.modulus, len(s.residues), s.f_card, s.g_card) for s in sols] == [
+            (p, (p - 1) // 2, p - 1, p) for p in QR_2_1_MODULI]
+        for s in sols:
+            p = s.residues.modulus
+            assert s.residues.classes == tuple(sorted({x * x % p for x in range(1, p)}))
+
     def test_shortfall_returns_fewer(self):
         sols = qr_local_solutions(2, 1, 10, search_limit=40)
         assert [s.residues.modulus for s in sols] == [13, 29, 37]
@@ -205,6 +263,14 @@ class TestKthPowerLocalSolutions:
             kth_power_local_solutions(1, 1, 1)
         with pytest.raises(ValueError):
             kth_power_local_solutions(1, -1, 1)
+
+    def test_first_forty_for_two_one_are_pinned(self):
+        sols = kth_power_local_solutions(2, 1, 40)
+        assert [(s.residues.modulus, len(s.residues), s.f_card, s.g_card) for s in sols] == [
+            (p, (p - 1) // 3, p - 1, p) for p in KPOWER_2_1_MODULI]
+        for s in sols:
+            p = s.residues.modulus
+            assert s.residues.classes == tuple(sorted({pow(x, 3, p) for x in range(1, p)}))
 
     def test_shortfall_returns_fewer(self):
         sols = kth_power_local_solutions(2, 1, 5, search_limit=100)
