@@ -8,15 +8,16 @@ k-th power subgroups generalize this: for p > k^4 every nonzero class is
 f(h1, h2) with h1, h2 k-th powers, and excluding 0 reduces to a single
 power-residue test.
 
-Both sets are found by full enumeration.  power_subgroup raises every
-x in [1, p) to the k-th power by square-and-multiply on numpy int64,
-which is exact while (p-1)^2 < 2^63, so it takes p below
-POWER_SUBGROUP_P_CAP.  coverage counts the representations of every
-class as a bincount of the n x n sums a_i + b_j, with a = u*h mod p and
-b = v*h mod p over the subgroup's classes h; each sum lies in [0, 2p-2],
-so the counts of x and x + p are added instead of reducing n^2 values
-mod p.  The sums are formed in row blocks of at most _COVERAGE_CHUNK
-values, so memory stays bounded however large the subgroup is.
+Subgroups and their coverage are found by full enumeration.
+power_subgroup raises every x in [1, p) to the k-th power by
+square-and-multiply on numpy int64, which is exact while
+(p-1)^2 < 2^63, so it takes p below POWER_SUBGROUP_P_CAP.  coverage
+counts the representations of every class as a bincount of the n x n
+sums a_i + b_j, with a = u*h mod p and b = v*h mod p over the
+subgroup's classes h; each sum lies in [0, 2p-2], so the counts of x
+and x + p are added instead of reducing n^2 values mod p.  The sums are
+formed in row blocks of at most _COVERAGE_CHUNK values, so memory stays
+bounded however large the subgroup is.
 """
 
 from __future__ import annotations
