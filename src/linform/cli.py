@@ -49,11 +49,18 @@ INLINE_SET_LIMIT = 100_000
 
 # Input caps, each with its measured cost at the cap (Python 3.11, numpy 2.4,
 # 2-CPU Xeon, form 2x+y).  local-search builds Z/mZ and an m-bit mask per
-# image; at m = 4096 and the default budget a search took 13 s.
+# image; at m = 4096 and the default budget a search took 10 s.
 LOCAL_SEARCH_MODULUS_CAP = 4096
-# construct verifies each prime local by enumeration, O(p^2/64) words for
-# QR and O(p^2) pairs for k-th powers; 500 locals took 12 s (qr, p up to
-# 17,477) and 41 s (kpower, p up to 12,697).
+# Each local-search move computes one or two images mod m; at this budget a
+# search took 67 s at m = 4096 and 2.0 s at m = 13.
+LOCAL_SEARCH_BUDGET_CAP = 100_000
+# classify3 enumerates the triples {0, a, b} with a < b <= bound, about
+# bound^2/2 of them; at bound 1000 it took 2.4 s for -u 3 -v 1.  The
+# default bound u + |v| is capped too.
+CLASSIFY_BOUND_CAP = 1000
+# construct verifies each prime local by FFT representation counts,
+# O(p log p) each; 500 locals took 6.2 s (qr, p up to 17,477) and 5.5 s
+# (kpower, p up to 12,697).
 CONSTRUCT_COUNT_CAP = 500
 
 
@@ -174,6 +181,9 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
 
 def cmd_classify3(args: argparse.Namespace) -> CommandResult:
     form = parse_form(f"{args.u},{args.v}")
+    bound = abs(args.u) + abs(args.v) if args.bound is None else args.bound
+    if bound > CLASSIFY_BOUND_CAP:
+        raise UsageError(f"--bound (default u + |v|) is capped at {CLASSIFY_BOUND_CAP}, got {bound}")
     try:
         result = classify_triples(form, bound=args.bound)
     except ValueError as exc:
@@ -258,6 +268,8 @@ def cmd_local_search(args: argparse.Namespace) -> CommandResult:
     form_g = parse_form(args.form_g)
     if args.modulus > LOCAL_SEARCH_MODULUS_CAP:
         raise UsageError(f"--modulus is capped at {LOCAL_SEARCH_MODULUS_CAP}, got {args.modulus}")
+    if args.budget > LOCAL_SEARCH_BUDGET_CAP:
+        raise UsageError(f"--budget is capped at {LOCAL_SEARCH_BUDGET_CAP}, got {args.budget}")
     try:
         sol = local_ratio_search(form_f, form_g, args.modulus, budget=args.budget, seed=args.seed)
     except ValueError as exc:
@@ -402,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exceptional 3-element sets for a normalized form")
     p.add_argument("-u", type=int, required=True)
     p.add_argument("-v", type=int, required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=None,
+                   help=f"largest element b of {{0, a, b}} (default u + |v|), at most {CLASSIFY_BOUND_CAP}")
     p.set_defaults(handler=cmd_classify3)
 
     p = sub.add_parser("witness", parents=[common], help="explicit separating witness sets")
@@ -420,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--form-g", required=True)
     p.add_argument("-m", "--modulus", type=int, required=True,
                    help=f"at most {LOCAL_SEARCH_MODULUS_CAP}")
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=int, default=10_000, help=f"at most {LOCAL_SEARCH_BUDGET_CAP}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_local_search)
 

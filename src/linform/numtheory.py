@@ -11,6 +11,13 @@ to several bases", Math. Comp. 61, 1993), and the twelve primes up to 37
 for n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, "Strong
 pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  Above that
 no witness set is proven, and is_prime refuses to answer.
+
+find_primes sieves its progression in blocks of _SIEVE_BLOCK candidates
+on a numpy boolean array: each base prime q <= min(sqrt(limit),
+_SIEVE_BASE) not dividing the step crosses out its multiples other than
+q itself.  A survivor below _SIEVE_BASE^2 is then prime; a larger one
+still goes through is_prime.  The sieve works on candidate indices and
+booleans only, so no floating point enters here either.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 DEFAULT_SEARCH_LIMIT = 10**6
 
@@ -29,6 +38,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# find_primes sieves with the primes up to _SIEVE_BASE, so survivors below
+# _SIEVE_BASE^2 = 2^32 need no primality test, and holds one boolean per
+# candidate for _SIEVE_BLOCK candidates at a time.
+_SIEVE_BASE = 1 << 16
+_SIEVE_BLOCK = 1 << 16
 
 
 def jacobi(a: int, n: int) -> int:
@@ -178,24 +193,54 @@ def find_primes(spec: PrimeSearchSpec, count: int) -> PrimeSearchResult:
 
     Stops at ``spec.search_limit``; if fewer than ``count`` primes exist
     below the limit the result carries ``shortfall=True`` rather than
-    raising.  Contradictory residue conditions raise ValueError.
+    raising.  Contradictory residue conditions raise ValueError.  The
+    progression is sieved block by block (see the module docstring), and
+    ``spec.extra_predicate`` runs only on primes.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     residue, step = crt_combine(spec.residue_conditions) if spec.residue_conditions else (0, 1)
+    hi = spec.search_limit
     found: list[int] = []
     c = max(spec.lower_bound + 1, 2)
     c += (residue - c) % step
-    while c <= spec.search_limit and len(found) < count:
-        if is_prime(c) and (spec.extra_predicate is None or spec.extra_predicate(c)):
-            found.append(c)
-        c += step
+    # Primes dividing step divide no candidate: residues are coprime to their moduli.
+    base = [(q, pow(step, -1, q)) for q in _primes_to(min(math.isqrt(max(hi, 0)), _SIEVE_BASE))
+            if step % q]
+    while c <= hi and len(found) < count:
+        size = min(_SIEVE_BLOCK, (hi - c) // step + 1)
+        alive = np.ones(size, dtype=bool)
+        for q, inv in base:
+            i = -c * inv % q  # first index with q | c + i*step
+            if c + i * step == q:
+                i += q
+            alive[i::q] = False
+        for i in np.flatnonzero(alive).tolist():
+            n = c + i * step
+            if (n < _SIEVE_BASE**2 or is_prime(n)) and (
+                    spec.extra_predicate is None or spec.extra_predicate(n)):
+                found.append(n)
+                if len(found) == count:
+                    break
+        c += size * step
     return PrimeSearchResult(
         primes=tuple(found),
         requested=count,
         shortfall=len(found) < count,
         search_limit=spec.search_limit,
     )
+
+
+def _primes_to(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    composite = np.zeros(n + 1, dtype=bool)
+    composite[:2] = True
+    for q in range(2, math.isqrt(n) + 1):
+        if not composite[q]:
+            composite[q * q::q] = True
+    return np.flatnonzero(~composite).tolist()
 
 
 def is_qth_power_residue(a: int, q: int, p: int) -> bool:

@@ -95,6 +95,16 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify3", "-u", "2", "-v", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("-u", "3", "-v", "1", "--bound", str(cli.CLASSIFY_BOUND_CAP + 1)),
+        ("-u", str(cli.CLASSIFY_BOUND_CAP), "-v", "1"),  # default bound u + |v|
+    ])
+    def test_bound_beyond_cap_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "classify3", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --bound (default u + |v|) is capped at {cli.CLASSIFY_BOUND_CAP}")
+
 
 class TestWitnessCommand:
     def test_three(self, capsys):
@@ -146,6 +156,14 @@ class TestLocalSearchCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: --modulus is capped at {cli.LOCAL_SEARCH_MODULUS_CAP}")
+
+    def test_budget_beyond_cap_is_usage_error(self, capsys):
+        budget = cli.LOCAL_SEARCH_BUDGET_CAP + 1
+        code, out, err = run(capsys, "local-search", "-f", "2,1", "-g", "1,1", "-m", "13",
+                             "--budget", str(budget))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --budget is capped at {cli.LOCAL_SEARCH_BUDGET_CAP}")
 
 
 class TestConstructCommand:

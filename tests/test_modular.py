@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from conftest import brute_modular_image
+from linform import modular
 from linform.intsets import DIFFERENCE, SUM, FiniteIntSet, LinearForm, image, image_cardinality
 from linform.modular import (
     ConstructionReport,
@@ -79,15 +82,18 @@ class TestModularImage:
         for m in (4, 9, 12):
             assert modular_image(SUM, ResidueSet.full_ring(m)).is_full()
 
-    def test_matches_brute_force(self):
-        rng = random.Random(17)
-        for _ in range(60):
-            m = rng.randint(2, 40)
-            classes = rng.sample(range(m), rng.randint(1, m))
-            coeffs = tuple(rng.choice([c for c in range(-7, 8) if c])
-                           for _ in range(rng.randint(1, 3)))
-            got = modular_image(LinearForm(coeffs), ResidueSet(m, classes))
-            assert list(got.classes) == brute_modular_image(coeffs, m, classes)
+    def test_matches_brute_force(self, monkeypatch):
+        # Once on the FFT fold (crossover 0) and once on shift-or (infinite).
+        for crossover in (0, math.inf):
+            monkeypatch.setattr(modular, "_FFT_CROSSOVER", crossover)
+            rng = random.Random(17)
+            for _ in range(60):
+                m = rng.randint(2, 40)
+                classes = rng.sample(range(m), rng.randint(1, m))
+                coeffs = tuple(rng.choice([c for c in range(-7, 8) if c])
+                               for _ in range(rng.randint(1, 3)))
+                got = modular_image(LinearForm(coeffs), ResidueSet(m, classes))
+                assert list(got.classes) == brute_modular_image(coeffs, m, classes), crossover
 
     def test_cardinality_matches_image_on_200_random_instances(self):
         rng = random.Random(200)
@@ -97,6 +103,52 @@ class TestModularImage:
             coeffs = tuple(rng.choice([c for c in range(-9, 10) if c]) for _ in range(rng.randint(1, 3)))
             f = LinearForm(coeffs)
             assert modular_image_cardinality(f, r) == len(modular_image(f, r)), (m, r.classes, coeffs)
+
+    def test_fft_fold_matches_shift_or_above_the_crossover(self, monkeypatch):
+        rng = random.Random(576)
+        cases = [(ResidueSet(m, rng.sample(range(m), rng.randint(m // 2, m))), coeffs)
+                 for m, coeffs in ((577, (2, 1)), (1024, (1, -1)), (1000, (3, 1)), (2310, (5, -3)),
+                                   (4099, (1, 1)), (600, (2, 1, 1)), (1201, (3, -2, 5)),
+                                   (999, (4, 6, -9)), (700, (7,)))]
+        # quadratic residues mod 1009 and 2x+y, the shape qr_local_solutions folds
+        cases.append((ResidueSet(1009, {x * x for x in range(1, 1009)}), (2, 1)))
+        calls = []
+        real = modular._fft_image_mask
+        monkeypatch.setattr(modular, "_fft_image_mask", lambda *a: calls.append(a) or real(*a))
+        got = [modular_image(LinearForm(coeffs), r).classes for r, coeffs in cases]
+        assert len(calls) == len(cases)
+        monkeypatch.setattr(modular, "_FFT_CROSSOVER", math.inf)
+        expected = [modular_image(LinearForm(coeffs), r).classes for r, coeffs in cases]
+        assert len(calls) == len(cases)
+        assert got == expected
+        r, coeffs = cases[5]  # arity 3, also against enumeration of the 2-term image
+        two = modular_image(LinearForm(coeffs[:2]), r).classes
+        assert list(got[5]) == sorted({(x + coeffs[2] * c) % 600 for x in two for c in r.classes})
+
+    def test_modulus_above_the_fft_cap_folds_by_shift_or(self, monkeypatch):
+        r = ResidueSet(2000, range(0, 2000, 2))
+        expected = modular_image(F21, r).classes
+        monkeypatch.setattr(modular, "_FFT_MODULUS_CAP", 1999)
+        monkeypatch.setattr(modular, "_fft_image_mask", None)
+        assert modular_image(F21, r).classes == expected
+
+    def test_cyclic_counts_match_bincount(self):
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 7, 64, 1000, 4097):
+            x = rng.random(m) < 0.5
+            y = rng.random(m) < 0.3
+            i, j = np.flatnonzero(x), np.flatnonzero(y)
+            expected = np.bincount(((i[:, None] + j) % m).ravel(), minlength=m)
+            assert np.array_equal(modular._cyclic_counts(x, y), expected), m
+
+    def test_cyclic_counts_raise_when_rounding_is_ambiguous(self, monkeypatch):
+        x = np.ones(50, dtype=bool)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+        with pytest.raises(RuntimeError, match="within 1/4"):
+            modular._cyclic_counts(x, x)
+        with pytest.raises(RuntimeError, match="within 1/4"):
+            modular_image(SUM, ResidueSet.full_ring(1000))
 
     def test_agrees_with_integer_image_reduced(self):
         rng = random.Random(23)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_jacobi, brute_legendre, trial_division_is_prime
+from linform import numtheory
 from linform.numtheory import (
     _MR_PROVEN_BOUND,
     _MR_SMALL_BOUND,
@@ -27,6 +28,33 @@ from linform.numtheory import (
 )
 
 ODD_PRIMES_TO_200 = [p for p in range(3, 201) if trial_division_is_prime(p)]
+
+# find_primes specs for the comparison against a brute is_prime filter.
+SIEVE_SPECS = {
+    "no-condition": PrimeSearchSpec(search_limit=30_000),
+    "1-mod-4": PrimeSearchSpec(residue_conditions=((1, 4),), search_limit=30_000),
+    "1-mod-3-above-81": PrimeSearchSpec(residue_conditions=((1, 3),), lower_bound=81,
+                                        search_limit=30_000),
+    "two-conditions": PrimeSearchSpec(residue_conditions=((3, 4), (2, 5)), search_limit=30_000),
+    "lower-bound-0": PrimeSearchSpec(residue_conditions=((1, 6),), lower_bound=0, search_limit=30_000),
+    "predicate": PrimeSearchSpec(residue_conditions=((1, 4),), lower_bound=5, search_limit=30_000,
+                                 extra_predicate=lambda p: jacobi(-2, p) == -1),
+    "shortfall": PrimeSearchSpec(residue_conditions=((1, 4),), lower_bound=1000, search_limit=1100),
+    "beyond-2^32": PrimeSearchSpec(residue_conditions=((1, 4),), lower_bound=2**32 - 3000,
+                                   search_limit=2**32 + 3000),
+}
+
+
+def brute_find_primes(spec, count):
+    residue, step = crt_combine(spec.residue_conditions) if spec.residue_conditions else (0, 1)
+    out = []
+    for n in range(spec.lower_bound + 1, spec.search_limit + 1):
+        if n % step == residue and is_prime(n) and (spec.extra_predicate is None
+                                                    or spec.extra_predicate(n)):
+            out.append(n)
+            if len(out) == count:
+                break
+    return out
 
 
 class TestJacobi:
@@ -240,6 +268,43 @@ class TestFindPrimes:
             PrimeSearchSpec(residue_conditions=((1, 1),))  # modulus too small
         with pytest.raises(ValueError):
             PrimeSearchSpec(lower_bound=100, search_limit=50)
+
+    @pytest.mark.parametrize("name", SIEVE_SPECS)
+    @pytest.mark.parametrize("block", [numtheory._SIEVE_BLOCK, 61])
+    def test_sieve_matches_brute_filter(self, monkeypatch, name, block):
+        # block = 61 makes every run cross many block edges.
+        spec = SIEVE_SPECS[name]
+        monkeypatch.setattr(numtheory, "_SIEVE_BLOCK", block)
+        everything = brute_find_primes(spec, math.inf)
+        assert (name == "shortfall") == (len(everything) < 60)
+        for count in (1, 5, 60, 10**6):
+            result = find_primes(spec, count)
+            assert list(result) == everything[:count], (name, count)
+            assert result.shortfall == (len(everything) < count)
+        if name == "lower-bound-0":
+            assert everything[:3] == [7, 13, 19]
+
+    def test_base_primes_are_never_crossed_out(self):
+        result = find_primes(PrimeSearchSpec(lower_bound=0, search_limit=300), count=10**6)
+        assert list(result) == [p for p in range(301) if trial_division_is_prime(p)]
+
+    def test_is_prime_and_predicate_run_only_where_needed(self, monkeypatch):
+        tested, asked = [], []
+        real = numtheory.is_prime
+        monkeypatch.setattr(numtheory, "is_prime", lambda n: tested.append(n) or real(n))
+        spec = PrimeSearchSpec(residue_conditions=((1, 4),), lower_bound=10_000, search_limit=60_000,
+                               extra_predicate=lambda p: asked.append(p) or p % 3 == 1)
+        find_primes(spec, 10**6)
+        assert tested == []  # survivors below 2^32 are prime by the sieve
+        assert asked and all(real(p) for p in asked)
+        find_primes(SIEVE_SPECS["beyond-2^32"], 10**6)
+        assert tested and min(tested) >= 2**32
+        assert all(n % q for n in tested for q in (3, 5, 7, 65521))  # only sieve survivors
+
+    def test_unproven_survivor_still_raises(self):
+        spec = PrimeSearchSpec(lower_bound=_MR_PROVEN_BOUND, search_limit=_MR_PROVEN_BOUND + 10**4)
+        with pytest.raises(ValueError, match="proven only below"):
+            find_primes(spec, count=1)
 
     def test_result_type(self):
         result = find_primes(PrimeSearchSpec(), count=4)

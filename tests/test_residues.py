@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from linform import residues
@@ -173,6 +174,22 @@ class TestCoverage:
             assert report.representation_counts == tuple(counts), (p, k, u, v)
             assert report.zero_covered == (counts[0] > 0)
             assert report.covered_nonzero == all(counts[1:])
+
+    def test_counts_match_bincount_on_large_subgroups(self):
+        for p, k, coeffs in ((3469, 3, (2, 1)), (3469, 3, (1, -1)), (2053, 2, (1, 1)),
+                             (4001, 5, (7, -3)), (7829, 2, (2, 1))):
+            h = power_subgroup(p, k)
+            a = np.asarray(h.classes) * coeffs[0] % p
+            b = np.asarray(h.classes) * coeffs[1] % p
+            expected = np.bincount(((a[:, None] + b) % p).ravel(), minlength=p)
+            report = coverage(LinearForm(coeffs), h)
+            assert report.representation_counts == tuple(expected.tolist()), (p, k, coeffs)
+
+    def test_rounding_guard_raises(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+        with pytest.raises(RuntimeError, match="within 1/4"):
+            coverage(SUM, power_subgroup(97, 3))
 
     def test_counts_sum_to_order_squared(self):
         report = coverage(LinearForm((3, 2)), power_subgroup(101, 2))
