@@ -112,6 +112,8 @@ class TestModularImage:
                                    (999, (4, 6, -9)), (700, (7,)))]
         # quadratic residues mod 1009 and 2x+y, the shape qr_local_solutions folds
         cases.append((ResidueSet(1009, {x * x for x in range(1, 1009)}), (2, 1)))
+        # a coefficient whose product with a class overflows int64 unless reduced mod m first
+        cases.append((ResidueSet(1500, range(0, 1500, 3)), (10**17 + 3, -1)))
         calls = []
         real = modular._fft_image_mask
         monkeypatch.setattr(modular, "_fft_image_mask", lambda *a: calls.append(a) or real(*a))

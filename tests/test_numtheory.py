@@ -40,8 +40,9 @@ SIEVE_SPECS = {
     "predicate": PrimeSearchSpec(residue_conditions=((1, 4),), lower_bound=5, search_limit=30_000,
                                  extra_predicate=lambda p: jacobi(-2, p) == -1),
     "shortfall": PrimeSearchSpec(residue_conditions=((1, 4),), lower_bound=1000, search_limit=1100),
-    "beyond-2^32": PrimeSearchSpec(residue_conditions=((1, 4),), lower_bound=2**32 - 3000,
-                                   search_limit=2**32 + 3000),
+    # 65537^2 = 1 (mod 4) survives the sieve; only is_prime rejects it.
+    "beyond-2^32": PrimeSearchSpec(residue_conditions=((1, 4),), lower_bound=65537**2 - 3000,
+                                   search_limit=65537**2 + 3000),
 }
 
 
