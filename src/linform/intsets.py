@@ -8,14 +8,17 @@ automatically by input size unless overridden.
 
 The two enumeration kernels (pairs, merge) run in one of two exact
 representations, chosen by the tuple count (the product of the term
-lengths) and the image window: from _SORT_FOLD_TUPLES tuples on, and when
-the window spans at most 2**63 integers, on numpy int64 offsets from each
-term's first element, however large the elements themselves are; each
-stage forms the outer sum of the accumulator with the next term in row
-blocks of at most _SORT_CHUNK values, sorts each block in place and keeps
-the entries that differ from their left neighbour, then merges the blocks
-the same way.  Smaller folds and wider windows run on Python ints, as a
-hash set (pairs) or a lazy heap merge (merge).
+lengths): from _SORT_FOLD_TUPLES tuples on, whatever the window, on numpy
+int64 offsets from the sum of the terms' first elements; smaller folds run
+on Python ints, as a hash set (pairs) or a lazy heap merge (merge).  The
+numpy fold forms each stage's outer sum in blocks of at most _SORT_CHUNK
+values, keeps the distinct values of each block, then merges the blocks
+the same way.  A window of at most 2**63 integers holds each offset in one
+int64.  A wider one first divides every offset by their gcd g, which is
+exact since x -> g*x is injective, so a dilated set usually lands back on
+one int64; if the reduced window still spans more than 2**63 integers,
+each offset is held as k limbs of _LIMB_BITS = 62 bits, least significant
+first (see _limb_fold).
 
 The bitmask kernel keeps the accumulated sumset in one of two exact
 representations, chosen by its estimated cost in 64-bit word operations
@@ -56,18 +59,21 @@ _PAIRS_TUPLE_CAP = 4_000_000
 # 39,312-element set over a 2.2e6-bit window.
 _WORD_FOLD_COST = 1 << 20
 
-# Tuple count from which pairs and merge fold on int64 offsets, if the window
-# fits.  Measured crossover, same host, random sets in [0, 1e9): Python wins
-# by 3-6x at 9-16 tuples (2-3 us against 9-15 us per call), the two are
-# within 1.7x of each other from 36 to 216, and int64 wins by 1.9-2.9x at
-# 256, 5-11x at 900 and 7-16x at 1,600.
+# Tuple count from which pairs and merge fold on numpy int64 offsets.
+# Measured crossover, same host, random sets in [0, 1e9): Python wins by
+# 3-6x at 9-16 tuples (2-3 us against 9-15 us per call), the two are within
+# 1.7x of each other from 36 to 216, and int64 wins by 1.9-2.9x at 256,
+# 5-11x at 900 and 7-16x at 1,600.
 _SORT_FOLD_TUPLES = 256
 
-# Widest window the sort kernel takes: every offset sum then fits int64.
-_SORT_FOLD_WIDTH = 1 << 63
-
-# Most int64 values (32 MiB) the sort kernel's outer sum holds at once.
+# Most int64 values (32 MiB) the sort kernel's outer sum holds at once,
+# counting every limb.
 _SORT_CHUNK = 1 << 22
+
+# Bits per limb of offsets too wide for one int64: two limbs and a carry sum
+# below 2**63.
+_LIMB_BITS = 62
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -244,10 +250,9 @@ def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],
     if chosen == "bitset":
         mask, _ = _bitset_fold(terms)
         return mask.bit_count()
-    # Every term has len(a) elements.  The tuple count comes first, so that
-    # the many tiny calls never pay for _width.
-    if len(a) ** len(terms) >= _SORT_FOLD_TUPLES and _width(terms) <= _SORT_FOLD_WIDTH:
-        return len(_sort_fold(terms))
+    # Every term has len(a) elements.
+    if len(a) ** len(terms) >= _SORT_FOLD_TUPLES:
+        return _sort_fold(terms)[0].shape[1]
     return len(_python_fold(terms, chosen))
 
 
@@ -312,21 +317,44 @@ def _fold_sumsets(terms: list[list[int]], strategy: str) -> list[int]:
     if chosen == "bitset":
         mask, base = _bitset_fold(terms)
         return _bits.decode(mask, base)
-    if math.prod(map(len, terms)) >= _SORT_FOLD_TUPLES and _width(terms) <= _SORT_FOLD_WIDTH:
+    if math.prod(map(len, terms)) >= _SORT_FOLD_TUPLES:
+        limbs, g = _sort_fold(terms)
         base = sum(t[0] for t in terms)
-        return [base + x for x in _sort_fold(terms).tolist()]
+        return [base + g * x for x in _decode(limbs)]
     return _python_fold(terms, chosen)
 
 
-def _sort_fold(terms: list[list[int]]) -> np.ndarray:
-    """The image's sorted, distinct offsets from the sum of the terms' first elements.
+def _sort_fold(terms: list[list[int]]) -> tuple[np.ndarray, int]:
+    """The image's distinct offsets from the sum of the terms' first elements.
 
-    Every partial sum of offsets is at most the window width minus 1, so
-    nothing overflows when _width(terms) <= _SORT_FOLD_WIDTH = 2**63.
+    Returns (limbs, g): each column of the (k, count) int64 array limbs is
+    one distinct offset divided by g, sum(limbs[j] << 62*j) for k > 1.
+    Every partial sum of offsets is at most the window width W minus 1.
+    If W <= 2**63, g = 1 and k = 1: the offsets fold on one int64 each
+    (_int64_fold) and nothing overflows.  Wider windows divide every term
+    offset by their gcd g first, which maps distinct image offsets to
+    distinct quotients since g > 0, and so leaves the count unchanged;
+    the reduced window is (W - 1)/g + 1.  If that is still above 2**63,
+    the quotients fold on k = ceil(bitlen((W - 1)/g) / 62) limbs
+    (_limb_fold).  The gcd is taken only here, after the caller has
+    checked the tuple count, so that small folds never pay for it.
     """
-    acc = _offsets(terms[0])
-    for term in terms[1:]:
-        offs = _offsets(term)
+    span = _width(terms) - 1
+    g = 1
+    if span >= 1 << 63:
+        g = math.gcd(*(x - t[0] for t in terms for x in t))
+        terms = [[(x - t[0]) // g for x in t] for t in terms]
+        span //= g
+    if span < 1 << 63:
+        return _int64_fold([_offsets(t) for t in terms])[None], g
+    k = -(-span.bit_length() // _LIMB_BITS)
+    return _limb_fold([_limbs(t, k) for t in terms]), g
+
+
+def _int64_fold(offsets: list[np.ndarray]) -> np.ndarray:
+    """Fold the terms' int64 offsets; returns the sorted, distinct offset sums."""
+    acc = offsets[0]
+    for offs in offsets[1:]:
         rows = max(_SORT_CHUNK // len(offs), 1)
         blocks = [_sorted_distinct((acc[i:i + rows, None] + offs).ravel())
                   for i in range(0, len(acc), rows)]
@@ -349,6 +377,78 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def _limb_fold(terms: list[np.ndarray]) -> np.ndarray:
+    """Fold offsets held as (k, n) arrays of 62-bit limbs; returns the distinct sums.
+
+    Each stage adds the accumulator's limbs to the next term's limb by
+    limb, then carries from the low limbs to the high ones.  Before the
+    carry every limb is a sum of two limbs below 2**62, so below 2**63;
+    a carry adds at most 1 to the next limb, which stays below 2**63, so
+    nothing overflows.  Afterwards limbs 0..k-2 are below 2**62 and the
+    top limb is too, since every partial sum is below 2**(62*k): each
+    value has exactly one limb form, so equal values have equal columns.
+    The columns come out distinct but in no particular order.
+    """
+    acc = terms[0]
+    k = len(acc)
+    for offs in terms[1:]:
+        rows = max(_SORT_CHUNK // (k * offs.shape[1]), 1)
+        blocks = [_distinct_columns(_carry((acc[:, i:i + rows, None] + offs[:, None, :]).reshape(k, -1)))
+                  for i in range(0, acc.shape[1], rows)]
+        if len(blocks) == 1:
+            acc = blocks[0]
+        else:
+            acc = np.concatenate(blocks, axis=1)
+            del blocks
+            acc = _distinct_columns(acc)
+    return acc
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    for j in range(len(limbs) - 1):
+        limbs[j + 1] += limbs[j] >> _LIMB_BITS
+        limbs[j] &= _LIMB_MASK
+    return limbs
+
+
+def _distinct_columns(limbs: np.ndarray) -> np.ndarray:
+    """The distinct columns of a canonical limb array.
+
+    Sorts on the low limb only; equal columns then sit in one run of
+    equal low limbs.  If the high limbs also agree at every adjacent pair
+    in such a run, each run is one value and its first column is kept.
+    Otherwise two values share a low limb, and the block falls back to
+    _lexsort_distinct.  Either way the result is exact.
+    """
+    limbs = limbs.take(limbs[0].argsort(), axis=1)
+    keep = np.empty(limbs.shape[1], bool)
+    keep[0] = True
+    np.not_equal(limbs[0, 1:], limbs[0, :-1], out=keep[1:])
+    if not ((limbs[1:, 1:] == limbs[1:, :-1]) | keep[1:]).all():
+        return _lexsort_distinct(limbs)
+    return limbs[:, keep]
+
+
+def _lexsort_distinct(limbs: np.ndarray) -> np.ndarray:
+    # np.lexsort takes its last key as the primary one: the top limb.
+    limbs = limbs[:, np.lexsort(limbs)]
+    keep = np.empty(limbs.shape[1], bool)
+    keep[0] = True
+    np.any(limbs[:, 1:] != limbs[:, :-1], axis=0, out=keep[1:])
+    return limbs[:, keep]
+
+
+def _decode(limbs: np.ndarray) -> list[int]:
+    """The values of the columns of _sort_fold's limbs, in increasing order."""
+    if len(limbs) == 1:
+        return limbs[0].tolist()  # _int64_fold keeps its values sorted
+    limbs = limbs[:, np.lexsort(limbs)]
+    values = limbs[-1].tolist()
+    for limb in limbs[-2::-1]:
+        values = [v << _LIMB_BITS | x for v, x in zip(values, limb.tolist())]
+    return values
 
 
 def _python_fold(terms: list[list[int]], chosen: str) -> list[int]:
@@ -436,6 +536,13 @@ def _offsets(term: list[int]) -> np.ndarray:
     # Offsets are taken in Python ints first: the elements may be far
     # beyond int64 even when the window is narrow.
     return np.fromiter((x - term[0] for x in term), np.int64, len(term))
+
+
+def _limbs(term: list[int], k: int) -> np.ndarray:
+    """The term's offsets as a (k, len(term)) array of 62-bit limbs, low limb first."""
+    offsets = [x - term[0] for x in term]
+    return np.array([[x >> shift & _LIMB_MASK for x in offsets]
+                     for shift in range(0, k * _LIMB_BITS, _LIMB_BITS)], np.int64)
 
 
 def affine_canonical(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:

@@ -12,10 +12,10 @@ for n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, "Strong
 pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  Above that
 no witness set is proven, and is_prime refuses to answer.
 
-find_primes sieves its progression in blocks of _SIEVE_BLOCK candidates
-on a numpy boolean array: each base prime q <= min(sqrt(limit),
-_SIEVE_BASE) not dividing the step crosses out its multiples other than
-q itself.  A survivor below _SIEVE_BASE^2 is then prime; a larger one
+find_primes and primes_between sieve their progression (every integer,
+for primes_between) in blocks of _SIEVE_BLOCK candidates on a numpy
+boolean array: each base prime q <= min(sqrt(limit), _SIEVE_BASE) not
+dividing the step crosses out its multiples other than q itself.  A survivor below _SIEVE_BASE^2 is then prime; a larger one
 still goes through is_prime.  The sieve works on candidate indices and
 booleans only, so no floating point enters here either.
 """
@@ -39,7 +39,7 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# find_primes sieves with the primes up to _SIEVE_BASE, so survivors below
+# The sieve (_sieved_primes) works with the primes up to _SIEVE_BASE, so survivors below
 # _SIEVE_BASE^2 = 2^32 need no primality test, and holds one boolean per
 # candidate for _SIEVE_BLOCK candidates at a time.
 _SIEVE_BASE = 1 << 16
@@ -104,17 +104,8 @@ def _miller_rabin(n: int, witnesses: Sequence[int]) -> bool:
 
 
 def primes_between(lo: int, hi: int) -> Iterator[int]:
-    """Yield the primes p with lo <= p <= hi in increasing order."""
-    n = max(lo, 2)
-    if n <= 2 <= hi:
-        yield 2
-        n = 3
-    if n % 2 == 0:
-        n += 1
-    while n <= hi:
-        if is_prime(n):
-            yield n
-        n += 2
+    """Yield the primes p with lo <= p <= hi in increasing order, by the sieve."""
+    return _sieved_primes(max(lo, 2), 1, hi)
 
 
 def crt_combine(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -200,14 +191,30 @@ def find_primes(spec: PrimeSearchSpec, count: int) -> PrimeSearchResult:
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     residue, step = crt_combine(spec.residue_conditions) if spec.residue_conditions else (0, 1)
-    hi = spec.search_limit
-    found: list[int] = []
     c = max(spec.lower_bound + 1, 2)
-    c += (residue - c) % step
-    # Primes dividing step divide no candidate: residues are coprime to their moduli.
+    found: list[int] = []
+    for n in _sieved_primes(c + (residue - c) % step, step, spec.search_limit):
+        if spec.extra_predicate is None or spec.extra_predicate(n):
+            found.append(n)
+            if len(found) == count:
+                break
+    return PrimeSearchResult(
+        primes=tuple(found),
+        requested=count,
+        shortfall=len(found) < count,
+        search_limit=spec.search_limit,
+    )
+
+
+def _sieved_primes(c: int, step: int, hi: int) -> Iterator[int]:
+    """The primes among c, c + step, c + 2*step, ... up to hi, in increasing order.
+
+    Requires c >= 2 and gcd(c, step) = 1: primes dividing step then divide
+    no candidate, and are left out of the sieve base.
+    """
     base = [(q, pow(step, -1, q)) for q in _primes_to(min(math.isqrt(max(hi, 0)), _SIEVE_BASE))
             if step % q]
-    while c <= hi and len(found) < count:
+    while c <= hi:
         size = min(_SIEVE_BLOCK, (hi - c) // step + 1)
         alive = np.ones(size, dtype=bool)
         for q, inv in base:
@@ -217,18 +224,9 @@ def find_primes(spec: PrimeSearchSpec, count: int) -> PrimeSearchResult:
             alive[i::q] = False
         for i in np.flatnonzero(alive).tolist():
             n = c + i * step
-            if (n < _SIEVE_BASE**2 or is_prime(n)) and (
-                    spec.extra_predicate is None or spec.extra_predicate(n)):
-                found.append(n)
-                if len(found) == count:
-                    break
+            if n < _SIEVE_BASE**2 or is_prime(n):
+                yield n
         c += size * step
-    return PrimeSearchResult(
-        primes=tuple(found),
-        requested=count,
-        shortfall=len(found) < count,
-        search_limit=spec.search_limit,
-    )
 
 
 def _primes_to(n: int) -> list[int]:

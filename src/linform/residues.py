@@ -92,24 +92,31 @@ def power_subgroup(p: int, k: int) -> PowerSubgroup:
         raise ValueError(f"k={k} does not divide p-1={p - 1}")
     if p >= POWER_SUBGROUP_P_CAP:
         raise ValueError(f"power_subgroup takes p below {POWER_SUBGROUP_P_CAP}, got {p}")
+    present = np.zeros(p, dtype=bool)
+    present[_powers(p, k)] = True
+    classes = np.flatnonzero(present).tolist()
+    if len(classes) != (p - 1) // k:
+        raise RuntimeError(f"subgroup of k-th powers mod {p} has unexpected order {len(classes)}")
+    return PowerSubgroup(p=p, k=k, classes=tuple(classes))
+
+
+def _powers(p: int, e: int) -> np.ndarray:
+    """x^e mod p for x = 1, ..., p-1, by square-and-multiply on int64.
+
+    Every product is of two residues below p, so below 2^63 when p is
+    below POWER_SUBGROUP_P_CAP.
+    """
     base = np.arange(1, p, dtype=np.int64)
     powers = np.ones(p - 1, dtype=np.int64)
-    e = k
     while True:
         if e & 1:
             powers *= base
             powers %= p
         e >>= 1
         if not e:
-            break
+            return powers
         base *= base
         base %= p
-    present = np.zeros(p, dtype=bool)
-    present[powers] = True
-    classes = np.flatnonzero(present).tolist()
-    if len(classes) != (p - 1) // k:
-        raise RuntimeError(f"subgroup of k-th powers mod {p} has unexpected order {len(classes)}")
-    return PowerSubgroup(p=p, k=k, classes=tuple(classes))
 
 
 def quadratic_residues(p: int) -> PowerSubgroup:
@@ -193,7 +200,7 @@ def coverage(form: LinearForm, subgroup: PowerSubgroup) -> CoverageReport:
     total = int(counts.sum())
     if total != n * n:
         raise RuntimeError(f"representation counts sum to {total}, expected {n * n}")
-    _check_coset_constancy(counts, h, p)
+    _check_coset_constancy(counts, n, p)
 
     covered_nonzero = bool((counts[1:] > 0).all())
     zero_covered = bool(counts[0] > 0)
@@ -210,17 +217,23 @@ def coverage(form: LinearForm, subgroup: PowerSubgroup) -> CoverageReport:
     )
 
 
-def _check_coset_constancy(counts: np.ndarray, h: np.ndarray, p: int) -> None:
-    seen = np.zeros(p, dtype=bool)
-    seen[0] = True
-    for x in range(1, p):
-        if seen[x]:
-            continue
-        coset = (x * h) % p
-        vals = counts[coset]
-        if vals.min() != vals.max():
-            raise RuntimeError(f"representation count not constant on the coset of {x} mod {p}")
-        seen[coset] = True
+def _check_coset_constancy(counts: np.ndarray, order: int, p: int) -> None:
+    """Raise unless counts[x] is constant on each coset of the subgroup H.
+
+    H is the subgroup of ``order`` elements of the cyclic group of units
+    mod p, so x and y lie in one coset exactly when (x/y)^order = 1, that
+    is when x^order = y^order (mod p).  Each x in [1, p) is labelled by
+    x^order.  One member's count is stored per label and every count is
+    compared with it; all agree exactly when the counts are constant on
+    each coset.
+    """
+    labels = _powers(p, order)
+    vals = counts[1:]
+    per_label = np.zeros(p, dtype=counts.dtype)
+    per_label[labels] = vals
+    bad = np.flatnonzero(per_label[labels] != vals)
+    if len(bad):
+        raise RuntimeError(f"representation count not constant on the coset of {bad[0] + 1} mod {p}")
 
 
 def qr_local_solutions(

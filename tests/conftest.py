@@ -1,8 +1,47 @@
-"""Shared brute-force oracles, kept independent of the package kernels."""
+"""Shared brute-force oracles, kept independent of the package kernels,
+and a time limit that turns a hang into a failure."""
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from itertools import product
+
+import pytest
+
+# Seconds a test using the time_limit fixture may run.  The slowest such test
+# takes under 2 s on a 2-CPU Xeon.
+TIME_LIMIT_S = 30
+
+
+@contextlib.contextmanager
+def alarm_after(seconds):
+    """Raise TimeoutError in the main thread once ``seconds`` have passed.
+
+    Uses SIGALRM, so it is POSIX only; elsewhere the block runs without a
+    limit.
+    """
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test with TimeoutError if it runs past TIME_LIMIT_S."""
+    with alarm_after(TIME_LIMIT_S):
+        yield
 
 
 def brute_image(coeffs, elements):

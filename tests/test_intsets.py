@@ -180,10 +180,8 @@ class TestImage:
                 assert image(f, elems, strategy=s) == image(f, elems, strategy="auto")
         assert len(sort_folds) == 6 * len(cases) + 2
 
-    def test_window_one_past_int64_stays_on_python(self, monkeypatch):
-        sort_folds = []
-        sort_fold = intsets._sort_fold
-        monkeypatch.setattr(intsets, "_sort_fold", lambda terms: sort_folds.append(1) or sort_fold(terms))
+    def test_window_one_past_int64_folds_on_limbs(self, monkeypatch):
+        limb_folds = spy(monkeypatch, "_limb_fold")
         rng = random.Random(29)
         elems = [0, 2**62] + rng.sample(range(1, 2**62), 30)
         assert intsets._width(intsets._terms(SUM, FiniteIntSet(elems))) == 2**63 + 1
@@ -191,7 +189,8 @@ class TestImage:
         for s in ("auto", "pairs", "merge"):
             assert list(image(SUM, elems, strategy=s)) == expected
             assert image_cardinality(SUM, elems, strategy=s) == len(expected)
-        assert sort_folds == []
+        assert len(limb_folds) == 6
+        assert all(terms[0].shape[0] == 2 for terms, in limb_folds)  # two 62-bit limbs
 
     def test_sort_kernel_merges_overlapping_blocks(self, monkeypatch):
         # A block cap of 64 values splits each stage into one block per
@@ -281,6 +280,137 @@ class TestImage:
             u = rng.choice([c for c in range(-8, 9) if c])
             v = rng.choice([c for c in range(-8, 9) if c])
             assert image(LinearForm((u, v)), elems) == sumset(dilate(u, elems), dilate(v, elems))
+
+
+def spy(monkeypatch, name):
+    """Wrap intsets.<name>; returns the list of argument tuples it was called with."""
+    calls = []
+    real = getattr(intsets, name)
+    monkeypatch.setattr(intsets, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def assert_image_exact(coeffs, elems, expected=None):
+    """image and image_cardinality under auto, pairs and merge against brute force."""
+    f = LinearForm(coeffs)
+    expected = brute_image(coeffs, elems) if expected is None else expected
+    for s in ("auto", "pairs", "merge"):
+        got = image(f, elems, strategy=s).elements
+        assert list(got) == expected, (coeffs, s)
+        # image() trusts the fold to give sorted, distinct Python ints.
+        assert got == FiniteIntSet(got).elements
+        assert all(type(x) is int for x in got)
+        assert image_cardinality(f, elems, strategy=s) == len(expected), (coeffs, s)
+
+
+class TestWideSortFold:
+    """The sort kernel on windows wider than 2**63: gcd reduction and 62-bit limbs."""
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize("dilation", [2**62, 3 * 2**61], ids=["2^62", "3*2^61"])
+    def test_low_limb_collisions_fall_back_to_lexsort(self, monkeypatch, dilation):
+        # Half the elements are dilation*b, half dilation*b + 1, so the
+        # offsets' gcd is 1 and every image value's low limb is one of a few
+        # values shared by many different high limbs.
+        fallbacks = spy(monkeypatch, "_lexsort_distinct")
+        limb_folds = spy(monkeypatch, "_limb_fold")
+        rng = random.Random(37)
+        shift = -(10**30) - 7
+        for coeffs, n in (((1, 1), 24), ((1, -1), 24), ((2, 1), 20), ((-3, 1), 20),
+                          ((1, 1, 1), 10), ((1, -2, 1), 10)):
+            elems = [dilation * b + i % 2 + shift for i, b in enumerate(rng.sample(range(300), n))]
+            assert_image_exact(coeffs, elems)
+        assert len(limb_folds) == 6 * 6
+        assert fallbacks
+
+    def test_offsets_at_limb_edges(self, monkeypatch):
+        limb_folds = spy(monkeypatch, "_limb_fold")
+        rng = random.Random(43)
+        edges = [0, 1, 2**62 - 1, 2**62, 2**62 + 1, 2**124 - 1, 2**124, 2**124 + 1, 2**125]
+        for coeffs, n in (((1, 1), 20), ((1, -1), 20), ((3, -2), 20), ((-1, -1), 20),
+                          ((1, 2, -3), 10), ((-1, -1, -1), 10)):
+            for shift in (0, -(10**40) - 3):
+                elems = [x + shift for x in edges + [rng.getrandbits(125) for _ in range(n - len(edges))]]
+                assert_image_exact(coeffs, elems)
+        # windows of about 2**127 to 2**128: three limbs
+        assert len(limb_folds) == 6 * 2 * 6
+        assert {terms[0].shape[0] for terms, in limb_folds} == {3}
+
+    def test_one_element_terms_and_unary_forms(self, monkeypatch):
+        limb_folds = spy(monkeypatch, "_limb_fold")
+        rng = random.Random(47)
+        elems = sorted({rng.getrandbits(100) for _ in range(512)})
+        big = 7 * 2**100
+        for a, b in (([big], elems), (elems, [-big])):
+            expected = tuple(sorted({x + y for x in a for y in b}))
+            for s in ("auto", "pairs", "merge"):
+                assert sumset(a, b, strategy=s).elements == expected
+        assert_image_exact((-5,), elems[:300])
+        assert len(limb_folds) == 3 * 2 + 6
+
+    def test_gcd_reduces_dilated_windows_to_int64(self, monkeypatch):
+        int64_folds = spy(monkeypatch, "_int64_fold")
+        limb_folds = spy(monkeypatch, "_limb_fold")
+        rng = random.Random(53)
+        for dilation in (10**40, 2**124 + 1, 3 * 2**61):
+            for coeffs, n in (((1, -1), 40), ((2, 1), 40), ((1, 1, 1), 12)):
+                base = rng.sample(range(0, 3000, 3), n)  # the gcd of offsets is 3*dilation or more
+                elems = sorted(dilation * b - 10**35 for b in base)
+                terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
+                span = intsets._width(terms) - 1
+                g = math.gcd(*(x - elems[0] for x in elems))
+                assert span >= 2**63 and g % (3 * dilation) == 0
+                del int64_folds[:]
+                assert_image_exact(coeffs, elems)
+                assert len(int64_folds) == 6
+                for offsets, in int64_folds:
+                    assert sum(int(o[-1]) for o in offsets) == span // g < 3000 * len(coeffs)
+        # Doubling a set whose sum window is just under 2**63 gives a window
+        # between 2**63 and 2**64, which the gcd brings back under 2**63.
+        elems = [0, 2**62 - 2] + rng.sample(range(1, 2**62 - 2), 30)
+        doubled = [2 * x + 5 for x in elems]
+        assert 2**63 < intsets._width(intsets._terms(SUM, FiniteIntSet(doubled))) < 2**64
+        assert_image_exact((1, 1), doubled)
+        assert limb_folds == []
+
+    def test_limb_blocks_merge(self, monkeypatch):
+        # A cap of 256 limb values holds two rows of 60 two-limb offsets per
+        # block; the set is dense near 0, so the blocks share most values.
+        monkeypatch.setattr(intsets, "_SORT_CHUNK", 256)
+        carried = spy(monkeypatch, "_carry")
+        distinct = spy(monkeypatch, "_distinct_columns")
+        rng = random.Random(59)
+        elems = rng.sample(range(300), 59) + [2**80]
+        for coeffs in ((1, 1), (2, -1), (1, 1, 1)):
+            del carried[:], distinct[:]
+            assert_image_exact(coeffs, elems)
+            assert len(carried) >= 6 * 30
+            assert all(limbs.shape[0] == 2 and limbs.size <= 256 for limbs, in carried)
+            assert len(distinct) > len(carried)  # the merges
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_random_wide_sets_match_python_fold(self, monkeypatch):
+        # Dilations by limb-aligned and huge factors, then translated; a
+        # second, shifted copy of part of the set defeats the gcd step.
+        fallbacks = spy(monkeypatch, "_lexsort_distinct")
+        limb_folds = spy(monkeypatch, "_limb_fold")
+        int64_folds = spy(monkeypatch, "_int64_fold")
+        rng = random.Random(61)
+        forms = ((1, 1), (1, -1), (2, 1), (-2, 3), (1, 1, 1), (1, -1, 2))
+        for i in range(24):
+            dilation = (2**62, 3 * 2**61, 2**124 + 1, 10**40)[i % 4]
+            n = rng.randint(16, 24)
+            base = rng.sample(range(200), n)
+            elems = {dilation * b for b in base} | {dilation * b + 1 for b in base[:rng.randint(0, 4)]}
+            shift = rng.randrange(-(10**45), 10**45)
+            elems = sorted(x + shift for x in elems)
+            for coeffs in forms:
+                if len(coeffs) == 3:
+                    elems = elems[:10]
+                terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
+                assert_image_exact(coeffs, elems, intsets._python_fold(terms, "pairs"))
+        # the gcd step sends the sets without a shifted copy to int64
+        assert fallbacks and limb_folds and int64_folds
 
 
 class TestDilateSumset:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_jacobi, brute_legendre, trial_division_is_prime
+from conftest import alarm_after, brute_jacobi, brute_legendre, trial_division_is_prime
 from linform import numtheory
 from linform.numtheory import (
     _MR_PROVEN_BOUND,
@@ -26,6 +27,10 @@ from linform.numtheory import (
     nth_root,
     primes_between,
 )
+
+# Every test here may run the prime sieve, where a broken block advance loops
+# forever; the time limit turns that into a failure.
+pytestmark = pytest.mark.usefixtures("time_limit")
 
 ODD_PRIMES_TO_200 = [p for p in range(3, 201) if trial_division_is_prime(p)]
 
@@ -161,6 +166,25 @@ class TestPrimesBetween:
     def test_range(self):
         assert list(primes_between(10, 30)) == [11, 13, 17, 19, 23, 29]
         assert list(primes_between(2, 2)) == [2]
+
+    @pytest.mark.parametrize("lo, hi", [
+        (10, 30), (2, 2), (3, 3), (4, 4), (30, 10), (5, 4), (-7, 1), (-7, 2), (0, 100), (1, 3),
+        (2, 20_000), (8, 997), (1000, 1100), (65_536, 70_000), (2**32 - 1000, 2**32 + 1000),
+        (65537**2 - 3000, 65537**2 + 3000)])
+    def test_matches_brute_filter(self, monkeypatch, lo, hi):
+        # lo > hi, lo <= 2, even lo, block edges (a block of 61 too) and
+        # the range past 2^32, where 65537^2 survives the sieve.
+        expected = [n for n in range(max(lo, 0), hi + 1) if is_prime(n)]
+        assert list(primes_between(lo, hi)) == expected
+        monkeypatch.setattr(numtheory, "_SIEVE_BLOCK", 61)
+        assert list(primes_between(lo, hi)) == expected
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+    def test_time_limit_turns_a_hang_into_a_failure(self):
+        with pytest.raises(TimeoutError):
+            with alarm_after(0.05):
+                while True:
+                    pass
 
 
 class TestCrtCombine:

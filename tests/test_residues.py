@@ -204,6 +204,35 @@ class TestCoverage:
             for hh in h.classes:
                 assert counts[x] == counts[x * hh % p]
 
+    def test_coset_check_raises_on_one_perturbed_count(self):
+        rng = random.Random(41)
+        for p, k in [(31, 3), (97, 3), (101, 2), (61, 4), (199, 6), (3469, 3)]:
+            h = power_subgroup(p, k)
+            counts = np.asarray(coverage(LinearForm((2, 1)), h).representation_counts)
+            residues._check_coset_constancy(counts, h.order, p)
+            for x in rng.sample(range(1, p), 5):
+                perturbed = counts.copy()
+                perturbed[x] += 1
+                with pytest.raises(RuntimeError, match=f"not constant on the coset of .* mod {p}"):
+                    residues._check_coset_constancy(perturbed, h.order, p)
+
+    def test_coverage_runs_the_coset_check(self, monkeypatch):
+        # +1 and -1 inside one coset keep the total, so only the coset check
+        # can catch it.
+        p, k = 97, 3
+        h = power_subgroup(p, k)
+        cyclic_counts = residues._cyclic_counts
+
+        def skewed(a, b):
+            counts = cyclic_counts(a, b)
+            counts[5] += 1
+            counts[5 * h.classes[1] % p] -= 1
+            return counts
+
+        monkeypatch.setattr(residues, "_cyclic_counts", skewed)
+        with pytest.raises(RuntimeError, match="not constant on the coset"):
+            coverage(LinearForm((2, 1)), h)
+
     def test_rejects_dividing_prime_and_tiny_subgroups(self):
         with pytest.raises(ValueError):
             coverage(LinearForm((97, 1)), power_subgroup(97, 3))
