@@ -18,7 +18,8 @@ int64.  A wider one first divides every offset by their gcd g, which is
 exact since x -> g*x is injective, so a dilated set usually lands back on
 one int64; if the reduced window still spans more than 2**63 integers,
 each offset is held as k limbs of _LIMB_BITS = 62 bits, least significant
-first (see _limb_fold).
+first: two such limbs and a carry sum below 2**63, so the limb-wise outer
+sum cannot overflow (see _limb_fold).
 
 The bitmask kernel keeps the accumulated sumset in one of two exact
 representations, chosen by its estimated cost in 64-bit word operations
@@ -336,8 +337,10 @@ def _sort_fold(terms: list[list[int]]) -> tuple[np.ndarray, int]:
     distinct quotients since g > 0, and so leaves the count unchanged;
     the reduced window is (W - 1)/g + 1.  If that is still above 2**63,
     the quotients fold on k = ceil(bitlen((W - 1)/g) / 62) limbs
-    (_limb_fold).  The gcd is taken only here, after the caller has
-    checked the tuple count, so that small folds never pay for it.
+    (_limb_fold), so every partial sum is below 2**(62*k); two limbs
+    below 2**62 and a carry of at most 1 sum below 2**63.  The gcd is
+    taken only here, after the caller has checked the tuple count, so
+    that small folds never pay for it.
     """
     span = _width(terms) - 1
     g = 1
@@ -395,7 +398,8 @@ def _limb_fold(terms: list[np.ndarray]) -> np.ndarray:
     k = len(acc)
     for offs in terms[1:]:
         rows = max(_SORT_CHUNK // (k * offs.shape[1]), 1)
-        blocks = [_distinct_columns(_carry((acc[:, i:i + rows, None] + offs[:, None, :]).reshape(k, -1)))
+        blocks = [_distinct_columns(_carry((acc[:, i:i + rows, None] + offs[:, None, :])
+                                           .reshape(k, -1)))
                   for i in range(0, acc.shape[1], rows)]
         if len(blocks) == 1:
             acc = blocks[0]

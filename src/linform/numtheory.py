@@ -15,9 +15,10 @@ no witness set is proven, and is_prime refuses to answer.
 find_primes and primes_between sieve their progression (every integer,
 for primes_between) in blocks of _SIEVE_BLOCK candidates on a numpy
 boolean array: each base prime q <= min(sqrt(limit), _SIEVE_BASE) not
-dividing the step crosses out its multiples other than q itself.  A survivor below _SIEVE_BASE^2 is then prime; a larger one
-still goes through is_prime.  The sieve works on candidate indices and
-booleans only, so no floating point enters here either.
+dividing the step crosses out its multiples other than q itself.  A
+survivor below _SIEVE_BASE^2 is then prime; a larger one still goes
+through is_prime.  The sieve works on candidate indices and booleans
+only, so no floating point enters here either.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# The sieve (_sieved_primes) works with the primes up to _SIEVE_BASE, so survivors below
-# _SIEVE_BASE^2 = 2^32 need no primality test, and holds one boolean per
-# candidate for _SIEVE_BLOCK candidates at a time.
+# _sieved_primes sieves with the primes up to _SIEVE_BASE, so survivors
+# below _SIEVE_BASE^2 = 2^32 need no primality test, and holds one boolean
+# per candidate for _SIEVE_BLOCK candidates at a time.
 _SIEVE_BASE = 1 << 16
 _SIEVE_BLOCK = 1 << 16
 
