@@ -399,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--form", required=True, help="comma-separated coefficients, e.g. 2,1")
     p.add_argument("-A", "--set-file", help="set file: one integer per line, or .json array")
     p.add_argument("--inline", help="inline set, e.g. 0,1,2")
-    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto",
+                   help="sumset kernel: pairs (Python hash set), merge (numpy sort and merge), "
+                        "bitset (bit mask); auto picks one by size")
     p.add_argument("--full", action="store_true", help="print the image, not just its size")
     p.set_defaults(handler=cmd_image)
 

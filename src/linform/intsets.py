@@ -2,24 +2,21 @@
 
 The image of a linear form f(x1,...,xn) = u1*x1 + ... + un*xn on a set A
 is {f(a1,...,an) : ai in A}, computed here by folding sumsets of the
-dilations ui*A.  Three interchangeable sumset kernels are provided
-(hash enumeration, sorted k-way merge, bitmask) and selected
-automatically by input size unless overridden.
+dilations ui*A.  Each strategy name runs exactly one sumset kernel:
+pairs enumerates every tuple into a Python hash set, merge sorts and
+merges numpy offsets, and bitset ORs shifted bit masks.  auto picks one
+by input size unless a name is given.
 
-The two enumeration kernels (pairs, merge) run in one of two exact
-representations, chosen by the tuple count (the product of the term
-lengths): from _SORT_FOLD_TUPLES tuples on, whatever the window, on numpy
-int64 offsets from the sum of the terms' first elements; smaller folds run
-on Python ints, as a hash set (pairs) or a lazy heap merge (merge).  The
-numpy fold forms each stage's outer sum in blocks of at most _SORT_CHUNK
-values, keeps the distinct values of each block, then merges the blocks
-the same way.  A window of at most 2**63 integers holds each offset in one
-int64.  A wider one first divides every offset by their gcd g, which is
-exact since x -> g*x is injective, so a dilated set usually lands back on
-one int64; if the reduced window still spans more than 2**63 integers,
-each offset is held as k limbs of _LIMB_BITS = 62 bits, least significant
-first: two such limbs and a carry sum below 2**63, so the limb-wise outer
-sum cannot overflow (see _limb_fold).
+The merge kernel folds on offsets from the sum of the terms' first
+elements.  It forms each stage's outer sum in blocks of at most
+_SORT_CHUNK values, keeps the distinct values of each block, then merges
+the blocks the same way.  A window of at most 2**63 integers holds each
+offset in one int64.  A wider one first divides every offset by their
+gcd g, which is exact since x -> g*x is injective, so a dilated set
+usually lands back on one int64; if the reduced window still spans more
+than 2**63 integers, each offset is held as k limbs of _LIMB_BITS = 62
+bits, least significant first: two such limbs and a carry sum below
+2**63, so the limb-wise outer sum cannot overflow (see _limb_fold).
 
 The bitmask kernel keeps the accumulated sumset in one of two exact
 representations, chosen by its estimated cost in 64-bit word operations
@@ -33,7 +30,6 @@ and ORs, so they give the same mask bit for bit.
 from __future__ import annotations
 
 import bisect
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -49,7 +45,9 @@ STRATEGIES = ("auto", "pairs", "merge", "bitset")
 # explicit strategy="bitset" on a wider image raises ValueError.
 BITSET_WIDTH_CAP = 1 << 27
 
-_PAIRS_TUPLE_CAP = 4_000_000
+# Tuple count above which auto picks the bitset kernel whenever the window
+# fits BITSET_WIDTH_CAP, whatever its cost per tuple.
+_BITSET_TUPLE_FLOOR = 4_000_000
 
 # Fold cost (_bitset_cost, in words) from which the numpy word kernel runs
 # instead of big-int shift-or.  Measured crossover, Python 3.11 and numpy 2.4
@@ -60,14 +58,14 @@ _PAIRS_TUPLE_CAP = 4_000_000
 # 39,312-element set over a 2.2e6-bit window.
 _WORD_FOLD_COST = 1 << 20
 
-# Tuple count from which pairs and merge fold on numpy int64 offsets.
-# Measured crossover, same host, random sets in [0, 1e9): Python wins by
+# Tuple count from which auto picks merge rather than pairs.  Measured
+# crossover, same host, random sets in [0, 1e9): Python wins by
 # 3-6x at 9-16 tuples (2-3 us against 9-15 us per call), the two are within
 # 1.7x of each other from 36 to 216, and int64 wins by 1.9-2.9x at 256,
 # 5-11x at 900 and 7-16x at 1,600.
 _SORT_FOLD_TUPLES = 256
 
-# Most int64 values (32 MiB) the sort kernel's outer sum holds at once,
+# Most int64 values (32 MiB) the merge kernel's outer sum holds at once,
 # counting every limb.
 _SORT_CHUNK = 1 << 22
 
@@ -251,10 +249,9 @@ def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],
     if chosen == "bitset":
         mask, _ = _bitset_fold(terms)
         return mask.bit_count()
-    # Every term has len(a) elements.
-    if len(a) ** len(terms) >= _SORT_FOLD_TUPLES:
+    if chosen == "merge":
         return _sort_fold(terms)[0].shape[1]
-    return len(_python_fold(terms, chosen))
+    return len(_python_fold(terms))
 
 
 def _as_set(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
@@ -291,18 +288,13 @@ def _choose_strategy(terms: list[list[int]], strategy: str) -> str:
                              f"this image spans {width}")
         return strategy
     width = _width(terms)
-    tuples = 1
-    for t in terms:
-        tuples = min(tuples * len(t), 10 * _PAIRS_TUPLE_CAP)
-    # Hash enumeration costs a bigger constant per tuple than the bitmask
-    # kernel does per word.
-    if width <= BITSET_WIDTH_CAP and _bitset_cost(terms, width) <= 120 * tuples:
+    tuples = math.prod(map(len, terms))
+    # Enumeration costs a bigger constant per tuple than the bitmask kernel
+    # does per word.
+    if width <= BITSET_WIDTH_CAP and (tuples > _BITSET_TUPLE_FLOOR
+                                      or _bitset_cost(terms, width) <= 120 * tuples):
         return "bitset"
-    if tuples <= _PAIRS_TUPLE_CAP:
-        return "pairs"
-    if width <= BITSET_WIDTH_CAP:
-        return "bitset"
-    return "merge"
+    return "pairs" if tuples < _SORT_FOLD_TUPLES else "merge"
 
 
 def _bitset_cost(terms: list[list[int]], width: int) -> int:
@@ -318,11 +310,11 @@ def _fold_sumsets(terms: list[list[int]], strategy: str) -> list[int]:
     if chosen == "bitset":
         mask, base = _bitset_fold(terms)
         return _bits.decode(mask, base)
-    if math.prod(map(len, terms)) >= _SORT_FOLD_TUPLES:
+    if chosen == "merge":
         limbs, g = _sort_fold(terms)
         base = sum(t[0] for t in terms)
         return [base + g * x for x in _decode(limbs)]
-    return _python_fold(terms, chosen)
+    return _python_fold(terms)
 
 
 def _sort_fold(terms: list[list[int]]) -> tuple[np.ndarray, int]:
@@ -338,9 +330,7 @@ def _sort_fold(terms: list[list[int]]) -> tuple[np.ndarray, int]:
     the reduced window is (W - 1)/g + 1.  If that is still above 2**63,
     the quotients fold on k = ceil(bitlen((W - 1)/g) / 62) limbs
     (_limb_fold), so every partial sum is below 2**(62*k); two limbs
-    below 2**62 and a carry of at most 1 sum below 2**63.  The gcd is
-    taken only here, after the caller has checked the tuple count, so
-    that small folds never pay for it.
+    below 2**62 and a carry of at most 1 sum below 2**63.
     """
     span = _width(terms) - 1
     g = 1
@@ -455,31 +445,11 @@ def _decode(limbs: np.ndarray) -> list[int]:
     return values
 
 
-def _python_fold(terms: list[list[int]], chosen: str) -> list[int]:
-    kernel = _sumset_pairs if chosen == "pairs" else _sumset_merge
+def _python_fold(terms: list[list[int]]) -> list[int]:
     acc = terms[0]
     for term in terms[1:]:
-        acc = kernel(acc, term)
+        acc = sorted({x + y for x in acc for y in term})
     return acc
-
-
-def _sumset_pairs(xs: list[int], ys: list[int]) -> list[int]:
-    return sorted({x + y for x in xs for y in ys})
-
-
-def _shifted_stream(x: int, ys: list[int]) -> Iterator[int]:
-    return (x + y for y in ys)
-
-
-def _sumset_merge(xs: list[int], ys: list[int]) -> list[int]:
-    # One sorted stream per x, merged lazily; memory stays O(|xs|).
-    out: list[int] = []
-    last = None
-    for v in heapq.merge(*(_shifted_stream(x, ys) for x in xs)):
-        if v != last:
-            out.append(v)
-            last = v
-    return out
 
 
 def _bitset_fold(terms: list[list[int]]) -> tuple[int, int]:
@@ -588,16 +558,19 @@ def amplify(form_f: LinearForm, form_g: LinearForm,
 
     M is the smallest integer exceeding twice the largest absolute value
     in A, f(A) and g(A); this guarantees |A_M| = |A|^2, |f(A_M)| = |f(A)|^2
-    and |g(A_M)| = |g(A)|^2.
+    and |g(A_M)| = |g(A)|^2.  The images are not formed: each term c*A is
+    sorted, so min f(A) and max f(A) are the sums of the terms' first and
+    last elements, and a largest absolute value is at one of those ends.
     """
     if form_f.arity != form_g.arity:
         raise ValueError("both forms must have the same arity")
     a = _as_set(a)
     _require_nonempty(a)
-    fa = image(form_f, a)
-    ga = image(form_g, a)
-    m = max(abs(x) for s in (a, fa, ga) for x in s)
-    big_m = 2 * m + 1
+    ends = [a[0], a[-1]]
+    for form in (form_f, form_g):
+        terms = _terms(form, a)
+        ends += [sum(t[0] for t in terms), sum(t[-1] for t in terms)]
+    big_m = 2 * max(map(abs, ends)) + 1
     return big_m, sumset(a, dilate(big_m, a))
 
 

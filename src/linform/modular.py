@@ -294,20 +294,44 @@ class ConstructionReport:
     form_f: LinearForm
     form_g: LinearForm
     locals_used: tuple[LocalSolution, ...]
-    combined_modulus: int
     window_start: int
-    set_size: int
-    ratio_product: Fraction
-    threshold: Fraction
-    threshold_met: bool
-    f_card_upper: int
-    g_card_lower: int
     success: bool
     mode: str
     detail: str = ""
     elements: FiniteIntSet | None = None
     f_card: int | None = None
     g_card: int | None = None
+
+    @property
+    def combined_modulus(self) -> int:
+        return math.prod(loc.residues.modulus for loc in self.locals_used)
+
+    @property
+    def set_size(self) -> int:
+        return math.prod(len(loc.residues) for loc in self.locals_used)
+
+    @property
+    def ratio_product(self) -> Fraction:
+        return Fraction(math.prod(loc.f_card for loc in self.locals_used),
+                        math.prod(loc.g_card for loc in self.locals_used))
+
+    @property
+    def threshold(self) -> Fraction:
+        return Fraction(1, 2 * self.form_f.height)
+
+    @property
+    def threshold_met(self) -> bool:
+        return self.ratio_product < self.threshold
+
+    @property
+    def f_card_upper(self) -> int:
+        """2*h_f*prod |f(R_i)|, an upper bound on |f(A)| by rectification."""
+        return 2 * self.form_f.height * math.prod(loc.f_card for loc in self.locals_used)
+
+    @property
+    def g_card_lower(self) -> int:
+        """prod |g(R_i)|, a lower bound on |g(A)|."""
+        return math.prod(loc.g_card for loc in self.locals_used)
 
     @property
     def representative_window(self) -> tuple[int, int]:
@@ -405,29 +429,14 @@ def build_separating_set(
     if not consumed:
         raise ValueError("no local solutions supplied")
 
-    set_size = math.prod(len(loc.residues) for loc in consumed)
-    f_upper = 2 * h * math.prod(loc.f_card for loc in consumed)
-    g_lower = math.prod(loc.g_card for loc in consumed)
-
     def report(*, success: bool, mode: str, detail: str = "", locs: Sequence[LocalSolution] | None = None,
                elements: FiniteIntSet | None = None, f_card: int | None = None,
                g_card: int | None = None) -> ConstructionReport:
-        locs = list(consumed if locs is None else locs)
-        prod = Fraction(1)
-        for loc in locs:
-            prod *= loc.ratio
         return ConstructionReport(
             form_f=form_f,
             form_g=form_g,
-            locals_used=tuple(locs),
-            combined_modulus=math.prod(loc.residues.modulus for loc in locs),
+            locals_used=tuple(consumed if locs is None else locs),
             window_start=window_start,
-            set_size=math.prod(len(loc.residues) for loc in locs),
-            ratio_product=prod,
-            threshold=threshold,
-            threshold_met=prod < threshold,
-            f_card_upper=2 * h * math.prod(loc.f_card for loc in locs),
-            g_card_lower=math.prod(loc.g_card for loc in locs),
             success=success,
             mode=mode,
             detail=detail,
@@ -437,7 +446,7 @@ def build_separating_set(
         )
 
     if threshold_met:
-        if f_upper >= g_lower:
+        if 2 * h * math.prod(loc.f_card for loc in consumed) >= math.prod(loc.g_card for loc in consumed):
             raise RuntimeError("threshold met but certified bounds do not separate")
         if _fits_caps(consumed, element_cap, modulus_cap):
             elements, f_card, g_card = _materialize(form_f, form_g, consumed, window_start)
@@ -454,8 +463,9 @@ def build_separating_set(
 
     if direct:
         if not _fits_caps(consumed, element_cap, modulus_cap):
+            size = math.prod(len(loc.residues) for loc in consumed)
             return report(success=False, mode="shortfall",
-                          detail=f"direct mode but size {set_size} / modulus {modulus} "
+                          detail=f"direct mode but size {size} / modulus {modulus} "
                                  f"exceed caps {element_cap} / {modulus_cap}")
         elements, f_card, g_card = _materialize(form_f, form_g, consumed, window_start)
         ok = f_card < g_card

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,18 @@ class PowerSubgroup:
 
     def residue_set(self) -> ResidueSet:
         return ResidueSet._from_sorted(self.p, self.classes)
+
+    @cached_property
+    def coset_labels(self) -> np.ndarray:
+        """x^|H| mod p for x = 1, ..., p-1, computed once per subgroup.
+
+        H is the subgroup of |H| elements of the cyclic group of units
+        mod p, so x and y lie in one coset of H exactly when (x/y)^|H| = 1,
+        that is when their labels agree.
+        """
+        labels = _powers(self.p, self.order)
+        labels.flags.writeable = False
+        return labels
 
     def __contains__(self, value: int) -> bool:
         v = value % self.p
@@ -200,7 +213,7 @@ def coverage(form: LinearForm, subgroup: PowerSubgroup) -> CoverageReport:
     total = int(counts.sum())
     if total != n * n:
         raise RuntimeError(f"representation counts sum to {total}, expected {n * n}")
-    _check_coset_constancy(counts, n, p)
+    _check_coset_constancy(counts, subgroup)
 
     covered_nonzero = bool((counts[1:] > 0).all())
     zero_covered = bool(counts[0] > 0)
@@ -217,17 +230,14 @@ def coverage(form: LinearForm, subgroup: PowerSubgroup) -> CoverageReport:
     )
 
 
-def _check_coset_constancy(counts: np.ndarray, order: int, p: int) -> None:
+def _check_coset_constancy(counts: np.ndarray, subgroup: PowerSubgroup) -> None:
     """Raise unless counts[x] is constant on each coset of the subgroup H.
 
-    H is the subgroup of ``order`` elements of the cyclic group of units
-    mod p, so x and y lie in one coset exactly when (x/y)^order = 1, that
-    is when x^order = y^order (mod p).  Each x in [1, p) is labelled by
-    x^order.  One member's count is stored per label and every count is
-    compared with it; all agree exactly when the counts are constant on
-    each coset.
+    One member's count is stored per coset label (see
+    PowerSubgroup.coset_labels) and every count is compared with it; all
+    agree exactly when the counts are constant on each coset.
     """
-    labels = _powers(p, order)
+    p, labels = subgroup.p, subgroup.coset_labels
     vals = counts[1:]
     per_label = np.zeros(p, dtype=counts.dtype)
     per_label[labels] = vals

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,36 +117,81 @@ class TestImage:
             got = image(LinearForm(coeffs), elems)
             assert list(got) == brute_image(coeffs, elems)
 
-    def test_strategies_agree_on_200_random_instances(self, monkeypatch):
-        # Once with every pairs/merge call on the int64 sort kernel, once
-        # with every one on Python ints.
-        for crossover in (0, math.inf):
-            monkeypatch.setattr(intsets, "_SORT_FOLD_TUPLES", crossover)
-            rng = random.Random(11)
-            for _ in range(200):
-                elems = rng.sample(range(-500, 500), rng.randint(1, 64))
-                coeffs = (rng.choice([c for c in range(-10, 11) if c]),
-                          rng.choice([c for c in range(-10, 11) if c]))
-                f = LinearForm(coeffs)
-                results = {s: image(f, elems, strategy=s).elements for s in ("pairs", "merge", "bitset")}
-                assert results["pairs"] == results["merge"] == results["bitset"]
-                # image() and sumset() trust the fold to give sorted, distinct
-                # Python ints; the checking constructor must agree with them.
-                others = [3 * x + 1 for x in elems]
-                sums = [sumset(elems, others, strategy=s).elements for s in ("pairs", "merge", "bitset")]
-                assert sums == [tuple(sorted({x + y for x in elems for y in others}))] * 3
-                for elements in [*results.values(), *sums]:
-                    assert elements == FiniteIntSet(elements).elements
-                    assert all(type(x) is int for x in elements)
-                cards = {image_cardinality(f, elems, strategy=s) for s in ("pairs", "merge", "bitset")}
-                assert cards == {len(results["pairs"])}
+    def test_strategies_agree_on_200_random_instances(self):
+        # pairs enumerates on Python ints and merge folds on numpy, at every
+        # tuple count.
+        rng = random.Random(11)
+        for _ in range(200):
+            elems = rng.sample(range(-500, 500), rng.randint(1, 64))
+            coeffs = (rng.choice([c for c in range(-10, 11) if c]),
+                      rng.choice([c for c in range(-10, 11) if c]))
+            f = LinearForm(coeffs)
+            results = {s: image(f, elems, strategy=s).elements for s in ("pairs", "merge", "bitset")}
+            assert results["pairs"] == results["merge"] == results["bitset"]
+            # image() and sumset() trust the fold to give sorted, distinct
+            # Python ints; the checking constructor must agree with them.
+            others = [3 * x + 1 for x in elems]
+            sums = [sumset(elems, others, strategy=s).elements for s in ("pairs", "merge", "bitset")]
+            assert sums == [tuple(sorted({x + y for x in elems for y in others}))] * 3
+            for elements in [*results.values(), *sums]:
+                assert elements == FiniteIntSet(elements).elements
+                assert all(type(x) is int for x in elements)
+            cards = {image_cardinality(f, elems, strategy=s) for s in ("pairs", "merge", "bitset")}
+            assert cards == {len(results["pairs"])}
 
+    def test_each_strategy_runs_exactly_its_own_kernel(self, monkeypatch):
+        kernels = {"pairs": "_python_fold", "merge": "_sort_fold", "bitset": "_bitset_fold"}
+        calls = {name: spy(monkeypatch, name) for name in kernels.values()}
+        rng = random.Random(67)
+        for n in (4, 64):  # 16 and 4,096 tuples
+            elems = rng.sample(range(10**4), n)
+            expected = brute_image((2, -1), elems)
+            for s, kernel in kernels.items():
+                for c in calls.values():
+                    del c[:]
+                assert list(image(LinearForm((2, -1)), elems, strategy=s)) == expected
+                assert image_cardinality(LinearForm((2, -1)), elems, strategy=s) == len(expected)
+                assert {name: len(c) for name, c in calls.items()} == {
+                    name: 2 if name == kernel else 0 for name in calls}, (n, s)
+
+    def test_auto_picks_the_kernel_by_tuples_and_window(self, monkeypatch):
+        # Stubs stand in for the kernels, so that the 4,000,000-tuple folds
+        # are dispatched but not run.  The window of x + y on [0, d] spans
+        # 2d + 1 integers: d = 2**26 - 1 fits BITSET_WIDTH_CAP, 2**26 does not.
+        calls = []
+        stubs = {"_python_fold": [], "_sort_fold": (np.zeros((1, 0), np.int64), 1), "_bitset_fold": (0, 0)}
+        for name, result in stubs.items():
+            monkeypatch.setattr(intsets, name, lambda terms, name=name, result=result: calls.append(name) or result)
+        fits, wide = 2**26 - 1, 2**26
+        assert 2 * fits + 1 <= intsets.BITSET_WIDTH_CAP < 2 * wide + 1
+        rng = random.Random(71)
+        cases = [
+            (15, 99, "_bitset_fold"),     # cheap mask
+            (15, fits, "_python_fold"),   # 225 tuples, mask too costly
+            (16, fits, "_sort_fold"),     # 256 tuples
+            (15, wide, "_python_fold"),
+            (16, wide, "_sort_fold"),
+            (2000, fits, "_sort_fold"),   # 4,000,000 tuples, mask too costly
+            (2001, fits, "_bitset_fold"),  # above 4,000,000 tuples the mask runs if it fits
+            (2000, wide, "_sort_fold"),
+            (2001, wide, "_sort_fold"),
+        ]
+        labels = {"_python_fold": "pairs", "_sort_fold": "merge", "_bitset_fold": "bitset"}
+        for n, d, kernel in cases:
+            a = FiniteIntSet([0, d] + rng.sample(range(1, d), n - 2))
+            assert intsets._choose_strategy(intsets._terms(SUM, a), "auto") == labels[kernel], (n, d)
+            del calls[:]
+            image(SUM, a)
+            image_cardinality(SUM, a)
+            assert calls == [kernel] * 2, (n, d)
+
+    @pytest.mark.usefixtures("time_limit")
     def test_sort_kernel_matches_brute_force_and_python_kernels(self, monkeypatch):
-        # Windows too wide for the bitset kernel but within int64; a spy
-        # confirms every case reaches the sort kernel.
-        sort_folds = []
-        sort_fold = intsets._sort_fold
-        monkeypatch.setattr(intsets, "_sort_fold", lambda terms: sort_folds.append(1) or sort_fold(terms))
+        # Windows too wide for the bitset kernel but within int64; spies
+        # confirm that auto and merge reach the sort kernel and pairs the
+        # Python one.
+        sort_folds = spy(monkeypatch, "_sort_fold")
+        python_folds = spy(monkeypatch, "_python_fold")
         rng = random.Random(23)
         top = 1 << 40
         exact = (2**63 - 1) // 7  # (4, -3) then spans exactly 2**63 integers
@@ -166,20 +212,17 @@ class TestImage:
             for s in ("auto", "pairs", "merge"):
                 assert list(image(f, elems, strategy=s)) == expected
                 assert image_cardinality(f, elems, strategy=s) == len(expected)
+            assert image(f, elems, strategy="pairs") == image(f, elems, strategy="merge")
         # a one-element term, first and last
         elems = rng.sample(range(top), 512)
         for a, b in (([7], elems), (elems, [-7])):
-            got = sumset(a, b, strategy="pairs").elements
-            assert got == tuple(sorted({x + y for x in a for y in b}))
-        assert len(sort_folds) == 6 * len(cases) + 2
-        # the same cases on Python ints
-        monkeypatch.setattr(intsets, "_SORT_FOLD_TUPLES", math.inf)
-        for coeffs, elems in cases:
-            f = LinearForm(coeffs)
             for s in ("pairs", "merge"):
-                assert image(f, elems, strategy=s) == image(f, elems, strategy="auto")
-        assert len(sort_folds) == 6 * len(cases) + 2
+                got = sumset(a, b, strategy=s).elements
+                assert got == tuple(sorted({x + y for x in a for y in b}))
+        assert len(sort_folds) == 5 * len(cases) + 2
+        assert len(python_folds) == 3 * len(cases) + 2
 
+    @pytest.mark.usefixtures("time_limit")
     def test_window_one_past_int64_folds_on_limbs(self, monkeypatch):
         limb_folds = spy(monkeypatch, "_limb_fold")
         rng = random.Random(29)
@@ -189,29 +232,30 @@ class TestImage:
         for s in ("auto", "pairs", "merge"):
             assert list(image(SUM, elems, strategy=s)) == expected
             assert image_cardinality(SUM, elems, strategy=s) == len(expected)
-        assert len(limb_folds) == 6
+        assert image(SUM, elems, strategy="pairs") == image(SUM, elems, strategy="merge")
+        assert len(limb_folds) == 5  # auto and merge, then merge against pairs
         assert all(terms[0].shape[0] == 2 for terms, in limb_folds)  # two 62-bit limbs
 
+    @pytest.mark.usefixtures("time_limit")
     def test_sort_kernel_merges_overlapping_blocks(self, monkeypatch):
         # A block cap of 64 values splits each stage into one block per
         # accumulator row; on a dense set the blocks share most values.
         monkeypatch.setattr(intsets, "_SORT_CHUNK", 64)
-        sort_folds = []
-        sort_fold = intsets._sort_fold
-        monkeypatch.setattr(intsets, "_sort_fold", lambda terms: sort_folds.append(1) or sort_fold(terms))
+        sort_folds = spy(monkeypatch, "_sort_fold")
+        python_folds = spy(monkeypatch, "_python_fold")
         rng = random.Random(31)
         elems = rng.sample(range(300), 60)
         forms = ((1, 1), (2, -1), (1, 1, 1), (-3, 1, 2))
         expected = {coeffs: brute_image(coeffs, elems) for coeffs in forms}
-        for crossover in (intsets._SORT_FOLD_TUPLES, math.inf):
-            monkeypatch.setattr(intsets, "_SORT_FOLD_TUPLES", crossover)
-            for coeffs in forms:
-                assert len(expected[coeffs]) < len(elems) ** len(coeffs) // 4
-                for s in ("pairs", "merge"):
-                    assert list(image(LinearForm(coeffs), elems, strategy=s)) == expected[coeffs]
-                    assert image_cardinality(LinearForm(coeffs), elems, strategy=s) == len(expected[coeffs])
-        assert len(sort_folds) == 4 * len(forms)
+        for coeffs in forms:
+            assert len(expected[coeffs]) < len(elems) ** len(coeffs) // 4
+            for s in ("pairs", "merge"):
+                assert list(image(LinearForm(coeffs), elems, strategy=s)) == expected[coeffs]
+                assert image_cardinality(LinearForm(coeffs), elems, strategy=s) == len(expected[coeffs])
+        assert len(sort_folds) == 2 * len(forms)
+        assert len(python_folds) == 2 * len(forms)
 
+    @pytest.mark.usefixtures("time_limit")
     def test_strategies_agree_on_wide_windows(self, monkeypatch):
         # Windows wide enough that the auto-selected bitset kernel runs on
         # uint64 words; a spy confirms every case reaches that path.
@@ -291,22 +335,32 @@ def spy(monkeypatch, name):
 
 
 def assert_image_exact(coeffs, elems, expected=None):
-    """image and image_cardinality under auto, pairs and merge against brute force."""
+    """image and image_cardinality under auto, pairs and merge against brute force.
+
+    pairs runs the Python kernel and merge the sort kernel, so their
+    agreement is a check of one against the other.
+    """
     f = LinearForm(coeffs)
     expected = brute_image(coeffs, elems) if expected is None else expected
+    results = {}
     for s in ("auto", "pairs", "merge"):
-        got = image(f, elems, strategy=s).elements
+        got = results[s] = image(f, elems, strategy=s).elements
         assert list(got) == expected, (coeffs, s)
         # image() trusts the fold to give sorted, distinct Python ints.
         assert got == FiniteIntSet(got).elements
         assert all(type(x) is int for x in got)
         assert image_cardinality(f, elems, strategy=s) == len(expected), (coeffs, s)
+    assert results["pairs"] == results["merge"], coeffs
 
 
+@pytest.mark.usefixtures("time_limit")
 class TestWideSortFold:
-    """The sort kernel on windows wider than 2**63: gcd reduction and 62-bit limbs."""
+    """The sort kernel on windows wider than 2**63: gcd reduction and 62-bit limbs.
 
-    @pytest.mark.usefixtures("time_limit")
+    Every case also runs explicit pairs, a Python enumeration, under the
+    time limit.
+    """
+
     @pytest.mark.parametrize("dilation", [2**62, 3 * 2**61], ids=["2^62", "3*2^61"])
     def test_low_limb_collisions_fall_back_to_lexsort(self, monkeypatch, dilation):
         # Half the elements are dilation*b, half dilation*b + 1, so the
@@ -320,7 +374,7 @@ class TestWideSortFold:
                           ((1, 1, 1), 10), ((1, -2, 1), 10)):
             elems = [dilation * b + i % 2 + shift for i, b in enumerate(rng.sample(range(300), n))]
             assert_image_exact(coeffs, elems)
-        assert len(limb_folds) == 6 * 6
+        assert len(limb_folds) == 6 * 4  # auto and merge
         assert fallbacks
 
     def test_offsets_at_limb_edges(self, monkeypatch):
@@ -333,7 +387,7 @@ class TestWideSortFold:
                 elems = [x + shift for x in edges + [rng.getrandbits(125) for _ in range(n - len(edges))]]
                 assert_image_exact(coeffs, elems)
         # windows of about 2**127 to 2**128: three limbs
-        assert len(limb_folds) == 6 * 2 * 6
+        assert len(limb_folds) == 6 * 2 * 4
         assert {terms[0].shape[0] for terms, in limb_folds} == {3}
 
     def test_one_element_terms_and_unary_forms(self, monkeypatch):
@@ -346,7 +400,7 @@ class TestWideSortFold:
             for s in ("auto", "pairs", "merge"):
                 assert sumset(a, b, strategy=s).elements == expected
         assert_image_exact((-5,), elems[:300])
-        assert len(limb_folds) == 3 * 2 + 6
+        assert len(limb_folds) == 2 * 2 + 4
 
     def test_gcd_reduces_dilated_windows_to_int64(self, monkeypatch):
         int64_folds = spy(monkeypatch, "_int64_fold")
@@ -362,7 +416,7 @@ class TestWideSortFold:
                 assert span >= 2**63 and g % (3 * dilation) == 0
                 del int64_folds[:]
                 assert_image_exact(coeffs, elems)
-                assert len(int64_folds) == 6
+                assert len(int64_folds) == 4
                 for offsets, in int64_folds:
                     assert sum(int(o[-1]) for o in offsets) == span // g < 3000 * len(coeffs)
         # Doubling a set whose sum window is just under 2**63 gives a window
@@ -384,11 +438,10 @@ class TestWideSortFold:
         for coeffs in ((1, 1), (2, -1), (1, 1, 1)):
             del carried[:], distinct[:]
             assert_image_exact(coeffs, elems)
-            assert len(carried) >= 6 * 30
+            assert len(carried) >= 4 * 30
             assert all(limbs.shape[0] == 2 and limbs.size <= 256 for limbs, in carried)
             assert len(distinct) > len(carried)  # the merges
 
-    @pytest.mark.usefixtures("time_limit")
     def test_random_wide_sets_match_python_fold(self, monkeypatch):
         # Dilations by limb-aligned and huge factors, then translated; a
         # second, shifted copy of part of the set defeats the gcd step.
@@ -408,7 +461,7 @@ class TestWideSortFold:
                 if len(coeffs) == 3:
                     elems = elems[:10]
                 terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
-                assert_image_exact(coeffs, elems, intsets._python_fold(terms, "pairs"))
+                assert_image_exact(coeffs, elems, intsets._python_fold(terms))
         # the gcd step sends the sets without a shifted copy to int64
         assert fallbacks and limb_folds and int64_folds
 
@@ -531,6 +584,17 @@ class TestAmplify:
         assert len(amplified) == len(a) ** 2
         assert image_cardinality(f, amplified) == fa * fa
         assert image_cardinality(g, amplified) == ga * ga
+
+    def test_modulus_from_the_image_extremes_matches_the_images(self):
+        rng = random.Random(79)
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            f, g = (LinearForm([rng.choice([c for c in range(-9, 10) if c]) for _ in range(k)])
+                    for _ in range(2))
+            top = 10 ** rng.choice([1, 3, 30])
+            a = FiniteIntSet(rng.randrange(-top, top) for _ in range(rng.randint(1, 6)))
+            largest = max(abs(x) for s in (a, image(f, a), image(g, a)) for x in s)
+            assert amplify(f, g, a)[0] == 2 * largest + 1
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -294,6 +294,32 @@ class TestBuildSeparatingSet:
         assert report.f_card is not None and report.f_card < report.g_card
         assert report.f_card_upper < report.g_card_lower
 
+    def test_derived_fields_follow_the_locals_used(self):
+        f, g = SUM, F21
+        aps = [ap_local(m, r, f, g) for m, r in ((7, 3), (11, 5), (13, 5), (17, 7), (19, 7))]
+        reports = [
+            build_separating_set(f, g, aps),
+            build_separating_set(f, g, aps, element_cap=10),
+            build_separating_set(F21, SUM, hand_picked_locals(), window_start=1, direct=True),
+            build_separating_set(F21, SUM, hand_picked_locals(), element_cap=1000),
+            build_separating_set(F21, SUM, hand_picked_locals(), direct=True, element_cap=10),
+        ]
+        assert {r.mode for r in reports} == {"threshold", "direct", "shortfall"}
+        for report in reports:
+            locs = report.locals_used
+            product = Fraction(1)
+            for loc in locs:
+                product *= loc.ratio
+            h = report.form_f.height
+            out = report.to_dict()
+            assert out["combined_modulus"] == math.prod(loc.residues.modulus for loc in locs)
+            assert out["set_size"] == math.prod(len(loc.residues) for loc in locs)
+            assert out["ratio_product"] == [product.numerator, product.denominator]
+            assert out["threshold"] == [1, 2 * h]
+            assert out["threshold_met"] == (product < Fraction(1, 2 * h))
+            assert out["f_card_upper"] == 2 * h * math.prod(loc.f_card for loc in locs)
+            assert out["g_card_lower"] == math.prod(loc.g_card for loc in locs)
+
     def test_threshold_certified_beyond_caps(self):
         f, g = SUM, F21
         locs = [

@@ -209,12 +209,12 @@ class TestCoverage:
         for p, k in [(31, 3), (97, 3), (101, 2), (61, 4), (199, 6), (3469, 3)]:
             h = power_subgroup(p, k)
             counts = np.asarray(coverage(LinearForm((2, 1)), h).representation_counts)
-            residues._check_coset_constancy(counts, h.order, p)
+            residues._check_coset_constancy(counts, h)
             for x in rng.sample(range(1, p), 5):
                 perturbed = counts.copy()
                 perturbed[x] += 1
                 with pytest.raises(RuntimeError, match=f"not constant on the coset of .* mod {p}"):
-                    residues._check_coset_constancy(perturbed, h.order, p)
+                    residues._check_coset_constancy(perturbed, h)
 
     def test_coverage_runs_the_coset_check(self, monkeypatch):
         # +1 and -1 inside one coset keep the total, so only the coset check
@@ -288,6 +288,17 @@ class TestKthPowerLocalSolutions:
         assert choose_power_exponent(3, 2) == (3, -18)
         # u = 8: -u^2*v = -64 is a cube, so q = 3 is unusable
         assert choose_power_exponent(8, 1)[0] == 5
+
+    def test_coset_labels_computed_once_per_subgroup(self, monkeypatch):
+        # power_subgroup and the coset labels take one _powers call each;
+        # the three coverage reports per prime share the labels.
+        calls = []
+        powers = residues._powers
+        monkeypatch.setattr(residues, "_powers", lambda p, e: calls.append((p, e)) or powers(p, e))
+        sols = kth_power_local_solutions(2, 1, 20)
+        assert all(sol.residues.modulus // 3 < residues.FULL_ENUMERATION_ORDER_CAP for sol in sols)
+        assert sorted(calls) == sorted((sol.residues.modulus, e) for sol in sols
+                                       for e in (3, (sol.residues.modulus - 1) // 3))
 
     def test_two_one_first_prime_is_97(self):
         sols = kth_power_local_solutions(2, 1, 2)
