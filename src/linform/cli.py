@@ -30,6 +30,7 @@ from .intsets import (
     set_to_text,
 )
 from .modular import (
+    DEFAULT_SEARCH_BUDGET,
     build_separating_set,
     load_locals,
     local_ratio_search,
@@ -45,8 +46,6 @@ from .smallsets import (
 )
 from . import verify as verify_mod
 
-INLINE_SET_LIMIT = 100_000
-
 # Input caps, each with its measured cost at the cap (Python 3.11, numpy 2.4,
 # 2-CPU Xeon, form 2x+y).  local-search builds Z/mZ and an m-bit mask per
 # image; at m = 4096 and the default budget a search took 10 s.
@@ -54,10 +53,12 @@ LOCAL_SEARCH_MODULUS_CAP = 4096
 # Each local-search move computes one or two images mod m; at this budget a
 # search took 67 s at m = 4096 and 2.0 s at m = 13.
 LOCAL_SEARCH_BUDGET_CAP = 100_000
-# classify3 enumerates the triples {0, a, b} with a < b <= bound, about
-# bound^2/2 of them; at bound 1000 it took 2.4 s for -u 3 -v 1.  The
-# default bound u + |v| is capped too.
+# classify3 enumerates the triples {0, a, b} with a < b <= u + |v|, about
+# (u + |v|)^2/2 of them; at u + |v| = 1000 it took 2.4 s.
 CLASSIFY_BOUND_CAP = 1000
+# Explicit image --strategy pairs enumerates all |A|^n tuples in Python; x+y
+# on 2,000 elements (4,000,000 tuples) took 4.2 s and 216 MB peak RSS.
+PAIRS_TUPLE_CAP = 4_000_000
 # construct verifies each prime local by FFT representation counts,
 # O(p log p) each; 500 locals took 6.2 s (qr, p up to 17,477) and 5.5 s
 # (kpower, p up to 12,697).
@@ -149,6 +150,8 @@ def cmd_image(args: argparse.Namespace) -> CommandResult:
     form = parse_form(args.form)
     a, source = _resolve_set(args)
     inputs = {"form": _form_str(form), "set": source, "strategy": args.strategy}
+    if args.strategy == "pairs" and (tuples := len(a) ** form.arity) > PAIRS_TUPLE_CAP:
+        raise UsageError(f"--strategy pairs is capped at {PAIRS_TUPLE_CAP} tuples (|A|^n), got {tuples}")
     try:
         if args.full:
             img = image(form, a, strategy=args.strategy)
@@ -181,11 +184,11 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
 
 def cmd_classify3(args: argparse.Namespace) -> CommandResult:
     form = parse_form(f"{args.u},{args.v}")
-    bound = abs(args.u) + abs(args.v) if args.bound is None else args.bound
+    bound = abs(args.u) + abs(args.v)
     if bound > CLASSIFY_BOUND_CAP:
-        raise UsageError(f"--bound (default u + |v|) is capped at {CLASSIFY_BOUND_CAP}, got {bound}")
+        raise UsageError(f"u + |v| is capped at {CLASSIFY_BOUND_CAP}, got {bound}")
     try:
-        result = classify_triples(form, bound=args.bound)
+        result = classify_triples(form)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     pairs = result.as_pairs()
@@ -211,9 +214,6 @@ def _witness(args: argparse.Namespace) -> CommandResult:
         if args.form_f is None or args.form_g is None:
             raise UsageError("witness three needs -f and -g")
         w = three_set_witness(parse_form(args.form_f), parse_form(args.form_g))
-    elif kind == "four":
-        _require_uv(args)
-        w = conjugate_four_set_witness(args.u, args.v)
     elif kind == "five":
         _require_uv(args)
         a, card_f, card_d = five_set_witness(args.u, args.v)
@@ -238,8 +238,9 @@ def _witness(args: argparse.Namespace) -> CommandResult:
             {"set": list(a.elements), "f_card": cf, "g_card": cg},
             text=f"A = {list(a.elements)}\n|f(A)| = {cf} = {cg} = |g(A)|",
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown witness kind {kind!r}")
+    else:  # "four"; argparse restricts the choices
+        _require_uv(args)
+        w = conjugate_four_set_witness(args.u, args.v)
     return CommandResult(
         "witness",
         {"kind": kind, "form_f": _form_str(w.form_f), "form_g": _form_str(w.form_g)},
@@ -320,7 +321,9 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
         locs = [local_solution(form_f, form_g, r) for r in residue_sets]
         direct = True
     else:
-        u, v = _binary_coefficients(form_f)
+        if not form_f.is_binary:
+            raise UsageError("this command needs a binary form u,v")
+        u, v = form_f.coefficients
         if form_g.coefficients not in ((1, 1), (1, -1)):
             raise UsageError(f"--source {args.source} builds locals against x+y or x-y only")
         if args.count > CONSTRUCT_COUNT_CAP:
@@ -341,8 +344,11 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
             status="failure", reason=shortfall_note + "no local solutions found",
             text="no local solutions found",
         )
-    report = build_separating_set(form_f, form_g, locs, window_start=args.window, direct=direct)
-    outputs = report.to_dict(inline_elements_limit=INLINE_SET_LIMIT)
+    try:
+        report = build_separating_set(form_f, form_g, locs, window_start=args.window, direct=direct)
+    except ValueError as exc:  # moduli of a locals file that are not pairwise coprime
+        raise UsageError(f"bad locals file: {exc}") from None
+    outputs = report.to_dict()
     if args.set_out and report.elements is not None:
         Path(args.set_out).write_text(set_to_text(report.elements))
         outputs["set"] = {"file": args.set_out, "size": len(report.elements)}
@@ -360,12 +366,6 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
         f"ratio product {report.ratio_product} vs threshold {report.threshold}"
     )
     return CommandResult("construct", inputs, outputs, status=status, reason=reason, text=text)
-
-
-def _binary_coefficients(form: LinearForm) -> tuple[int, int]:
-    if not form.is_binary:
-        raise UsageError("this command needs a binary form u,v")
-    return form.coefficients
 
 
 def cmd_verify(args: argparse.Namespace) -> CommandResult:
@@ -400,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-A", "--set-file", help="set file: one integer per line, or .json array")
     p.add_argument("--inline", help="inline set, e.g. 0,1,2")
     p.add_argument("--strategy", choices=STRATEGIES, default="auto",
-                   help="sumset kernel: pairs (Python hash set), merge (numpy sort and merge), "
-                        "bitset (bit mask); auto picks one by size")
+                   help=f"sumset kernel: pairs (Python hash set, at most {PAIRS_TUPLE_CAP} tuples), "
+                        "merge (numpy sort and merge), bitset (bit mask); auto picks one by size")
     p.add_argument("--full", action="store_true", help="print the image, not just its size")
     p.set_defaults(handler=cmd_image)
 
@@ -415,9 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify3", parents=[common],
                        help="exceptional 3-element sets for a normalized form")
     p.add_argument("-u", type=int, required=True)
-    p.add_argument("-v", type=int, required=True)
-    p.add_argument("--bound", type=int, default=None,
-                   help=f"largest element b of {{0, a, b}} (default u + |v|), at most {CLASSIFY_BOUND_CAP}")
+    p.add_argument("-v", type=int, required=True, help=f"u + |v| at most {CLASSIFY_BOUND_CAP}")
     p.set_defaults(handler=cmd_classify3)
 
     p = sub.add_parser("witness", parents=[common], help="explicit separating witness sets")
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--form-g", required=True)
     p.add_argument("-m", "--modulus", type=int, required=True,
                    help=f"at most {LOCAL_SEARCH_MODULUS_CAP}")
-    p.add_argument("--budget", type=int, default=10_000, help=f"at most {LOCAL_SEARCH_BUDGET_CAP}")
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET, help=f"at most {LOCAL_SEARCH_BUDGET_CAP}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_local_search)
 

@@ -109,15 +109,9 @@ class FiniteIntSet:
     def __getitem__(self, i: int) -> int:
         return self.elements[i]
 
-    def __bool__(self) -> bool:
-        return bool(self.elements)
-
     def reflect(self) -> "FiniteIntSet":
         """The set {-a : a in A}."""
         return FiniteIntSet(-a for a in self.elements)
-
-    def translate(self, c: int) -> "FiniteIntSet":
-        return FiniteIntSet(a + c for a in self.elements)
 
 
 @dataclass(frozen=True)
@@ -136,10 +130,6 @@ class LinearForm:
             if c == 0:
                 raise ValueError("zero coefficients are not allowed")
         object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def binary(cls, u: int, v: int) -> "LinearForm":
-        return cls((u, v))
 
     @property
     def arity(self) -> int:
@@ -548,10 +538,6 @@ def canonical_pair(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
     return c1 if c1.elements <= c2.elements else c2
 
 
-def affinely_equivalent(a: FiniteIntSet | Iterable[int], b: FiniteIntSet | Iterable[int]) -> bool:
-    return canonical_pair(a) == canonical_pair(b)
-
-
 def amplify(form_f: LinearForm, form_g: LinearForm,
             a: FiniteIntSet | Iterable[int]) -> tuple[int, FiniteIntSet]:
     """Square both image cardinalities at once: A_M = A + M*A.
@@ -575,7 +561,7 @@ def amplify(form_f: LinearForm, form_g: LinearForm,
 
 
 # ---------------------------------------------------------------------------
-# serialization: line-oriented text and JSON, both exact round-trips
+# serialization: one integer per line (read and written) or a JSON array (read)
 
 def set_to_text(a: FiniteIntSet) -> str:
     """One integer per line."""
@@ -594,10 +580,6 @@ def set_from_text(text: str) -> FiniteIntSet:
         except ValueError:
             raise ValueError(f"line {lineno}: not an integer: {body!r}") from None
     return FiniteIntSet(values)
-
-
-def set_to_json(a: FiniteIntSet) -> str:
-    return json.dumps(list(a.elements))
 
 
 def set_from_json(text: str) -> FiniteIntSet:

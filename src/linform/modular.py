@@ -41,6 +41,8 @@ DEFAULT_ELEMENT_CAP = 10_000_000
 DEFAULT_MODULUS_CAP = 10_000_000
 
 DEFAULT_SEARCH_BUDGET = 10_000
+# ConstructionReport.to_dict lists a set inline up to this size, else its size.
+INLINE_SET_LIMIT = 100_000
 
 # _image_mask folds on the FFT once |R|^2 >= _FFT_CROSSOVER*m.  The fold
 # costs about |R|*m/32 words by shift-or and O(m log m) by FFT, whose time
@@ -94,17 +96,6 @@ class ResidueSet:
 
     def is_full(self) -> bool:
         return len(self.classes) == self.modulus
-
-    def to_text(self) -> str:
-        """The "m: c1,c2,..." line form."""
-        return f"{self.modulus}: " + ",".join(str(c) for c in self.classes)
-
-    @classmethod
-    def from_text(cls, line: str) -> "ResidueSet":
-        head, _, tail = line.partition(":")
-        if not tail:
-            raise ValueError(f"expected 'm: c1,c2,...', got {line!r}")
-        return cls(int(head.strip()), [int(tok) for tok in tail.split(",") if tok.strip()])
 
     def to_dict(self) -> dict:
         return {"modulus": self.modulus, "classes": list(self.classes)}
@@ -273,11 +264,14 @@ def local_solution(form_f: LinearForm, form_g: LinearForm, residues: ResidueSet)
 
 
 def load_locals(text: str) -> list[ResidueSet]:
-    """Parse a JSON array of {"modulus": m, "classes": [...]} objects."""
+    """Parse a JSON array of {"modulus": m, "classes": [...]} objects; ValueError if malformed."""
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("locals file must contain a JSON array")
-    return [ResidueSet.from_dict(entry) for entry in data]
+    try:
+        return [ResidueSet.from_dict(entry) for entry in data]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f'each entry must be {{"modulus": m, "classes": [...]}}: {exc!r}') from None
 
 
 @dataclass(frozen=True)
@@ -295,12 +289,15 @@ class ConstructionReport:
     form_g: LinearForm
     locals_used: tuple[LocalSolution, ...]
     window_start: int
-    success: bool
     mode: str
     detail: str = ""
     elements: FiniteIntSet | None = None
     f_card: int | None = None
     g_card: int | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.mode != "shortfall"
 
     @property
     def combined_modulus(self) -> int:
@@ -337,7 +334,7 @@ class ConstructionReport:
     def representative_window(self) -> tuple[int, int]:
         return (self.window_start, self.window_start + self.combined_modulus - 1)
 
-    def to_dict(self, inline_elements_limit: int = 100_000) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "form_f": list(self.form_f.coefficients),
             "form_g": list(self.form_g.coefficients),
@@ -358,7 +355,7 @@ class ConstructionReport:
         }
         if self.elements is None:
             out["set"] = None
-        elif len(self.elements) <= inline_elements_limit:
+        elif len(self.elements) <= INLINE_SET_LIMIT:
             out["set"] = list(self.elements.elements)
         else:
             out["set"] = {"inline": False, "size": len(self.elements)}
@@ -429,7 +426,7 @@ def build_separating_set(
     if not consumed:
         raise ValueError("no local solutions supplied")
 
-    def report(*, success: bool, mode: str, detail: str = "", locs: Sequence[LocalSolution] | None = None,
+    def report(*, mode: str, detail: str = "", locs: Sequence[LocalSolution] | None = None,
                elements: FiniteIntSet | None = None, f_card: int | None = None,
                g_card: int | None = None) -> ConstructionReport:
         return ConstructionReport(
@@ -437,7 +434,6 @@ def build_separating_set(
             form_g=form_g,
             locals_used=tuple(consumed if locs is None else locs),
             window_start=window_start,
-            success=success,
             mode=mode,
             detail=detail,
             elements=elements,
@@ -454,22 +450,20 @@ def build_separating_set(
                 raise RuntimeError(
                     f"threshold certificate contradicted by materialization: {f_card} >= {g_card}"
                 )
-            return report(success=True, mode="threshold",
-                          detail="ratio product below 1/(2*h_f); set materialized",
+            return report(mode="threshold", detail="ratio product below 1/(2*h_f); set materialized",
                           elements=elements, f_card=f_card, g_card=g_card)
-        return report(success=True, mode="threshold",
+        return report(mode="threshold",
                       detail="ratio product below 1/(2*h_f); set described by (moduli, window), "
                              "beyond the materialization caps")
 
     if direct:
         if not _fits_caps(consumed, element_cap, modulus_cap):
             size = math.prod(len(loc.residues) for loc in consumed)
-            return report(success=False, mode="shortfall",
+            return report(mode="shortfall",
                           detail=f"direct mode but size {size} / modulus {modulus} "
                                  f"exceed caps {element_cap} / {modulus_cap}")
         elements, f_card, g_card = _materialize(form_f, form_g, consumed, window_start)
-        ok = f_card < g_card
-        return report(success=ok, mode="direct" if ok else "shortfall",
+        return report(mode="direct" if f_card < g_card else "shortfall",
                       detail="materialized comparison",
                       elements=elements, f_card=f_card, g_card=g_card)
 
@@ -482,7 +476,7 @@ def build_separating_set(
     if prefix:
         elements, f_card, g_card = _materialize(form_f, form_g, prefix, window_start)
         if f_card < g_card:
-            return report(success=True, mode="direct", locs=prefix,
+            return report(mode="direct", locs=prefix,
                           detail=f"stream exhausted at ratio product {product} >= {threshold}; "
                                  f"direct comparison on the first {len(prefix)} locals succeeded",
                           elements=elements, f_card=f_card, g_card=g_card)
@@ -490,7 +484,7 @@ def build_separating_set(
                        f"|f(A)|={f_card} >= |g(A)|={g_card}")
     else:
         direct_note = "; no prefix fits the materialization caps"
-    return report(success=False, mode="shortfall",
+    return report(mode="shortfall",
                   detail=f"stream exhausted: ratio product {product} never fell below "
                          f"threshold {threshold}{direct_note}")
 

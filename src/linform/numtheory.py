@@ -140,14 +140,12 @@ class PrimeSearchSpec:
     ``residue_conditions`` lists (residue, modulus) pairs the prime must
     satisfy; each residue must be coprime to its modulus, otherwise the
     progression contains at most one prime.  ``extra_predicate`` is an
-    arbitrary additional test on the candidate prime, with
-    ``predicate_name`` carried along for reporting.
+    arbitrary additional test on the candidate prime.
     """
 
     residue_conditions: tuple[tuple[int, int], ...] = ()
     lower_bound: int = 1
     extra_predicate: Optional[Callable[[int], bool]] = None
-    predicate_name: str = ""
     search_limit: int = DEFAULT_SEARCH_LIMIT
 
     def __post_init__(self) -> None:

@@ -270,7 +270,6 @@ def qr_local_solutions(
         residue_conditions=((1, 4),),
         lower_bound=5,
         extra_predicate=lambda p: u % p != 0 and v % p != 0 and jacobi(-u * v, p) == -1,
-        predicate_name=f"jacobi({-u * v}, p) = -1",
         search_limit=search_limit,
     )
     solutions = []
@@ -328,7 +327,6 @@ def kth_power_local_solutions(
         extra_predicate=lambda p: u % p != 0
         and v % p != 0
         and not is_qth_power_residue(a, q, p),
-        predicate_name=f"{a} is not a {q}-th power mod p",
         search_limit=search_limit,
     )
     solutions = []

@@ -70,20 +70,23 @@ def _require_normalized(form: LinearForm) -> tuple[int, int]:
     return form.coefficients
 
 
-def classify_triples(form: LinearForm, bound: int | None = None) -> TripleClassification:
-    """Enumerate canonical triples {0,a,b} with a < b <= bound and |f| < 9.
+def _require_coprime_uv(u: int, v: int) -> None:
+    if v < 1 or u <= v:
+        raise ValueError(f"need u > v >= 1, got u={u}, v={v}")
+    if math.gcd(u, v) != 1:
+        raise ValueError(f"u and v must be coprime, got gcd={math.gcd(u, v)}")
+
+
+def classify_triples(form: LinearForm) -> TripleClassification:
+    """Enumerate canonical triples {0,a,b} with a < b <= u + |v| and |f| < 9.
 
     Candidates with gcd(a, b) = 1 are deduplicated up to full affine
-    equivalence; any exceptional triple has a representative with
-    b <= u + |v|, so that is the default bound.
+    equivalence.  For u >= 2 the scan is exhaustive: any exceptional triple
+    has a representative with b <= u + |v|, the ``bound`` reported.  For x+y
+    and x-y every triple is exceptional; only {0, 1, 2} is listed.
     """
     u, v = _require_normalized(form)
-    min_bound = u + abs(v)
-    if bound is None:
-        bound = min_bound
-    if bound < min_bound:
-        raise ValueError(f"bound {bound} is below the exhaustive minimum {min_bound}")
-
+    bound = u + abs(v)
     found: dict[tuple[int, ...], int] = {}
     for b in range(2, bound + 1):
         for a in range(1, b):
@@ -160,10 +163,7 @@ def conjugate_four_set_witness(u: int, v: int) -> WitnessPair:
     give 14 > 13 and 13 < 14.  All four cardinalities are recomputed and
     checked against these patterns.
     """
-    if v < 1 or u <= v:
-        raise ValueError(f"need u > v >= 1, got u={u}, v={v}")
-    if math.gcd(u, v) != 1:
-        raise ValueError(f"u and v must be coprime, got gcd={math.gcd(u, v)}")
+    _require_coprime_uv(u, v)
     form_f = LinearForm((u, v))
     form_g = LinearForm((u, -v))
     if u == 2:
@@ -196,10 +196,7 @@ def five_set_witness(u: int, v: int) -> tuple[FiniteIntSet, int, int]:
     v^3+v^2*u+v*u^2+u^3}.  Returns (A, |f(A)|, |d(A)|) after verifying
     both counts.
     """
-    if v < 1 or u <= v:
-        raise ValueError(f"need u > v >= 1, got u={u}, v={v}")
-    if math.gcd(u, v) != 1:
-        raise ValueError(f"u and v must be coprime, got gcd={math.gcd(u, v)}")
+    _require_coprime_uv(u, v)
     a1 = v**3
     a2 = a1 + v * v * u
     a3 = a2 + v * u * u
@@ -221,10 +218,7 @@ def ap_equality_set(u: int, v: int, t: int) -> FiniteIntSet:
     Valid for 1 <= t <= u; beyond u the equality guarantee fails, so
     larger t is rejected.
     """
-    if v < 1 or u <= v:
-        raise ValueError(f"need u > v >= 1, got u={u}, v={v}")
-    if math.gcd(u, v) != 1:
-        raise ValueError(f"u and v must be coprime, got gcd={math.gcd(u, v)}")
+    _require_coprime_uv(u, v)
     if not 1 <= t <= u:
         raise ValueError(f"progression length must satisfy 1 <= t <= u={u}, got {t}")
     return FiniteIntSet(range(t))

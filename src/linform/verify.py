@@ -68,13 +68,6 @@ def packaged_locals() -> list[ResidueSet]:
     return load_locals(text)
 
 
-def packaged_example_set() -> FiniteIntSet:
-    from .intsets import set_from_text
-
-    text = resources.files("linform").joinpath("data/mstd8.txt").read_text()
-    return set_from_text(text)
-
-
 # ---------------------------------------------------------------------------
 # the checks
 

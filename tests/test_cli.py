@@ -6,9 +6,10 @@ import json
 
 import pytest
 
+import linform
 from linform import cli, verify
 from linform.modular import ResidueSet
-from linform.verify import CheckFailure, check_crt_construction, packaged_example_set, packaged_locals
+from linform.verify import CheckFailure, check_crt_construction, packaged_locals
 
 RESULT_KEYS = {"command", "inputs", "outputs", "status", "reason"}
 
@@ -73,6 +74,14 @@ class TestImageCommand:
             assert out == ""
             assert err.startswith("error: strategy 'bitset' allows windows up to 134217728 bits")
 
+    @pytest.mark.parametrize("form,size", [("1,1", 2001), ("1,1,1", 159)])
+    def test_pairs_beyond_tuple_cap_is_usage_error(self, capsys, form, size):
+        inline = ",".join(str(3 * x) for x in range(size))
+        code, out, err = run(capsys, "image", "-f", form, "--inline", inline, "--strategy", "pairs")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --strategy pairs is capped at {cli.PAIRS_TUPLE_CAP} tuples")
+
 
 class TestCompareCommand:
     def test_ordering(self, capsys):
@@ -96,14 +105,14 @@ class TestClassifyCommand:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ("-u", "3", "-v", "1", "--bound", str(cli.CLASSIFY_BOUND_CAP + 1)),
-        ("-u", str(cli.CLASSIFY_BOUND_CAP), "-v", "1"),  # default bound u + |v|
+        ("-u", str(cli.CLASSIFY_BOUND_CAP), "-v", "1"),
+        ("-u", str(cli.CLASSIFY_BOUND_CAP), "-v", "-1"),  # the cap counts |v|
     ])
     def test_bound_beyond_cap_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, "classify3", *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: --bound (default u + |v|) is capped at {cli.CLASSIFY_BOUND_CAP}")
+        assert err.startswith(f"error: u + |v| is capped at {cli.CLASSIFY_BOUND_CAP}")
 
 
 class TestWitnessCommand:
@@ -218,6 +227,22 @@ class TestConstructCommand:
         code, _, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", "--source", "file")
         assert code == 2
 
+    @pytest.mark.parametrize("entries,message", [
+        ([{"modulus": 4, "classes": [0, 1]}, {"modulus": 6, "classes": [0, 1]}],
+         "bad locals file: modulus 6 is not coprime"),
+        ([{"classes": [0, 1]}], "bad locals file: each entry must be"),
+        ([5], "bad locals file: each entry must be"),
+    ], ids=["non-coprime-moduli", "missing-modulus", "not-an-object"])
+    def test_malformed_locals_file_is_usage_error(self, capsys, tmp_path, entries, message):
+        locals_path = tmp_path / "locals.json"
+        locals_path.write_text(json.dumps(entries))
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1",
+                             "--source", "file", "--locals", str(locals_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in out + err
+
 
 class TestVerifyCommand:
     def test_single_check(self, capsys):
@@ -255,5 +280,7 @@ class TestNegativeControl:
 
 
 class TestEnvironment:
-    def test_packaged_example_set(self):
-        assert len(packaged_example_set()) == 8
+    def test_exports_resolve(self):
+        assert len(linform.__all__) == len(set(linform.__all__))
+        for name in linform.__all__:
+            assert hasattr(linform, name), name

@@ -20,7 +20,6 @@ from linform.intsets import (
     FiniteIntSet,
     LinearForm,
     affine_canonical,
-    affinely_equivalent,
     amplify,
     canonical_pair,
     dilate,
@@ -29,7 +28,6 @@ from linform.intsets import (
     normalize_form,
     set_from_json,
     set_from_text,
-    set_to_json,
     set_to_text,
     sumset,
 )
@@ -530,7 +528,6 @@ class TestAffineCanonical:
     @pytest.mark.parametrize("u,v", [(3, 1), (5, 2), (7, 4)])
     def test_reflected_family_pairs(self, u, v):
         # {0, v, u} and {0, u-v, u} are reflections of each other
-        assert affinely_equivalent([0, v, u], [0, u - v, u])
         assert canonical_pair([0, v, u]) == canonical_pair([0, u - v, u])
 
     @given(a=small_sets.filter(lambda s: len(s) >= 2),
@@ -616,8 +613,7 @@ class TestSerialization:
 
     def test_json_round_trip(self):
         a = FiniteIntSet([2**100, -5, 0])
-        assert set_from_json(set_to_json(a)) == a
-        assert json.loads(set_to_json(a)) == [-5, 0, 2**100]
+        assert set_from_json(json.dumps([2**100, -5, 0])) == a
 
     def test_json_rejects_non_arrays(self):
         with pytest.raises(ValueError):

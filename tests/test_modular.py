@@ -57,13 +57,6 @@ class TestResidueSet:
         assert ResidueSet.full_ring(4).classes == (0, 1, 2, 3)
         assert ResidueSet.full_ring(4).is_full()
 
-    def test_text_round_trip(self):
-        r = ResidueSet(13, [0, 1, 6, 7, 9, 11])
-        assert r.to_text() == "13: 0,1,6,7,9,11"
-        assert ResidueSet.from_text(r.to_text()) == r
-        with pytest.raises(ValueError):
-            ResidueSet.from_text("13")
-
     def test_dict_round_trip(self):
         r = ResidueSet(16, [0, 1, 3])
         assert ResidueSet.from_dict(r.to_dict()) == r
@@ -366,14 +359,15 @@ class TestBuildSeparatingSet:
         assert not report.success
         assert "caps" in report.detail
 
-    def test_report_serializes(self):
+    def test_report_serializes(self, monkeypatch):
         report = build_separating_set(F21, SUM, hand_picked_locals(), window_start=1, direct=True)
         data = report.to_dict()
         text = json.dumps(data)
         parsed = json.loads(text)
         assert parsed["f_card"] == 108014
         assert parsed["set"] == list(report.elements.elements)
-        small = json.loads(json.dumps(report.to_dict(inline_elements_limit=10)))
+        monkeypatch.setattr(modular, "INLINE_SET_LIMIT", 10)
+        small = json.loads(json.dumps(report.to_dict()))
         assert small["set"] == {"inline": False, "size": 2646}
 
 

@@ -27,11 +27,11 @@ def coprime_pairs(max_u, min_u=2):
 
 class TestClassifyTriples:
     def test_three_one(self):
-        result = classify_triples(LinearForm((3, 1)), bound=10)
+        result = classify_triples(LinearForm((3, 1)))
         assert result.as_pairs() == (((0, 1, 3), 8), ((0, 1, 4), 8))
 
     def test_two_one(self):
-        result = classify_triples(LinearForm((2, 1)), bound=10)
+        result = classify_triples(LinearForm((2, 1)))
         assert result.as_pairs() == (((0, 1, 2), 7), ((0, 1, 3), 8))
 
     def test_conjugate_forms_classify_identically(self):
@@ -56,22 +56,22 @@ class TestClassifyTriples:
         assert got == found
 
     def test_bound_stability(self):
-        for u, v in coprime_pairs(10):
-            for sign in (1, -1):
-                form = LinearForm((u, sign * v))
-                base = classify_triples(form)
-                doubled = classify_triples(form, bound=2 * (u + v))
-                assert base.as_pairs() == doubled.as_pairs(), (u, sign * v)
+        # The scan stops at b = u + |v|; an independent scan to twice that
+        # finds no further class.  (For u = 1 every triple is exceptional.)
+        forms = [(u, sign * v) for u, v in coprime_pairs(10) for sign in (1, -1)]
+        for u, v in forms:
+            found = {}
+            for b in range(2, 2 * (u + abs(v)) + 1):
+                for a in range(1, b):
+                    if math.gcd(a, b) == 1 and (card := len(brute_image((u, v), (0, a, b)))) < 9:
+                        found[canonical_pair(FiniteIntSet((0, a, b))).elements] = card
+            assert dict(classify_triples(LinearForm((u, v))).as_pairs()) == found, (u, v)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             classify_triples(LinearForm((2, 4)))
         with pytest.raises(ValueError):
             classify_triples(LinearForm((-3, 1)))
-
-    def test_rejects_small_bound(self):
-        with pytest.raises(ValueError):
-            classify_triples(LinearForm((3, 1)), bound=3)
 
 
 class TestThreeSetWitness:
