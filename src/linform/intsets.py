@@ -144,16 +144,6 @@ class LinearForm:
     def is_binary(self) -> bool:
         return len(self.coefficients) == 2
 
-    @property
-    def u(self) -> int:
-        self._require_binary()
-        return self.coefficients[0]
-
-    @property
-    def v(self) -> int:
-        self._require_binary()
-        return self.coefficients[1]
-
     def _require_binary(self) -> None:
         if len(self.coefficients) != 2:
             raise ValueError(f"binary form required, this one has arity {self.arity}")

@@ -16,11 +16,13 @@ Residue images are m-bit masks.  Small or sparse sets fold by big-int
 shift-or, one shifted copy of the mask per class, about |R|*m/32 words
 per stage.  Once |R|^2 >= _FFT_CROSSOVER*m (for quadratic-residue sets,
 m >= 576), and while m <= _FFT_MODULUS_CAP, each stage instead counts
-representations with _cyclic_counts, an exact float64 FFT convolution
-of two 0/1 vectors in O(m log m), and keeps only the support.  The
-kernel rounds each count and raises if any value lies 1/4 or more from
-an integer; its docstring bounds the error below 0.001 for m <= 2^33, so
-the rounding is exact.  residues.coverage counts on the same kernel.
+representations with _representation_counts, an exact float64 FFT
+convolution of 0/1 vectors in O(m log m), and keeps only the support.
+The kernel rounds each count and raises if any value lies 1/4 or more
+from an integer; its docstring bounds the error below 0.001 for
+m <= 2^33, so the rounding is exact.  The prime locals of residues are
+verified on the same kernel, which transforms each distinct vector once
+for all the forms checked on one set.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,27 +109,26 @@ class ResidueSet:
 
 def modular_image(form: LinearForm, residues: ResidueSet) -> ResidueSet:
     """The image {sum ui*ri mod m : ri in R} as a residue set mod m."""
-    return ResidueSet._from_sorted(residues.modulus, _bits.decode(_image_mask(form, residues), 0))
+    mask = _image_mask(form, residues.modulus, residues.classes)
+    return ResidueSet._from_sorted(residues.modulus, _bits.decode(mask, 0))
 
 
 def modular_image_cardinality(form: LinearForm, residues: ResidueSet) -> int:
     """|f(R)| mod m, without decoding the image."""
-    return _image_mask(form, residues).bit_count()
+    return _image_mask(form, residues.modulus, residues.classes).bit_count()
 
 
-def _image_mask(form: LinearForm, residues: ResidueSet) -> int:
-    """The image as an m-bit mask, bit c set when class c is in f(R).
+def _image_mask(form: LinearForm, m: int, classes: Collection[int]) -> int:
+    """The image of distinct classes in [0, m) as an m-bit mask, bit c set when c is in f(R).
 
     Each later term shifts the accumulated mask by its classes and folds
     the bits at m and above back onto [0, m); large dense sets take the
     FFT fold instead (see the module docstring).
     """
-    m = residues.modulus
-    if len(residues) ** 2 >= _FFT_CROSSOVER * m and m <= _FFT_MODULUS_CAP:
-        return _fft_image_mask(form, residues)
+    if len(classes) ** 2 >= _FFT_CROSSOVER * m and m <= _FFT_MODULUS_CAP:
+        return _fft_image_mask(form, m, classes)
     full = (1 << m) - 1
-    terms = [residues.classes if c % m == 1 else {c * r % m for r in residues.classes}
-             for c in form.coefficients]
+    terms = [classes if c % m == 1 else {c * r % m for r in classes} for c in form.coefficients]
     acc = _bits.mask_of(terms[0], 0)
     for term in terms[1:]:
         shifted = 0
@@ -137,28 +138,33 @@ def _image_mask(form: LinearForm, residues: ResidueSet) -> int:
     return acc
 
 
-def _fft_image_mask(form: LinearForm, residues: ResidueSet) -> int:
+def _fft_image_mask(form: LinearForm, m: int, classes: Collection[int]) -> int:
     """_image_mask by cyclic counts: each stage keeps the support of acc * term."""
-    m = residues.modulus
-    classes = np.array(residues.classes, dtype=np.int64)
-
-    def indicator(c: int) -> np.ndarray:
-        term = np.zeros(m, dtype=bool)
-        term[classes * (c % m) % m] = True  # (m-1)^2 < 2^63 below the cap
-        return term
-
-    acc = indicator(form.coefficients[0])
+    array = np.fromiter(classes, dtype=np.int64, count=len(classes))
+    acc = _dilation(m, array, form.coefficients[0])
     for c in form.coefficients[1:]:
-        acc = _cyclic_counts(acc, indicator(c)) > 0
+        (counts,) = _representation_counts([(acc, _dilation(m, array, c))])
+        acc = counts > 0
     return int.from_bytes(np.packbits(acc, bitorder="little").tobytes(), "little")
 
 
-def _cyclic_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact cyclic convolution of two 0/1 vectors of length m, as int64.
+def _dilation(m: int, classes: np.ndarray, c: int) -> np.ndarray:
+    """The 0/1 indicator of c*R mod m, for R an int64 array of classes in [0, m)."""
+    term = np.zeros(m, dtype=bool)
+    term[classes * (c % m) % m] = True  # exact on int64 while (m-1)^2 < 2^63
+    return term
 
-    counts[k] = #{(i, j) : x[i] = y[j] = 1, i + j = k (mod m)}.  The
-    linear convolution comes from a float64 rfft/irfft of the power of
-    two N >= 2m-1, and its entries at k and k + m are added.
+
+def _representation_counts(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Exact cyclic convolutions of pairs of 0/1 vectors of one length m, as int64.
+
+    For each pair (x, y), counts[k] = #{(i, j) : x[i] = y[j] = 1,
+    i + j = k (mod m)}.  The linear convolution comes from a float64
+    rfft/irfft of the power of two N >= 2m-1, and its entries at k and
+    k + m are added.  Vectors that compare equal share one rfft, and pairs
+    of the same two vectors (in either order) share one irfft: for binary
+    forms over one set R, the indicators of u*R and v*R, so the forms x+y
+    and x-y share their counts exactly when -R = R.
 
     Error bound.  For an FFT product of length N = 2^t, Percival (Math.
     Comp. 72, 2003, Theorem 5.1) bounds every entry's error by
@@ -175,16 +181,29 @@ def _cyclic_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     checked anyway: a value 1/4 or more from its nearest integer raises
     RuntimeError.
 
-    Memory is O(m): the transforms hold about 80 bytes per class.
+    Memory is O(m): the transforms hold about 80 bytes per class, and each
+    spectrum is dropped before the inverse transform of its last product.
     """
-    m = len(x)
+    m = len(pairs[0][0])
     size = 1 << (2 * m - 1).bit_length()
-    c = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)
-    c = c[:m] + c[m:2 * m]
-    counts = np.rint(c)
-    if np.abs(c - counts).max() >= 0.25:
-        raise RuntimeError("FFT counts are not within 1/4 of integers; rounding would be inexact")
-    return counts.astype(np.int64)
+    vectors = {x.tobytes(): x for pair in pairs for x in pair}  # equal vectors, one key
+    keys = [tuple(sorted((x.tobytes(), y.tobytes()))) for x, y in pairs]
+    products = list(dict.fromkeys(keys))
+    spectra: dict[bytes, np.ndarray] = {}
+    counts: dict[tuple[bytes, ...], np.ndarray] = {}
+    for i, (kx, ky) in enumerate(products):
+        for k in {kx, ky} - spectra.keys():
+            spectra[k] = np.fft.rfft(vectors[k], size)
+        c = spectra[kx] * spectra[ky]
+        needed = {k for later in products[i + 1:] for k in later}
+        spectra = {k: x for k, x in spectra.items() if k in needed}  # free spent spectra first
+        c = np.fft.irfft(c, size)
+        c = c[:m] + c[m:2 * m]
+        rounded = np.rint(c)
+        if np.abs(c - rounded).max() >= 0.25:
+            raise RuntimeError("FFT counts are not within 1/4 of integers; rounding would be inexact")
+        counts[kx, ky] = rounded.astype(np.int64)
+    return [counts[key] for key in keys]
 
 
 def crt_product(residue_sets: Sequence[ResidueSet]) -> ResidueSet:
@@ -264,11 +283,18 @@ def local_solution(form_f: LinearForm, form_g: LinearForm, residues: ResidueSet)
 
 
 def load_locals(text: str) -> list[ResidueSet]:
-    """Parse a JSON array of {"modulus": m, "classes": [...]} objects; ValueError if malformed."""
+    """Parse a JSON array of {"modulus": m, "classes": [...]} objects; ValueError if malformed.
+
+    A modulus above DEFAULT_MODULUS_CAP, whose images would be m-bit masks,
+    is rejected before any set is built.
+    """
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("locals file must contain a JSON array")
     try:
+        largest = max((int(entry["modulus"]) for entry in data), default=0)
+        if largest > DEFAULT_MODULUS_CAP:
+            raise ValueError(f"modulus {largest} is above the cap {DEFAULT_MODULUS_CAP}")
         return [ResidueSet.from_dict(entry) for entry in data]
     except (KeyError, TypeError) as exc:
         raise ValueError(f'each entry must be {{"modulus": m, "classes": [...]}}: {exc!r}') from None
@@ -426,20 +452,9 @@ def build_separating_set(
     if not consumed:
         raise ValueError("no local solutions supplied")
 
-    def report(*, mode: str, detail: str = "", locs: Sequence[LocalSolution] | None = None,
-               elements: FiniteIntSet | None = None, f_card: int | None = None,
-               g_card: int | None = None) -> ConstructionReport:
-        return ConstructionReport(
-            form_f=form_f,
-            form_g=form_g,
-            locals_used=tuple(consumed if locs is None else locs),
-            window_start=window_start,
-            mode=mode,
-            detail=detail,
-            elements=elements,
-            f_card=f_card,
-            g_card=g_card,
-        )
+    def report(locs: Sequence[LocalSolution] | None = None, **fields) -> ConstructionReport:
+        return ConstructionReport(form_f, form_g, tuple(consumed if locs is None else locs),
+                                  window_start, **fields)
 
     if threshold_met:
         if 2 * h * math.prod(loc.f_card for loc in consumed) >= math.prod(loc.g_card for loc in consumed):
@@ -476,7 +491,7 @@ def build_separating_set(
     if prefix:
         elements, f_card, g_card = _materialize(form_f, form_g, prefix, window_start)
         if f_card < g_card:
-            return report(mode="direct", locs=prefix,
+            return report(prefix, mode="direct",
                           detail=f"stream exhausted at ratio product {product} >= {threshold}; "
                                  f"direct comparison on the first {len(prefix)} locals succeeded",
                           elements=elements, f_card=f_card, g_card=g_card)
@@ -508,11 +523,11 @@ def local_ratio_search(
     rng = random.Random(seed)
     m = modulus
 
-    def feasible(classes: Iterable[int]) -> bool:
-        return modular_image_cardinality(form_g, ResidueSet(m, classes)) == m
+    def feasible(classes: Collection[int]) -> bool:
+        return _image_mask(form_g, m, classes).bit_count() == m
 
-    def f_count(classes: frozenset[int]) -> int:
-        return modular_image_cardinality(form_f, ResidueSet(m, classes))
+    def f_count(classes: Collection[int]) -> int:
+        return _image_mask(form_f, m, classes).bit_count()
 
     if not feasible(range(m)):
         raise ValueError("infeasible: g does not cover the full ring even on all of Z/mZ")
@@ -523,9 +538,7 @@ def local_ratio_search(
 
     def consider(classes: frozenset[int], count: int) -> None:
         nonlocal best_classes, best_count
-        key_new = (count, tuple(sorted(classes)))
-        key_old = (best_count, tuple(sorted(best_classes)))
-        if key_new < key_old:
+        if count < best_count or (count == best_count and sorted(classes) < sorted(best_classes)):
             best_classes, best_count = classes, count
 
     while moves < budget:
@@ -537,9 +550,9 @@ def local_ratio_search(
             if len(current) <= 1:
                 break
             current.discard(r)
-            if not feasible(frozenset(current)):
+            if not feasible(current):
                 current.add(r)
-        current_f = f_count(frozenset(current))
+        current_f = f_count(current)
         consider(frozenset(current), current_f)
 
         stale = 0
@@ -558,17 +571,16 @@ def local_ratio_search(
                 trial.add(rng.choice(missing))
             else:
                 continue
-            frozen = frozenset(trial)
-            if not feasible(frozen):
+            if not feasible(trial):
                 stale += 1
                 continue
-            count = f_count(frozen)
+            count = f_count(trial)
             # Accept non-worsening moves so plateaus can be crossed.
             if count <= current_f:
                 if count < current_f:
                     stale = 0
                 current, current_f = trial, count
-                consider(frozen, count)
+                consider(frozenset(trial), count)
             else:
                 stale += 1
 

@@ -11,14 +11,14 @@ power-residue test.
 Subgroups and their coverage are found by full enumeration.
 power_subgroup raises every x in [1, p) to the k-th power by
 square-and-multiply on numpy int64, which is exact while
-(p-1)^2 < 2^63, so it takes p below POWER_SUBGROUP_P_CAP.  coverage
-counts the representations of every class as the cyclic convolution of
-the 0/1 indicators of u*H and v*H mod p, in O(p log p) time and O(p)
-memory whatever the subgroup order, with modular._cyclic_counts: a
-float64 FFT whose rounding is exact by the error bound in that
-function's docstring (below 0.001 for p <= 2^33) and checked on every
-call.  The integer checks that follow (the counts sum to |H|^2 and are
-constant on cosets) are unchanged.
+(p-1)^2 < 2^63, so it takes p below POWER_SUBGROUP_P_CAP.  The
+representations of every class under f = ux+vy are counted as the cyclic
+convolution of the 0/1 indicators of u*R and v*R mod p, in O(p log p)
+time and O(p) memory, by modular._representation_counts: a float64 FFT
+whose rounding is exact by the error bound in its docstring and checked
+on every call.  The forms checked at one prime share their transforms;
+-R = R for the squares mod p = 1 (mod 4) and for subgroups of odd index,
+so x-y takes the counts of x+y.
 """
 
 from __future__ import annotations
@@ -26,17 +26,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .intsets import DIFFERENCE, SUM, LinearForm
-from .modular import (
-    LocalSolution,
-    ResidueSet,
-    _cyclic_counts,
-    _image_mask,
-    modular_image_cardinality,
-)
+from .modular import LocalSolution, ResidueSet, _dilation, _image_mask, _representation_counts
 from .numtheory import (
     DEFAULT_SEARCH_LIMIT,
     PrimeSearchSpec,
@@ -45,11 +40,12 @@ from .numtheory import (
     is_prime,
     is_qth_power_residue,
     jacobi,
+    primes_between,
 )
 
-# Full quadratic enumeration of a coverage report is O(|H|^2); above this
-# order the report falls back to the proven p > k^4 coverage bound plus
-# the zero-membership test.
+# Subgroup order up to which kth_power_local_solutions checks each subgroup
+# by its representation counts (an O(p log p) FFT); above it the proven
+# p > k^4 coverage bound, the power-residue test and -1 in H stand in.
 FULL_ENUMERATION_ORDER_CAP = 10_000
 
 # Smallest p power_subgroup rejects: below it (p-1)^2 < 2^63, so the
@@ -147,15 +143,18 @@ def qr_sum_diff_full(p: int) -> bool:
     """
     if not is_prime(p) or p % 4 != 1 or p <= 5:
         raise ValueError(f"requires a prime p = 1 (mod 4) with p > 5, got {p}")
-    return _sum_diff_full(quadratic_residues(p).residue_set())
+    s_counts, d_counts = _form_counts((SUM, DIFFERENCE), p, quadratic_residues(p).classes)
+    return bool(s_counts.all() and d_counts.all())
 
 
-def _sum_diff_full(residues: ResidueSet) -> bool:
-    m = residues.modulus
-    return (
-        modular_image_cardinality(SUM, residues) == m
-        and modular_image_cardinality(DIFFERENCE, residues) == m
-    )
+def _form_counts(forms: Sequence[LinearForm], m: int, classes: Sequence[int]) -> list[np.ndarray]:
+    """counts[x] = #{(a, b) in R x R : f(a, b) = x mod m} for each binary form f.
+
+    Every coefficient must be a unit mod m, so that u*R has |R| classes.
+    """
+    r = np.asarray(classes, dtype=np.int64)
+    return _representation_counts([tuple(_dilation(m, r, c) for c in form.coefficients)
+                                   for form in forms])
 
 
 def zero_in_f_of_qr(u: int, v: int, p: int) -> bool:
@@ -167,8 +166,7 @@ def zero_in_f_of_qr(u: int, v: int, p: int) -> bool:
         raise ValueError(f"p must be an odd prime, got {p}")
     if u % p == 0 or v % p == 0:
         raise ValueError(f"p={p} must not divide the coefficients ({u}, {v})")
-    residues = quadratic_residues(p).residue_set()
-    return bool(_image_mask(LinearForm((u, v)), residues) & 1)
+    return bool(_image_mask(LinearForm((u, v)), p, quadratic_residues(p).classes) & 1)
 
 
 @dataclass(frozen=True)
@@ -194,40 +192,41 @@ def coverage(form: LinearForm, subgroup: PowerSubgroup) -> CoverageReport:
     When p > k^4 the nonzero classes are guaranteed covered; a violation
     raises rather than reporting, since it would mean a broken kernel.
     """
-    form._require_binary()
-    p, k = subgroup.p, subgroup.k
-    u, v = form.coefficients
-    if u % p == 0 or v % p == 0:
-        raise ValueError(f"p={p} must not divide the coefficients ({u}, {v})")
-    n = subgroup.order
-    if n < 2:
-        raise ValueError(f"subgroup order must be >= 2, got {n}")
-
-    h = np.asarray(subgroup.classes, dtype=np.int64)
-    a = np.zeros(p, dtype=bool)
-    a[(u % p) * h % p] = True
-    b = np.zeros(p, dtype=bool)
-    b[(v % p) * h % p] = True
-    counts = _cyclic_counts(a, b)
-
-    total = int(counts.sum())
-    if total != n * n:
-        raise RuntimeError(f"representation counts sum to {total}, expected {n * n}")
-    _check_coset_constancy(counts, subgroup)
-
-    covered_nonzero = bool((counts[1:] > 0).all())
-    zero_covered = bool(counts[0] > 0)
-    if p > k**4 and not covered_nonzero:
-        raise RuntimeError(
-            f"nonzero coverage guaranteed for p={p} > k^4={k**4} but enumeration disagrees"
-        )
+    (counts,) = _checked_counts((form,), subgroup)
     return CoverageReport(
         form=form,
         subgroup=subgroup,
-        covered_nonzero=covered_nonzero,
-        zero_covered=zero_covered,
+        covered_nonzero=bool(counts[1:].all()),
+        zero_covered=bool(counts[0]),
         representation_counts=tuple(counts.tolist()),
     )
+
+
+def _checked_counts(forms: Sequence[LinearForm], subgroup: PowerSubgroup) -> list[np.ndarray]:
+    """The representation counts of each form over H x H, checked as coverage states.
+
+    RuntimeError unless each sums to |H|^2, is constant on cosets and,
+    when p > k^4, reaches every nonzero class.
+    """
+    p, k, n = subgroup.p, subgroup.k, subgroup.order
+    for form in forms:
+        form._require_binary()
+        u, v = form.coefficients
+        if u % p == 0 or v % p == 0:
+            raise ValueError(f"p={p} must not divide the coefficients ({u}, {v})")
+    if n < 2:
+        raise ValueError(f"subgroup order must be >= 2, got {n}")
+    all_counts = _form_counts(forms, p, subgroup.classes)
+    for counts in all_counts:
+        total = int(counts.sum())
+        if total != n * n:
+            raise RuntimeError(f"representation counts sum to {total}, expected {n * n}")
+        _check_coset_constancy(counts, subgroup)
+        if p > k**4 and not counts[1:].all():
+            raise RuntimeError(
+                f"nonzero coverage guaranteed for p={p} > k^4={k**4} but enumeration disagrees"
+            )
+    return all_counts
 
 
 def _check_coset_constancy(counts: np.ndarray, subgroup: PowerSubgroup) -> None:
@@ -275,12 +274,12 @@ def qr_local_solutions(
     solutions = []
     for p in find_primes(spec, count):
         residues = quadratic_residues(p).residue_set()
-        f_mask = _image_mask(form, residues)
-        if f_mask & 1:
+        f_counts, s_counts, d_counts = _form_counts((form, SUM, DIFFERENCE), p, residues.classes)
+        if f_counts[0]:
             raise RuntimeError(f"0 in f(R_{p}) despite jacobi({-u * v}, {p}) = -1")
-        if not _sum_diff_full(residues):
+        if not (s_counts.all() and d_counts.all()):
             raise RuntimeError(f"sums/differences of squares do not cover Z/{p}Z")
-        solutions.append(LocalSolution(residues=residues, f_card=f_mask.bit_count(), g_card=p))
+        solutions.append(LocalSolution(residues, f_card=int(np.count_nonzero(f_counts)), g_card=p))
     return solutions
 
 
@@ -290,13 +289,10 @@ def choose_power_exponent(u: int, v: int) -> tuple[int, int]:
     Returns (q, a).  Some q below 100 always works for u >= 2: the prime
     exponents of u cannot all be divisible by every candidate q.
     """
-    q = 3
-    while q < 100:
-        if is_prime(q):
-            a = -(u ** (q - 1)) * v
-            if not is_perfect_kth_power(a, q):
-                return q, a
-        q += 2
+    for q in primes_between(3, 99):
+        a = -(u ** (q - 1)) * v
+        if not is_perfect_kth_power(a, q):
+            return q, a
     raise RuntimeError(f"no usable exponent below 100 for (u, v) = ({u}, {v})")
 
 
@@ -333,14 +329,12 @@ def kth_power_local_solutions(
     for p in find_primes(spec, count):
         subgroup = power_subgroup(p, q)
         if subgroup.order <= FULL_ENUMERATION_ORDER_CAP:
-            f_report = coverage(form, subgroup)
-            if f_report.zero_covered or not f_report.covered_nonzero:
+            f_counts, s_counts, d_counts = _checked_counts((form, SUM, DIFFERENCE), subgroup)
+            if f_counts[0] or not f_counts[1:].all():
                 raise RuntimeError(f"k-th power local solution at p={p} failed verification")
-            s_report = coverage(SUM, subgroup)
-            d_report = coverage(DIFFERENCE, subgroup)
-            if not (s_report.covered_nonzero and s_report.zero_covered):
+            if not s_counts.all():
                 raise RuntimeError(f"sums over the subgroup mod {p} do not cover Z/{p}Z")
-            if not (d_report.covered_nonzero and d_report.zero_covered):
+            if not d_counts.all():
                 raise RuntimeError(f"differences over the subgroup mod {p} do not cover Z/{p}Z")
         else:
             # order > cap: p > q^4 guarantees nonzero coverage; 0 stays

@@ -81,11 +81,14 @@ def classify_triples(form: LinearForm) -> TripleClassification:
     """Enumerate canonical triples {0,a,b} with a < b <= u + |v| and |f| < 9.
 
     Candidates with gcd(a, b) = 1 are deduplicated up to full affine
-    equivalence.  For u >= 2 the scan is exhaustive: any exceptional triple
-    has a representative with b <= u + |v|, the ``bound`` reported.  For x+y
-    and x-y every triple is exceptional; only {0, 1, 2} is listed.
+    equivalence.  The scan is exhaustive for u >= 2: any exceptional triple
+    has a representative with b <= u + |v|, the ``bound`` reported.  x+y
+    and x-y (u = 1) raise ValueError: for them every triple is exceptional,
+    |f(A)| <= 7, so no finite list classifies them.
     """
     u, v = _require_normalized(form)
+    if u == 1:
+        raise ValueError(f"every triple is exceptional for {form.coefficients}; classification needs u >= 2")
     bound = u + abs(v)
     found: dict[tuple[int, ...], int] = {}
     for b in range(2, bound + 1):

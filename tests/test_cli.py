@@ -7,7 +7,7 @@ import json
 import pytest
 
 import linform
-from linform import cli, verify
+from linform import cli, modular, verify
 from linform.modular import ResidueSet
 from linform.verify import CheckFailure, check_crt_construction, packaged_locals
 
@@ -103,6 +103,13 @@ class TestClassifyCommand:
     def test_unnormalized_is_usage_error(self, capsys):
         code, _, err = run(capsys, "classify3", "-u", "2", "-v", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("v", ["1", "-1"])
+    def test_sum_and_difference_are_usage_errors(self, capsys, v):
+        code, out, err = run(capsys, "classify3", "-u", "1", "-v", v)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: every triple is exceptional")
 
     @pytest.mark.parametrize("argv", [
         ("-u", str(cli.CLASSIFY_BOUND_CAP), "-v", "1"),
@@ -232,8 +239,10 @@ class TestConstructCommand:
          "bad locals file: modulus 6 is not coprime"),
         ([{"classes": [0, 1]}], "bad locals file: each entry must be"),
         ([5], "bad locals file: each entry must be"),
-    ], ids=["non-coprime-moduli", "missing-modulus", "not-an-object"])
-    def test_malformed_locals_file_is_usage_error(self, capsys, tmp_path, entries, message):
+        ([{"modulus": 4, "classes": [0, 1]}, {"modulus": 10**12, "classes": [0, 1, 5]}],
+         f"bad locals file: modulus {10**12} is above the cap {modular.DEFAULT_MODULUS_CAP}"),
+    ], ids=["non-coprime-moduli", "missing-modulus", "not-an-object", "modulus-above-cap"])
+    def test_malformed_locals_file_is_usage_error(self, capsys, tmp_path, time_limit, entries, message):
         locals_path = tmp_path / "locals.json"
         locals_path.write_text(json.dumps(entries))
         code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1",

@@ -70,7 +70,6 @@ class TestTypes:
     def test_form_properties(self):
         f = LinearForm((3, -2))
         assert f.arity == 2 and f.height == 5
-        assert f.u == 3 and f.v == -2
         assert f.is_normalized
         assert not LinearForm((2, 3)).is_normalized
         assert SUM.coefficients == (1, 1)
@@ -80,7 +79,7 @@ class TestTypes:
         assert LinearForm((4,)).arity == 1
         assert LinearForm((1, 2, 3)).height == 6
         with pytest.raises(ValueError):
-            LinearForm((1, 2, 3)).u  # noqa: B018
+            LinearForm((1, 2, 3)).is_normalized  # noqa: B018
 
 
 class TestImage:

@@ -134,14 +134,17 @@ class TestModularImage:
             y = rng.random(m) < 0.3
             i, j = np.flatnonzero(x), np.flatnonzero(y)
             expected = np.bincount(((i[:, None] + j) % m).ravel(), minlength=m)
-            assert np.array_equal(modular._cyclic_counts(x, y), expected), m
+            squares = np.bincount(((i[:, None] + i) % m).ravel(), minlength=m)
+            xy, yx, xx = modular._representation_counts([(x, y), (y, x), (x, x.copy())])
+            assert np.array_equal(xy, expected) and np.array_equal(yx, expected), m
+            assert np.array_equal(xx, squares), m
 
     def test_cyclic_counts_raise_when_rounding_is_ambiguous(self, monkeypatch):
         x = np.ones(50, dtype=bool)
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
         with pytest.raises(RuntimeError, match="within 1/4"):
-            modular._cyclic_counts(x, x)
+            modular._representation_counts([(x, x)])
         with pytest.raises(RuntimeError, match="within 1/4"):
             modular_image(SUM, ResidueSet.full_ring(1000))
 
@@ -401,3 +404,15 @@ class TestLocalRatioSearch:
     def test_infeasible_target_rejected(self):
         with pytest.raises(ValueError):
             local_ratio_search(SUM, LinearForm((2, 2)), 4, budget=100)
+
+    @pytest.mark.parametrize("form_g, m, seed, classes, f_card", [
+        (SUM, 13, 1801454923, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 13),
+        (DIFFERENCE, 17, 228545753, [0, 1, 2, 10, 15, 16], 15),
+        (SUM, 23, 627891232, [0, 1, 3, 6, 9, 10, 13, 16, 18, 19], 22),
+        (DIFFERENCE, 29, 2037510056, [3, 11, 12, 14, 21, 25, 26], 23),
+    ])
+    def test_benchmark_searches_are_pinned(self, form_g, m, seed, classes, f_card):
+        # The prime-locals benchmark's four searches at seed 11, pinned from
+        # the implementation that scored ResidueSet objects.
+        sol = local_ratio_search(F21, form_g, m, budget=2000, seed=seed)
+        assert (list(sol.residues.classes), sol.f_card, sol.g_card) == (classes, f_card, m)

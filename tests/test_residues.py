@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linform import residues
 from linform.intsets import DIFFERENCE, SUM, LinearForm
@@ -221,15 +224,15 @@ class TestCoverage:
         # can catch it.
         p, k = 97, 3
         h = power_subgroup(p, k)
-        cyclic_counts = residues._cyclic_counts
+        form_counts = residues._form_counts
 
-        def skewed(a, b):
-            counts = cyclic_counts(a, b)
+        def skewed(forms, m, classes):
+            (counts,) = form_counts(forms, m, classes)
             counts[5] += 1
             counts[5 * h.classes[1] % p] -= 1
-            return counts
+            return [counts]
 
-        monkeypatch.setattr(residues, "_cyclic_counts", skewed)
+        monkeypatch.setattr(residues, "_form_counts", skewed)
         with pytest.raises(RuntimeError, match="not constant on the coset"):
             coverage(LinearForm((2, 1)), h)
 
@@ -238,6 +241,40 @@ class TestCoverage:
             coverage(LinearForm((97, 1)), power_subgroup(97, 3))
         with pytest.raises(ValueError):
             coverage(SUM, power_subgroup(13, 12))  # order 1
+
+
+HELPER_FORMS = tuple(LinearForm(c) for c in ((1, 1), (1, -1), (2, 1), (-3, 2)))
+
+
+@st.composite
+def residue_sets(draw):
+    m = draw(st.integers(2, 200).filter(lambda m: m % 2 and m % 3))  # the coefficients are units
+    classes = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m))
+    if draw(st.booleans()):  # -R = R
+        classes |= {-c % m for c in classes}
+    return m, sorted(classes)
+
+
+class TestFormCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(residue_sets(), st.permutations(HELPER_FORMS))
+    def test_counts_match_brute_force_and_share_transforms(self, ms, forms):
+        m, classes = ms
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        with mock.patch.object(np.fft, "rfft", side_effect=rfft) as rffts, \
+                mock.patch.object(np.fft, "irfft", side_effect=irfft) as irffts:
+            got = residues._form_counts(forms, m, classes)
+        for form, counts in zip(forms, got):
+            u, v = form.coefficients
+            brute = Counter((u * a + v * b) % m for a in classes for b in classes)
+            assert counts.tolist() == [brute[x] for x in range(m)], (m, form)
+        # One rfft per distinct dilated set, one irfft per distinct pair of them.
+        dilations = [tuple(frozenset(c * a % m for a in classes) for c in form.coefficients)
+                     for form in forms]
+        assert rffts.call_count == len({d for pair in dilations for d in pair})
+        assert irffts.call_count == len({frozenset(pair) for pair in dilations})
+        if {-c % m for c in classes} == set(classes):
+            assert got[forms.index(SUM)] is got[forms.index(DIFFERENCE)]
 
 
 class TestQrLocalSolutions:

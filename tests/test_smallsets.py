@@ -73,6 +73,13 @@ class TestClassifyTriples:
         with pytest.raises(ValueError):
             classify_triples(LinearForm((-3, 1)))
 
+    @pytest.mark.parametrize("v", [1, -1])
+    def test_rejects_sum_and_difference(self, v):
+        # Every triple is exceptional here: {0, 1, 3} and {0, 1, 4} as much as {0, 1, 2}.
+        assert all(len(brute_image((1, v), t)) <= 7 for t in ((0, 1, 2), (0, 1, 3), (0, 1, 4)))
+        with pytest.raises(ValueError, match="every triple is exceptional"):
+            classify_triples(LinearForm((1, v)))
+
 
 class TestThreeSetWitness:
     def test_separated_leading_coefficients(self):
@@ -106,7 +113,7 @@ class TestThreeSetWitness:
         checked = 0
         for f in forms:
             for g in forms:
-                if (f.u, abs(f.v)) == (g.u, abs(g.v)):
+                if [abs(c) for c in f.coefficients] == [abs(c) for c in g.coefficients]:  # u > 0
                     continue
                 w = three_set_witness(f, g)
                 assert w.f_of_a < w.g_of_a and w.f_of_b > w.g_of_b
