@@ -51,7 +51,7 @@ from . import verify as verify_mod
 # image; at m = 4096 and the default budget a search took 6.4 s.
 LOCAL_SEARCH_MODULUS_CAP = 4096
 # Each local-search move computes one or two images mod m; at this budget a
-# search took 34 s at m = 4096 and 1.7 s at m = 13.
+# search took 34 s at m = 4096 and 1.5 s at m = 13.
 LOCAL_SEARCH_BUDGET_CAP = 100_000
 # classify3 enumerates the triples {0, a, b} with a < b <= u + |v|, about
 # (u + |v|)^2/2 of them; at u + |v| = 1000 it took 2.4 s.
@@ -60,7 +60,7 @@ CLASSIFY_BOUND_CAP = 1000
 # on 2,000 elements (4,000,000 tuples) took 4.2 s and 216 MB peak RSS.
 PAIRS_TUPLE_CAP = 4_000_000
 # construct verifies each prime local by FFT representation counts,
-# O(p log p) each; 500 locals took 2.4 s (qr, p up to 17,477) and 3.0 s
+# O(p log p) each; 500 locals took 2.4 s (qr, p up to 17,477) and 2.9 s
 # (kpower, p up to 12,697).
 CONSTRUCT_COUNT_CAP = 500
 
