@@ -53,9 +53,6 @@ LOCAL_SEARCH_MODULUS_CAP = 4096
 # Each local-search move computes one or two images mod m; at this budget a
 # search took 34 s at m = 4096 and 1.5 s at m = 13.
 LOCAL_SEARCH_BUDGET_CAP = 100_000
-# classify3 enumerates the triples {0, a, b} with a < b <= u + |v|, about
-# (u + |v|)^2/2 of them; at u + |v| = 1000 it took 2.4 s.
-CLASSIFY_BOUND_CAP = 1000
 # Explicit image --strategy pairs enumerates all |A|^n tuples in Python; x+y
 # on 2,000 elements (4,000,000 tuples) took 4.2 s and 216 MB peak RSS.
 PAIRS_TUPLE_CAP = 4_000_000
@@ -79,13 +76,7 @@ class CommandResult:
     text: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "status": self.status,
-            "reason": self.reason,
-        }
+        return {k: getattr(self, k) for k in ("command", "inputs", "outputs", "status", "reason")}
 
 
 def parse_form(token: str) -> LinearForm:
@@ -184,9 +175,6 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
 
 def cmd_classify3(args: argparse.Namespace) -> CommandResult:
     form = parse_form(f"{args.u},{args.v}")
-    bound = abs(args.u) + abs(args.v)
-    if bound > CLASSIFY_BOUND_CAP:
-        raise UsageError(f"u + |v| is capped at {CLASSIFY_BOUND_CAP}, got {bound}")
     try:
         result = classify_triples(form)
     except ValueError as exc:
@@ -415,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify3", parents=[common],
                        help="exceptional 3-element sets for a normalized form")
     p.add_argument("-u", type=int, required=True)
-    p.add_argument("-v", type=int, required=True, help=f"u + |v| at most {CLASSIFY_BOUND_CAP}")
+    p.add_argument("-v", type=int, required=True)
     p.set_defaults(handler=cmd_classify3)
 
     p = sub.add_parser("witness", parents=[common], help="explicit separating witness sets")

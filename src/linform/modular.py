@@ -27,6 +27,7 @@ for all the forms checked on one set.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
@@ -265,12 +266,7 @@ class LocalSolution:
         return Fraction(self.f_card, self.g_card)
 
     def to_dict(self) -> dict:
-        return {
-            "modulus": self.residues.modulus,
-            "classes": list(self.residues.classes),
-            "f_card": self.f_card,
-            "g_card": self.g_card,
-        }
+        return {**self.residues.to_dict(), "f_card": self.f_card, "g_card": self.g_card}
 
 
 def local_solution(form_f: LinearForm, form_g: LinearForm, residues: ResidueSet) -> LocalSolution:
@@ -555,6 +551,7 @@ def local_ratio_search(
         current_f = f_count(current)
         consider(frozenset(current), current_f)
 
+        missing = [c for c in range(m) if c not in current]  # sorted complement of current
         stale = 0
         while moves < budget and stale < 3 * m:
             moves += 1
@@ -563,10 +560,8 @@ def local_ratio_search(
             if kind == 0 and len(trial) > 1:
                 trial.discard(rng.choice(sorted(trial)))
             elif kind == 1 and len(trial) < m:
-                missing = [c for c in range(m) if c not in trial]
                 trial.add(rng.choice(missing))
             elif kind == 2 and 0 < len(trial) < m:
-                missing = [c for c in range(m) if c not in trial]
                 trial.discard(rng.choice(sorted(trial)))
                 trial.add(rng.choice(missing))
             else:
@@ -579,6 +574,10 @@ def local_ratio_search(
             if count <= current_f:
                 if count < current_f:
                     stale = 0
+                for c in trial - current:
+                    missing.remove(c)
+                for c in current - trial:
+                    bisect.insort(missing, c)
                 current, current_f = trial, count
                 consider(frozenset(trial), count)
             else:

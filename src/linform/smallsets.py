@@ -1,6 +1,7 @@
 """Explicit small witness sets for pairs of binary linear forms.
 
-Exhaustive classification of 3-element sets with a deficient image,
+Closed-form classification of the 3-element sets with a deficient image
+(from the collision equations u*dx + v*dy = 0 over A - A, no scan),
 3- and 4-element sets separating two forms in both directions, the
 5-element set separating ux+vy from x-y, and arithmetic progressions on
 which conjugate forms agree.  Every construction re-verifies its claimed
@@ -9,6 +10,7 @@ cardinalities by direct computation before returning.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +66,10 @@ class WitnessPair:
             )
 
 
+# (p, q) with p*a + q*b running over A - A = {0, a, -a, b, -b, b-a, a-b} for A = {0, a, b}.
+_DIFFERENCES = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
+
+
 def _require_normalized(form: LinearForm) -> tuple[int, int]:
     if not form.is_normalized:
         raise ValueError(f"normalized binary form required, got {form.coefficients}")
@@ -78,33 +84,39 @@ def _require_coprime_uv(u: int, v: int) -> None:
 
 
 def classify_triples(form: LinearForm) -> TripleClassification:
-    """Enumerate canonical triples {0,a,b} with a < b <= u + |v| and |f| < 9.
+    """Exceptional triples {0,a,b} (0 < a < b coprime, |f| < 9) of ux+vy, u >= 2.
 
-    Candidates with gcd(a, b) = 1 are deduplicated up to full affine
-    equivalence.  The scan is exhaustive for u >= 2: any exceptional triple
-    has a representative with b <= u + |v|, the ``bound`` reported.  x+y
-    and x-y (u = 1) raise ValueError: for them every triple is exceptional,
-    |f(A)| <= 7, so no finite list classifies them.
+    Two of the nine values coincide iff u*dx + v*dy = 0 for dx, dy in A-A =
+    {p*a + q*b : (p, q) in _DIFFERENCES}, not both 0: iff alpha*a + beta*b
+    = 0 with alpha = u*p1 + v*p2, beta = u*q1 + v*q2.  As u > |v| >= 1 and
+    |p2| <= 1, u*p1 = -v*p2 forces p1 = p2 = 0 (so too for q): each
+    coincidence is a non-trivial equation.  It has a solution 0 < a < b iff
+    alpha*beta < 0 and |beta| < |alpha|, and its only coprime one is
+    (|beta|, |alpha|)/gcd(alpha, beta).  So the 49 choices of (dx, dy)
+    yield exactly the exceptional triples, and b <= |alpha| <= u + |v| =
+    ``bound``.  Each is counted exactly and keyed by ``canonical_pair``;
+    |f| = 9 or two counts in one class raise RuntimeError.  For u = 1,
+    dx = -v*dy always collides: every triple is exceptional, so x+y and
+    x-y raise ValueError.
     """
     u, v = _require_normalized(form)
     if u == 1:
         raise ValueError(f"every triple is exceptional for {form.coefficients}; classification needs u >= 2")
-    bound = u + abs(v)
+    equations = [(u * p1 + v * p2, u * q1 + v * q2)
+                 for (p1, q1), (p2, q2) in itertools.product(_DIFFERENCES, repeat=2)]
+    candidates = {(0, abs(beta) // math.gcd(alpha, beta), abs(alpha) // math.gcd(alpha, beta))
+                  for alpha, beta in equations if alpha * beta < 0 and abs(beta) < abs(alpha)}
     found: dict[tuple[int, ...], int] = {}
-    for b in range(2, bound + 1):
-        for a in range(1, b):
-            if math.gcd(a, b) != 1:
-                continue
-            card = image_cardinality(form, FiniteIntSet((0, a, b)), strategy="pairs")
-            if card < 9:
-                key = canonical_pair(FiniteIntSet((0, a, b))).elements
-                if found.setdefault(key, card) != card:
-                    raise RuntimeError(f"cardinality disagrees within equivalence class {key}")
+    for triple in map(FiniteIntSet, candidates):
+        card = image_cardinality(form, triple, strategy="pairs")
+        key = canonical_pair(triple).elements
+        if card >= 9 or found.setdefault(key, card) != card:
+            raise RuntimeError(f"{triple.elements} has |f| = {card}; its class {key} has {found.get(key)}")
 
     keys = sorted(found)
     return TripleClassification(
         form=form,
-        bound=bound,
+        bound=u + abs(v),
         exceptional_canonicals=tuple(FiniteIntSet(k) for k in keys),
         cardinalities=tuple(found[k] for k in keys),
     )

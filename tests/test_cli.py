@@ -111,15 +111,16 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("error: every triple is exceptional")
 
-    @pytest.mark.parametrize("argv", [
-        ("-u", str(cli.CLASSIFY_BOUND_CAP), "-v", "1"),
-        ("-u", str(cli.CLASSIFY_BOUND_CAP), "-v", "-1"),  # the cap counts |v|
-    ])
-    def test_bound_beyond_cap_is_usage_error(self, capsys, argv):
-        code, out, err = run(capsys, "classify3", *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: u + |v| is capped at {cli.CLASSIFY_BOUND_CAP}")
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize("v", ["1", "-1"])
+    def test_large_form_has_the_two_families(self, capsys, v):
+        # The classes come from the collision equations, so u + |v| is not capped.
+        code, data, _ = run_json(capsys, "classify3", "-u", "1000003", "-v", v)
+        assert code == 0
+        assert data["outputs"]["exceptional"] == [
+            {"set": [0, 1, 1000003], "cardinality": 8},
+            {"set": [0, 1, 1000004], "cardinality": 8},
+        ]
 
 
 class TestWitnessCommand:

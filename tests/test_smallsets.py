@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_image
 from linform.intsets import FiniteIntSet, LinearForm, canonical_pair
@@ -16,6 +18,16 @@ from linform.smallsets import (
     five_set_witness,
     three_set_witness,
 )
+
+
+def scan_triples(u, v):
+    """Exceptional classes {key: |f|} over coprime {0, a, b} with b <= 2(u + |v|)."""
+    found = {}
+    for b in range(2, 2 * (u + abs(v)) + 1):
+        for a in range(1, b):
+            if math.gcd(a, b) == 1 and (card := len(brute_image((u, v), (0, a, b)))) < 9:
+                found[canonical_pair(FiniteIntSet((0, a, b))).elements] = card
+    return found
 
 
 def coprime_pairs(max_u, min_u=2):
@@ -56,16 +68,29 @@ class TestClassifyTriples:
         assert got == found
 
     def test_bound_stability(self):
-        # The scan stops at b = u + |v|; an independent scan to twice that
-        # finds no further class.  (For u = 1 every triple is exceptional.)
-        forms = [(u, sign * v) for u, v in coprime_pairs(10) for sign in (1, -1)]
-        for u, v in forms:
-            found = {}
-            for b in range(2, 2 * (u + abs(v)) + 1):
-                for a in range(1, b):
-                    if math.gcd(a, b) == 1 and (card := len(brute_image((u, v), (0, a, b)))) < 9:
-                        found[canonical_pair(FiniteIntSet((0, a, b))).elements] = card
-            assert dict(classify_triples(LinearForm((u, v))).as_pairs()) == found, (u, v)
+        # Every class has a member with b <= u + |v|; an independent scan to
+        # twice that finds no further class.  (For u = 1 every triple is exceptional.)
+        for u, v in coprime_pairs(12):
+            for sv in (v, -v):
+                assert dict(classify_triples(LinearForm((u, sv))).as_pairs()) == scan_triples(u, sv), (u, sv)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 60).flatmap(
+        lambda u: st.tuples(st.just(u), st.sampled_from(
+            [s * v for v in range(1, u) if math.gcd(u, v) == 1 for s in (1, -1)]))))
+    def test_matches_brute_scan(self, uv):
+        u, v = uv
+        assert dict(classify_triples(LinearForm(uv)).as_pairs()) == scan_triples(u, v)
+
+    def test_classes_satisfy_a_collision_equation(self):
+        # Two of the nine values u*x + v*y coincide iff u*dx + v*dy = 0 for
+        # some dx, dy in A - A, not both 0.
+        for u, v in coprime_pairs(20):
+            for sv in (v, -v):
+                for triple, _ in classify_triples(LinearForm((u, sv))).as_pairs():
+                    diffs = {x - y for x in triple for y in triple}
+                    assert any(u * dx + sv * dy == 0 for dx in diffs for dy in diffs
+                               if (dx, dy) != (0, 0)), (u, sv, triple)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
