@@ -48,10 +48,10 @@ from . import verify as verify_mod
 
 # Input caps, each with its measured cost at the cap (Python 3.11, numpy 2.4,
 # 2-CPU Xeon, form 2x+y).  local-search builds Z/mZ and an m-bit mask per
-# image; at m = 4096 and the default budget a search took 6.4 s.
+# image; at m = 4096 and the default budget a search took 6.2 s.
 LOCAL_SEARCH_MODULUS_CAP = 4096
 # Each local-search move computes one or two images mod m; at this budget a
-# search took 34 s at m = 4096 and 1.5 s at m = 13.
+# search took 32 s at m = 4096 and 1.6 s at m = 13.
 LOCAL_SEARCH_BUDGET_CAP = 100_000
 # Explicit image --strategy pairs enumerates all |A|^n tuples in Python; x+y
 # on 2,000 elements (4,000,000 tuples) took 4.2 s and 216 MB peak RSS.
@@ -76,7 +76,7 @@ class CommandResult:
     text: str = ""
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("command", "inputs", "outputs", "status", "reason")}
+        return {k: v for k, v in vars(self).items() if k != "text"}
 
 
 def parse_form(token: str) -> LinearForm:
