@@ -10,12 +10,15 @@ by input size unless a name is given.
 The merge kernel folds on offsets from the sum of the terms' first
 elements.  It forms each stage's outer sum in blocks of at most
 _SORT_CHUNK values, keeps the distinct values of each block, then merges
-the blocks the same way.  A window of at most 2**63 integers holds each
-offset in one int64.  A wider one first divides every offset by their
-gcd g, which is exact since x -> g*x is injective, so a dilated set
-usually lands back on one int64; if the reduced window still spans more
-than 2**63 integers, each offset is held as k limbs of _LIMB_BITS = 62
-bits, least significant first: two such limbs and a carry sum below
+the blocks the same way; a block of distinct low limbs is already
+distinct.  For c*(x + y) and c*(x - y) it forms each unordered pair
+once: the pairs i <= j reach every value of A + A, and A - A = -D, {0},
+D for its positive values D.  A window of at most 2**63 integers holds
+each offset in one int64.  A wider one first divides every offset by
+their gcd g, which is exact since x -> g*x is injective, so a dilated
+set usually lands back on one int64; if the reduced window still spans
+more than 2**63 integers, each offset is held as k limbs of _LIMB_BITS =
+62 bits, least significant first: two such limbs and a carry sum below
 2**63, so the limb-wise outer sum cannot overflow (see _limb_fold).
 
 The bitmask kernel keeps the accumulated sumset in one of two exact
@@ -73,6 +76,7 @@ _SORT_CHUNK = 1 << 22
 # below 2**63.
 _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
+_HASH_MUL = 0x5851F42D4C957F2D  # regroups columns sharing a low limb; any value is exact
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,8 @@ def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],
         mask, _ = _bitset_fold(terms)
         return mask.bit_count()
     if chosen == "merge":
-        return _sort_fold(terms)[0].shape[1]
+        limbs, _, mirrored = _sort_fold(terms)
+        return 2 * limbs.shape[1] + 1 if mirrored else limbs.shape[1]
     return len(_python_fold(terms))
 
 
@@ -291,92 +296,71 @@ def _fold_sumsets(terms: list[list[int]], strategy: str) -> list[int]:
         mask, base = _bitset_fold(terms)
         return _bits.decode(mask, base)
     if chosen == "merge":
-        limbs, g = _sort_fold(terms)
+        limbs, g, mirrored = _sort_fold(terms)
         base = sum(t[0] for t in terms)
-        return [base + g * x for x in _decode(limbs)]
+        values = [base + g * x for x in _decode(limbs)]
+        return [-x for x in reversed(values)] + [0] + values if mirrored else values
     return _python_fold(terms)
 
 
-def _sort_fold(terms: list[list[int]]) -> tuple[np.ndarray, int]:
+def _sort_fold(terms: list[list[int]]) -> tuple[np.ndarray, int, bool]:
     """The image's distinct offsets from the sum of the terms' first elements.
 
-    Returns (limbs, g): each column of the (k, count) int64 array limbs is
-    one distinct offset divided by g, sum(limbs[j] << 62*j) for k > 1.
-    Every partial sum of offsets is at most the window width W minus 1.
-    If W <= 2**63, g = 1 and k = 1: the offsets fold on one int64 each
-    (_int64_fold) and nothing overflows.  Wider windows divide every term
-    offset by their gcd g first, which maps distinct image offsets to
-    distinct quotients since g > 0, and so leaves the count unchanged;
-    the reduced window is (W - 1)/g + 1.  If that is still above 2**63,
-    the quotients fold on k = ceil(bitlen((W - 1)/g) / 62) limbs
-    (_limb_fold), so every partial sum is below 2**(62*k); two limbs
-    below 2**62 and a carry of at most 1 sum below 2**63.
+    Returns (limbs, g, mirrored): each column of the (k, count) int64 array
+    limbs is one distinct offset divided by g, sum(limbs[j] << 62*j).  Every
+    partial sum of offsets is at most the window width W minus 1.  If
+    W <= 2**63, g = 1 and k = 1.  Wider windows divide every offset by their
+    gcd g > 0 first, which keeps distinct offsets distinct; if the reduced
+    window (W - 1)/g + 1 is above 2**63, k = ceil(bitlen((W - 1)/g) / 62).
+
+    Terms B, B (c*(x + y)) keep the pairs i <= j: (j, i) gives the value
+    of (i, j).  Terms B, -B (c*(x - y)), B sorted, give b_i - b_(n-1-j)
+    at (i, j), positive iff i + j >= n; those pairs give the positive
+    values D, and mirrored = True says that the image is -D, {0}, D.
     """
+    n, first = len(terms[0]), None  # row i keeps the columns j >= first[i]
+    mirrored = len(terms) == 2 and terms[1] == [-x for x in reversed(terms[0])]
+    if mirrored or len(terms) == 2 and terms[1] == terms[0]:
+        first = n - np.arange(n) if mirrored else np.arange(n)
     span = _width(terms) - 1
-    g = 1
-    if span >= 1 << 63:
-        g = math.gcd(*(x - t[0] for t in terms for x in t))
+    g = math.gcd(*(x - t[0] for t in terms for x in t)) if span >= 1 << 63 else 1
+    if g > 1:
         terms = [[(x - t[0]) // g for x in t] for t in terms]
         span //= g
-    if span < 1 << 63:
-        return _int64_fold([_offsets(t) for t in terms])[None], g
-    k = -(-span.bit_length() // _LIMB_BITS)
-    return _limb_fold([_limbs(t, k) for t in terms]), g
+    k = 1 if span < 1 << 63 else -(-span.bit_length() // _LIMB_BITS)
+    return _limb_fold([_limbs(t, k) for t in terms], first), g, mirrored
 
 
-def _int64_fold(offsets: list[np.ndarray]) -> np.ndarray:
-    """Fold the terms' int64 offsets; returns the sorted, distinct offset sums."""
-    acc = offsets[0]
-    for offs in offsets[1:]:
-        rows = max(_SORT_CHUNK // len(offs), 1)
-        blocks = [_sorted_distinct((acc[i:i + rows, None] + offs).ravel())
-                  for i in range(0, len(acc), rows)]
-        if len(blocks) == 1:
-            acc = blocks[0]
-        else:
-            # Drop the blocks first: the merge sort then holds only the
-            # merged copy, its mask and the result.
-            acc = np.concatenate(blocks)
-            del blocks
-            acc = _sorted_distinct(acc)
-    return acc
-
-
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    # Sorting in place and dropping repeats of the left neighbour is far
-    # faster here than np.unique on millions of int64 values.
-    values.sort()
-    keep = np.empty(len(values), bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
-def _limb_fold(terms: list[np.ndarray]) -> np.ndarray:
-    """Fold offsets held as (k, n) arrays of 62-bit limbs; returns the distinct sums.
+def _limb_fold(terms: list[np.ndarray], first: np.ndarray | None = None) -> np.ndarray:
+    """Fold offsets held as (k, n) int64 limb arrays; returns the distinct sums.
 
     Each stage adds the accumulator's limbs to the next term's limb by
-    limb, then carries from the low limbs to the high ones.  Before the
-    carry every limb is a sum of two limbs below 2**62, so below 2**63;
-    a carry adds at most 1 to the next limb, which stays below 2**63, so
-    nothing overflows.  Afterwards limbs 0..k-2 are below 2**62 and the
-    top limb is too, since every partial sum is below 2**(62*k): each
-    value has exactly one limb form, so equal values have equal columns.
-    The columns come out distinct but in no particular order.
+    limb, in blocks of rows (row i keeping the columns j >= first[i] if
+    first is given), then carries from the low limbs to the high ones.
+    Before the carry every limb is a sum of two limbs below 2**62; a carry
+    adds at most 1 to the next limb, so nothing overflows.  Afterwards
+    every limb is below 2**62, since every partial sum is below
+    2**(62*k): equal values have equal columns.  One limb holds 63 bits
+    and never carries; its sums come out sorted, wider ones unordered.
     """
     acc = terms[0]
     k = len(acc)
     for offs in terms[1:]:
         rows = max(_SORT_CHUNK // (k * offs.shape[1]), 1)
-        blocks = [_distinct_columns(_carry((acc[:, i:i + rows, None] + offs[:, None, :])
-                                           .reshape(k, -1)))
-                  for i in range(0, acc.shape[1], rows)]
+        blocks = []
+        for i in range(0, acc.shape[1], rows):
+            block = (acc[:, i:i + rows, None] + offs[:, None, :]).reshape(k, -1)
+            if first is not None:  # one row indexes as 1-D, which needs no index array
+                keep = (np.arange(offs.shape[1]) >= first[i:i + rows, None]).ravel()
+                block = block[0][keep][None] if k == 1 else block.compress(keep, axis=1)
+            blocks.append(_distinct_columns(_carry(block)))
         if len(blocks) == 1:
             acc = blocks[0]
         else:
+            # Drop the blocks first; a stable sort merges sorted runs fast.
             acc = np.concatenate(blocks, axis=1)
             del blocks
-            acc = _distinct_columns(acc)
+            acc = _distinct_columns(acc, "stable")
     return acc
 
 
@@ -387,42 +371,63 @@ def _carry(limbs: np.ndarray) -> np.ndarray:
     return limbs
 
 
-def _distinct_columns(limbs: np.ndarray) -> np.ndarray:
+def _distinct_columns(limbs: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     """The distinct columns of a canonical limb array.
 
-    Sorts on the low limb only; equal columns then sit in one run of
-    equal low limbs.  If the high limbs also agree at every adjacent pair
-    in such a run, each run is one value and its first column is kept.
-    Otherwise two values share a low limb, and the block falls back to
-    _lexsort_distinct.  Either way the result is exact.
+    One limb is sorted in place, far faster here than np.unique.  Wider
+    columns are grouped by low limb (_distinct_runs), as distinct low limbs
+    mean distinct values; runs of values sharing one go to _lexsort_distinct.
     """
-    limbs = limbs.take(limbs[0].argsort(), axis=1)
-    keep = np.empty(limbs.shape[1], bool)
-    keep[0] = True
-    np.not_equal(limbs[0, 1:], limbs[0, :-1], out=keep[1:])
-    if not ((limbs[1:, 1:] == limbs[1:, :-1]) | keep[1:]).all():
-        return _lexsort_distinct(limbs)
-    return limbs[:, keep]
+    if len(limbs) == 1:
+        limbs[0].sort(kind=kind)
+        keep = np.ones(limbs.shape[1], bool)
+        np.not_equal(limbs[0, 1:], limbs[0, :-1], out=keep[1:])
+        return limbs[0][keep][None]
+    return _distinct_runs(limbs, limbs[0], _lexsort_distinct)
+
+
+def _distinct_runs(limbs: np.ndarray, key: np.ndarray, resolve) -> np.ndarray:
+    """The distinct columns of limbs, grouped by a key that equal columns share.
+
+    One sort of key << b | index (2**b > column count), far faster than
+    an argsort, groups the columns by key mod 2**(64 - b), so each value
+    lies in one run.  If every run is one column, limbs is returned as it
+    is.  A run whose columns all agree is one value; others go to resolve.
+    """
+    b = limbs.shape[1].bit_length()
+    packed = np.sort(key.astype(np.uint64) << b | np.arange(limbs.shape[1], dtype=np.uint64))
+    new = np.concatenate(([True], packed[1:] >> b != packed[:-1] >> b))
+    if new.all():
+        return limbs
+    limbs = limbs.take(np.bitwise_and(packed, (1 << b) - 1, out=packed).view(np.int64), axis=1)
+    del packed  # before the copies below
+    clash = ~new[1:] & (limbs[:, 1:] != limbs[:, :-1]).any(axis=0)
+    if not clash.any():
+        return limbs.compress(new, axis=1)
+    run = np.cumsum(new) - 1
+    tied = np.isin(run, run[1:][clash], kind="table")
+    return np.concatenate([limbs.compress(new & ~tied, axis=1), resolve(limbs.compress(tied, axis=1))], axis=1)
 
 
 def _lexsort_distinct(limbs: np.ndarray) -> np.ndarray:
-    # np.lexsort takes its last key as the primary one: the top limb.
+    """Regroup columns whose values share a low limb by a hash of all limbs."""
+    key = limbs[-1]
+    for limb in limbs[-2::-1]:
+        key = key * _HASH_MUL + limb
+    return _distinct_runs(limbs, key, _lexsorted_distinct)
+
+
+def _lexsorted_distinct(limbs: np.ndarray) -> np.ndarray:
     limbs = limbs[:, np.lexsort(limbs)]
-    keep = np.empty(limbs.shape[1], bool)
-    keep[0] = True
-    np.any(limbs[:, 1:] != limbs[:, :-1], axis=0, out=keep[1:])
-    return limbs[:, keep]
+    return limbs.compress(np.concatenate(([True], (limbs[:, 1:] != limbs[:, :-1]).any(axis=0))), axis=1)
 
 
 def _decode(limbs: np.ndarray) -> list[int]:
     """The values of the columns of _sort_fold's limbs, in increasing order."""
-    if len(limbs) == 1:
-        return limbs[0].tolist()  # _int64_fold keeps its values sorted
-    limbs = limbs[:, np.lexsort(limbs)]
     values = limbs[-1].tolist()
     for limb in limbs[-2::-1]:
         values = [v << _LIMB_BITS | x for v, x in zip(values, limb.tolist())]
-    return values
+    return values if len(limbs) == 1 else sorted(values)  # one-limb sums come out sorted
 
 
 def _python_fold(terms: list[list[int]]) -> list[int]:
@@ -463,11 +468,11 @@ def _word_fold(terms: list[list[int]]) -> int:
     64 shifted copies is built once per stage.  Only shifts and ORs are
     used, so the result is bit for bit the big-int fold's.
     """
-    q, s = _word_offsets(terms[0])
+    q, s = np.divmod(_limbs(terms[0], 1)[0], 64)
     acc = np.zeros(int(q[-1]) + 1, np.uint64)
     np.bitwise_or.at(acc, q, np.uint64(1) << s.astype(np.uint64))
     for term in terms[1:]:
-        q, s = _word_offsets(term)
+        q, s = np.divmod(_limbs(term, 1)[0], 64)
         n = len(acc)
         out = np.zeros(n + int(q[-1]) + 1, np.uint64)
         for shift in np.flatnonzero(np.bincount(s, minlength=64)):
@@ -481,22 +486,16 @@ def _word_fold(terms: list[list[int]]) -> int:
     return int.from_bytes(acc.astype("<u8", copy=False).tobytes(), "little")
 
 
-def _word_offsets(term: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    offsets = _offsets(term)
-    return offsets >> 6, offsets & 63
-
-
-def _offsets(term: list[int]) -> np.ndarray:
-    # Offsets are taken in Python ints first: the elements may be far
-    # beyond int64 even when the window is narrow.
-    return np.fromiter((x - term[0] for x in term), np.int64, len(term))
-
-
 def _limbs(term: list[int], k: int) -> np.ndarray:
-    """The term's offsets as a (k, len(term)) array of 62-bit limbs, low limb first."""
+    """The term's offsets as a (k, len(term)) int64 array of limbs, low limb first.
+
+    One limb holds the whole offset, up to 63 bits.  Offsets are taken in
+    Python ints first: the elements may be far beyond int64 in a narrow window.
+    """
+    if k == 1:
+        return np.fromiter((x - term[0] for x in term), np.int64, len(term))[None]
     offsets = [x - term[0] for x in term]
-    return np.array([[x >> shift & _LIMB_MASK for x in offsets]
-                     for shift in range(0, k * _LIMB_BITS, _LIMB_BITS)], np.int64)
+    return np.array([[x >> j * _LIMB_BITS & _LIMB_MASK for x in offsets] for j in range(k)], np.int64)
 
 
 def affine_canonical(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:

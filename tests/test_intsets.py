@@ -156,7 +156,7 @@ class TestImage:
         # are dispatched but not run.  The window of x + y on [0, d] spans
         # 2d + 1 integers: d = 2**26 - 1 fits BITSET_WIDTH_CAP, 2**26 does not.
         calls = []
-        stubs = {"_python_fold": [], "_sort_fold": (np.zeros((1, 0), np.int64), 1), "_bitset_fold": (0, 0)}
+        stubs = {"_python_fold": [], "_sort_fold": (np.zeros((1, 0), np.int64), 1, False), "_bitset_fold": (0, 0)}
         for name, result in stubs.items():
             monkeypatch.setattr(intsets, name, lambda terms, name=name, result=result: calls.append(name) or result)
         fits, wide = 2**26 - 1, 2**26
@@ -231,7 +231,7 @@ class TestImage:
             assert image_cardinality(SUM, elems, strategy=s) == len(expected)
         assert image(SUM, elems, strategy="pairs") == image(SUM, elems, strategy="merge")
         assert len(limb_folds) == 5  # auto and merge, then merge against pairs
-        assert all(terms[0].shape[0] == 2 for terms, in limb_folds)  # two 62-bit limbs
+        assert all(terms[0].shape[0] == 2 for terms, _ in limb_folds)  # two 62-bit limbs
 
     @pytest.mark.usefixtures("time_limit")
     def test_sort_kernel_merges_overlapping_blocks(self, monkeypatch):
@@ -385,7 +385,7 @@ class TestWideSortFold:
                 assert_image_exact(coeffs, elems)
         # windows of about 2**127 to 2**128: three limbs
         assert len(limb_folds) == 6 * 2 * 4
-        assert {terms[0].shape[0] for terms, in limb_folds} == {3}
+        assert {terms[0].shape[0] for terms, _ in limb_folds} == {3}
 
     def test_one_element_terms_and_unary_forms(self, monkeypatch):
         limb_folds = spy(monkeypatch, "_limb_fold")
@@ -400,7 +400,6 @@ class TestWideSortFold:
         assert len(limb_folds) == 2 * 2 + 4
 
     def test_gcd_reduces_dilated_windows_to_int64(self, monkeypatch):
-        int64_folds = spy(monkeypatch, "_int64_fold")
         limb_folds = spy(monkeypatch, "_limb_fold")
         rng = random.Random(53)
         for dilation in (10**40, 2**124 + 1, 3 * 2**61):
@@ -411,18 +410,21 @@ class TestWideSortFold:
                 span = intsets._width(terms) - 1
                 g = math.gcd(*(x - elems[0] for x in elems))
                 assert span >= 2**63 and g % (3 * dilation) == 0
-                del int64_folds[:]
+                del limb_folds[:]
                 assert_image_exact(coeffs, elems)
-                assert len(int64_folds) == 4
-                for offsets, in int64_folds:
-                    assert sum(int(o[-1]) for o in offsets) == span // g < 3000 * len(coeffs)
+                assert len(limb_folds) == 4
+                for terms, _ in limb_folds:
+                    assert terms[0].shape[0] == 1  # one int64 limb
+                    assert sum(int(t[0, -1]) for t in terms) == span // g < 3000 * len(coeffs)
         # Doubling a set whose sum window is just under 2**63 gives a window
         # between 2**63 and 2**64, which the gcd brings back under 2**63.
         elems = [0, 2**62 - 2] + rng.sample(range(1, 2**62 - 2), 30)
         doubled = [2 * x + 5 for x in elems]
         assert 2**63 < intsets._width(intsets._terms(SUM, FiniteIntSet(doubled))) < 2**64
+        del limb_folds[:]
         assert_image_exact((1, 1), doubled)
-        assert limb_folds == []
+        assert len(limb_folds) == 4
+        assert all(terms[0].shape[0] == 1 for terms, _ in limb_folds)
 
     def test_limb_blocks_merge(self, monkeypatch):
         # A cap of 256 limb values holds two rows of 60 two-limb offsets per
@@ -444,7 +446,6 @@ class TestWideSortFold:
         # second, shifted copy of part of the set defeats the gcd step.
         fallbacks = spy(monkeypatch, "_lexsort_distinct")
         limb_folds = spy(monkeypatch, "_limb_fold")
-        int64_folds = spy(monkeypatch, "_int64_fold")
         rng = random.Random(61)
         forms = ((1, 1), (1, -1), (2, 1), (-2, 3), (1, 1, 1), (1, -1, 2))
         for i in range(24):
@@ -459,8 +460,94 @@ class TestWideSortFold:
                     elems = elems[:10]
                 terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
                 assert_image_exact(coeffs, elems, intsets._python_fold(terms))
-        # the gcd step sends the sets without a shifted copy to int64
-        assert fallbacks and limb_folds and int64_folds
+        # the gcd step sends the sets without a shifted copy to one int64 limb
+        assert fallbacks and {terms[0].shape[0] == 1 for terms, _ in limb_folds} == {True, False}
+
+    def test_hash_clashes_fall_back_to_lexsort(self, monkeypatch):
+        # A zero multiplier makes the fallback's hash the low limb again, so
+        # every run it regroups still clashes and goes to np.lexsort.
+        monkeypatch.setattr(intsets, "_HASH_MUL", 0)
+        lexsorts = spy(monkeypatch, "_lexsorted_distinct")
+        rng = random.Random(41)
+        for coeffs in ((1, 1), (1, -1), (2, 1), (1, 1, 1)):
+            elems = [2**62 * b + i % 2 - 10**30 for i, b in enumerate(rng.sample(range(300), 12))]
+            assert_image_exact(coeffs, elems)
+        assert lexsorts
+
+
+def pair_fold_sets():
+    """(name, elements) on one int64, gcd-reduced and two- and three-limb windows.
+
+    The tie-heavy ones: arithmetic progressions, sets with A = -A, and
+    sets whose values share low limbs; a one-element set on each window.
+    """
+    rng = random.Random(73)
+    sym = {x for x in rng.sample(range(1, 10**6), 15)}
+    wide_sym = {rng.getrandbits(100) for _ in range(15)}
+    return [
+        ("int64", rng.sample(range(10**9), 40)),
+        ("int64-ap", [5 + 7 * i for i in range(40)]),
+        ("int64-symmetric", sorted(sym | {-x for x in sym} | {0})),
+        ("int64-one", [-(10**9)]),
+        ("gcd", [10**40 * b - 10**35 for b in rng.sample(range(0, 3000, 3), 40)]),
+        ("gcd-ap", [2**100 * i + 7 for i in range(40)]),
+        ("two-limb", [rng.getrandbits(100) for _ in range(40)]),
+        ("two-limb-ap", [2**70 * i for i in range(39)] + [1]),  # the 1 defeats the gcd
+        ("two-limb-symmetric", sorted(wide_sym | {-x for x in wide_sym})),
+        ("two-limb-shared-low", [2**62 * b + i % 2 - 10**30 for i, b in enumerate(rng.sample(range(300), 30))]),
+        ("two-limb-one", [2**100 + 3]),
+        # low limbs that differ only in their top bits, which the packed sort key drops
+        ("two-limb-top-bits", [2**60 * i for i in range(29)] + [1]),
+        ("three-limb", [rng.getrandbits(125) - 2**124 for _ in range(30)]),
+        ("three-limb-ap", [3**80 * i for i in range(29)] + [1]),
+        ("three-limb-shared-low", [2**124 * b + i % 2 for i, b in enumerate(rng.sample(range(300), 30))]),
+    ]
+
+
+PAIR_COEFFS = [(c, s * c) for c in (1, -1, 2, -2, 3) for s in (1, -1)]
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestPairFolds:
+    """c*(x + y) and c*(x - y) fold each unordered pair once, against brute force and pairs."""
+
+    @pytest.mark.parametrize("chunk", [None, 64, 256], ids=["one-block", "chunk64", "chunk256"])
+    def test_matches_brute_force_and_pairs(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(intsets, "_SORT_CHUNK", chunk)
+        limb_folds = spy(monkeypatch, "_limb_fold")
+        for name, elems in pair_fold_sets():
+            for coeffs in PAIR_COEFFS:
+                assert_image_exact(coeffs, elems)
+        # every window kind ran: one, two and three limbs
+        assert {terms[0].shape[0] for terms, _ in limb_folds} == {1, 2, 3}
+
+    def test_outer_sum_holds_each_unordered_pair_once(self, monkeypatch):
+        distinct = spy(monkeypatch, "_distinct_columns")
+        for name, elems in pair_fold_sets():
+            n = len(elems)
+            for coeffs in PAIR_COEFFS:
+                del distinct[:]
+                image_cardinality(LinearForm(coeffs), elems, strategy="merge")
+                held = sum(limbs.shape[1] for limbs, *_ in distinct)
+                assert held <= n * (n + 1) // 2, (name, coeffs)
+                # x - y keeps the pairs with a positive value, and so does
+                # x + y if A = -A, where A + A = A - A; x + y keeps i <= j
+                mirrored = coeffs[0] != coeffs[1] or sorted(-x for x in elems) == sorted(elems)
+                assert held == (n * (n - 1) // 2 if mirrored else n * (n + 1) // 2), (name, coeffs)
+
+    def test_other_forms_hold_every_tuple(self, monkeypatch):
+        distinct = spy(monkeypatch, "_distinct_columns")
+        elems = random.Random(79).sample(range(10**9), 30)
+        for coeffs in ((2, 1), (1, 2), (3, -2)):
+            del distinct[:]
+            image_cardinality(LinearForm(coeffs), elems, strategy="merge")
+            assert sum(limbs.shape[1] for limbs, *_ in distinct) == 30 * 30
+        # two different terms of the same size are not a pair fold
+        del distinct[:]
+        shifted = [x + 1 for x in elems]
+        assert sumset(elems, shifted, strategy="merge") == sumset(elems, shifted, strategy="pairs")
+        assert sum(limbs.shape[1] for limbs, *_ in distinct) == 30 * 30
 
 
 class TestDilateSumset:
