@@ -10,7 +10,7 @@ by input size unless a name is given.
 The merge kernel folds on offsets from the sum of the terms' first
 elements.  It forms each stage's outer sum in blocks of at most
 _SORT_CHUNK values, keeps the distinct values of each block, then merges
-the blocks the same way; a block of distinct low limbs is already
+the blocks the same way; a block whose columns hash apart is already
 distinct.  For c*(x + y) and c*(x - y) it forms each unordered pair
 once: the pairs i <= j reach every value of A + A, and A - A = -D, {0},
 D for its positive values D.  A window of at most 2**63 integers holds
@@ -48,10 +48,6 @@ STRATEGIES = ("auto", "pairs", "merge", "bitset")
 # explicit strategy="bitset" on a wider image raises ValueError.
 BITSET_WIDTH_CAP = 1 << 27
 
-# Tuple count above which auto picks the bitset kernel whenever the window
-# fits BITSET_WIDTH_CAP, whatever its cost per tuple.
-_BITSET_TUPLE_FLOOR = 4_000_000
-
 # Fold cost (_bitset_cost, in words) from which the numpy word kernel runs
 # instead of big-int shift-or.  Measured crossover, Python 3.11 and numpy 2.4
 # on a 2-CPU Xeon, binary forms on random sets: big ints win by 1.3-14x below
@@ -76,7 +72,7 @@ _SORT_CHUNK = 1 << 22
 # below 2**63.
 _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_HASH_MUL = 0x5851F42D4C957F2D  # regroups columns sharing a low limb; any value is exact
+_HASH_MUL = 0x5851F42D4C957F2D  # hashes wide limb columns; any value is exact
 
 
 @dataclass(frozen=True)
@@ -276,8 +272,7 @@ def _choose_strategy(terms: list[list[int]], strategy: str) -> str:
     tuples = math.prod(map(len, terms))
     # Enumeration costs a bigger constant per tuple than the bitmask kernel
     # does per word.
-    if width <= BITSET_WIDTH_CAP and (tuples > _BITSET_TUPLE_FLOOR
-                                      or _bitset_cost(terms, width) <= 120 * tuples):
+    if width <= BITSET_WIDTH_CAP and _bitset_cost(terms, width) <= 120 * tuples:
         return "bitset"
     return "pairs" if tuples < _SORT_FOLD_TUPLES else "merge"
 
@@ -375,27 +370,28 @@ def _distinct_columns(limbs: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     """The distinct columns of a canonical limb array.
 
     One limb is sorted in place, far faster here than np.unique.  Wider
-    columns are grouped by low limb (_distinct_runs), as distinct low limbs
-    mean distinct values; runs of values sharing one go to _lexsort_distinct.
+    columns are grouped in one pass by a hash of all their limbs, built
+    in place: one sort of hash << b | index (2**b > column count), far
+    faster than an argsort, groups them by hash mod 2**(64 - b), so each
+    value lies in one run.  If every run is one column, limbs is returned
+    as it is.  A run whose columns all agree is one value; only the runs
+    that still mix values are lexsorted.
     """
     if len(limbs) == 1:
         limbs[0].sort(kind=kind)
         keep = np.ones(limbs.shape[1], bool)
         np.not_equal(limbs[0, 1:], limbs[0, :-1], out=keep[1:])
         return limbs[0][keep][None]
-    return _distinct_runs(limbs, limbs[0], _lexsort_distinct)
-
-
-def _distinct_runs(limbs: np.ndarray, key: np.ndarray, resolve) -> np.ndarray:
-    """The distinct columns of limbs, grouped by a key that equal columns share.
-
-    One sort of key << b | index (2**b > column count), far faster than
-    an argsort, groups the columns by key mod 2**(64 - b), so each value
-    lies in one run.  If every run is one column, limbs is returned as it
-    is.  A run whose columns all agree is one value; others go to resolve.
-    """
+    packed = limbs[-1].copy()
+    for limb in limbs[-2::-1]:
+        packed *= _HASH_MUL
+        packed += limb
+    packed ^= packed >> 32  # the key below drops the top b bits; fold them into the low half first
     b = limbs.shape[1].bit_length()
-    packed = np.sort(key.astype(np.uint64) << b | np.arange(limbs.shape[1], dtype=np.uint64))
+    packed = packed.view(np.uint64)
+    packed <<= np.uint64(b)
+    packed |= np.arange(limbs.shape[1], dtype=np.uint64)
+    packed.sort()
     new = np.concatenate(([True], packed[1:] >> b != packed[:-1] >> b))
     if new.all():
         return limbs
@@ -406,15 +402,8 @@ def _distinct_runs(limbs: np.ndarray, key: np.ndarray, resolve) -> np.ndarray:
         return limbs.compress(new, axis=1)
     run = np.cumsum(new) - 1
     tied = np.isin(run, run[1:][clash], kind="table")
-    return np.concatenate([limbs.compress(new & ~tied, axis=1), resolve(limbs.compress(tied, axis=1))], axis=1)
-
-
-def _lexsort_distinct(limbs: np.ndarray) -> np.ndarray:
-    """Regroup columns whose values share a low limb by a hash of all limbs."""
-    key = limbs[-1]
-    for limb in limbs[-2::-1]:
-        key = key * _HASH_MUL + limb
-    return _distinct_runs(limbs, key, _lexsorted_distinct)
+    return np.concatenate([limbs.compress(new & ~tied, axis=1),
+                           _lexsorted_distinct(limbs.compress(tied, axis=1))], axis=1)
 
 
 def _lexsorted_distinct(limbs: np.ndarray) -> np.ndarray:

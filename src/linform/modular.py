@@ -31,7 +31,7 @@ import bisect
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -302,9 +302,9 @@ class ConstructionReport:
 
     ``mode`` is "threshold" when the exact-rational ratio product fell
     below 1/(2*h_f) (certifying |f(A)| < |g(A)| even without
-    materializing A), "direct" when A was materialized and the
-    cardinalities compared outright, and "shortfall" when neither route
-    established the inequality.
+    materializing A), "direct" when it did not but the materialized A
+    of locals_used gave |f(A)| < |g(A)| outright, and "shortfall" when
+    neither route established the inequality.
     """
 
     form_f: LinearForm
@@ -331,8 +331,7 @@ class ConstructionReport:
 
     @property
     def ratio_product(self) -> Fraction:
-        return Fraction(math.prod(loc.f_card for loc in self.locals_used),
-                        math.prod(loc.g_card for loc in self.locals_used))
+        return Fraction(self.f_card_lower, self.g_card_lower)
 
     @property
     def threshold(self) -> Fraction:
@@ -343,9 +342,14 @@ class ConstructionReport:
         return self.ratio_product < self.threshold
 
     @property
+    def f_card_lower(self) -> int:
+        """prod |f(R_i)|, a lower bound on |f(A)|."""
+        return math.prod(loc.f_card for loc in self.locals_used)
+
+    @property
     def f_card_upper(self) -> int:
         """2*h_f*prod |f(R_i)|, an upper bound on |f(A)| by rectification."""
-        return 2 * self.form_f.height * math.prod(loc.f_card for loc in self.locals_used)
+        return 2 * self.form_f.height * self.f_card_lower
 
     @property
     def g_card_lower(self) -> int:
@@ -384,26 +388,17 @@ class ConstructionReport:
         return out
 
 
-def _materialize(form_f: LinearForm, form_g: LinearForm, locs: Sequence[LocalSolution],
-                 window_start: int) -> tuple[FiniteIntSet, int, int]:
-    combined = crt_product([loc.residues for loc in locs])
-    elements = rectify(combined, window_start)
-    f_card = image_cardinality(form_f, elements)
-    g_card = image_cardinality(form_g, elements)
-    f_mod = math.prod(loc.f_card for loc in locs)
-    g_mod = math.prod(loc.g_card for loc in locs)
-    h = form_f.height
-    if not f_mod <= f_card <= 2 * h * f_mod:
-        raise RuntimeError(f"rectification sandwich violated for f: {f_mod} <= {f_card} <= {2 * h * f_mod}")
-    if g_card < g_mod:
-        raise RuntimeError(f"rectification lower bound violated for g: {g_card} < {g_mod}")
-    return elements, f_card, g_card
-
-
-def _fits_caps(locs: Sequence[LocalSolution], element_cap: int, modulus_cap: int) -> bool:
-    size = math.prod(len(loc.residues) for loc in locs)
-    modulus = math.prod(loc.residues.modulus for loc in locs)
-    return size <= element_cap and modulus <= modulus_cap
+def _materialize(report: ConstructionReport) -> ConstructionReport:
+    """The report with A built from its locals and both images counted, sandwich checked."""
+    elements = rectify(crt_product([loc.residues for loc in report.locals_used]), report.window_start)
+    f_card = image_cardinality(report.form_f, elements)
+    g_card = image_cardinality(report.form_g, elements)
+    if not report.f_card_lower <= f_card <= report.f_card_upper:
+        raise RuntimeError(f"rectification sandwich violated for f: "
+                           f"{report.f_card_lower} <= {f_card} <= {report.f_card_upper}")
+    if g_card < report.g_card_lower:
+        raise RuntimeError(f"rectification lower bound violated for g: {g_card} < {report.g_card_lower}")
+    return replace(report, elements=elements, f_card=f_card, g_card=g_card)
 
 
 def build_separating_set(
@@ -413,28 +408,26 @@ def build_separating_set(
     *,
     window_start: int = 0,
     direct: bool = False,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    modulus_cap: int = DEFAULT_MODULUS_CAP,
 ) -> ConstructionReport:
-    """Consume local solutions until |f(A)| < |g(A)| can be established.
+    """Combine local solutions into a set A with |f(A)| < |g(A)|, or report the shortfall.
 
-    In the default threshold mode, locals are consumed until the exact
-    rational product of f_card/g_card drops below 1/(2*h_f); that
-    certifies the inequality, and A is additionally materialized when the
-    combined modulus and class count fit the caps.  If the stream runs
-    out first, the largest within-caps prefix is materialized and tested
-    outright; failing that, the report carries the achieved product.
-
-    With direct=True the threshold is skipped and the full list is
-    combined, materialized and tested (the reproduction mode for
-    hand-crafted locals).
+    One flow.  Locals are consumed until the exact rational product of
+    f_card/g_card falls below the threshold 1/(2*h_f), or, with
+    direct=True, all of them.  A product below the threshold certifies
+    |f(A)| <= f_card_upper < g_card_lower <= |g(A)| (mode "threshold").
+    Then the longest prefix of the consumed locals whose class count and
+    combined modulus fit DEFAULT_ELEMENT_CAP and DEFAULT_MODULUS_CAP is
+    materialized and both images are counted.  A certified set is
+    materialized only when every consumed local fits; otherwise it stays
+    described by (moduli, window).  Without a certificate the prefix
+    decides: mode "direct" if |f(A)| < |g(A)| on it, else "shortfall".
+    So direct=True differs only in not stopping at the certificate.
     """
-    h = form_f.height
-    threshold = Fraction(1, 2 * h)
+    report = ConstructionReport(form_f, form_g, (), window_start, mode="shortfall")
     consumed: list[LocalSolution] = []
     product = Fraction(1)
-    modulus = 1
-    threshold_met = False
+    modulus = size = 1
+    fitting = 0  # length of the longest prefix of consumed within the caps
     for loc in locals_stream:
         m = loc.residues.modulus
         if math.gcd(modulus, m) != 1:
@@ -442,62 +435,34 @@ def build_separating_set(
         consumed.append(loc)
         product *= loc.ratio
         modulus *= m
-        if not direct and product < threshold:
-            threshold_met = True
+        size *= len(loc.residues)
+        if size <= DEFAULT_ELEMENT_CAP and modulus <= DEFAULT_MODULUS_CAP:
+            fitting = len(consumed)
+        if not direct and product < report.threshold:
             break
     if not consumed:
         raise ValueError("no local solutions supplied")
-
-    def report(locs: Sequence[LocalSolution] | None = None, **fields) -> ConstructionReport:
-        return ConstructionReport(form_f, form_g, tuple(consumed if locs is None else locs),
-                                  window_start, **fields)
-
-    if threshold_met:
-        if 2 * h * math.prod(loc.f_card for loc in consumed) >= math.prod(loc.g_card for loc in consumed):
+    report = replace(report, locals_used=tuple(consumed))
+    if report.threshold_met:
+        if report.f_card_upper >= report.g_card_lower:
             raise RuntimeError("threshold met but certified bounds do not separate")
-        if _fits_caps(consumed, element_cap, modulus_cap):
-            elements, f_card, g_card = _materialize(form_f, form_g, consumed, window_start)
-            if f_card >= g_card:
-                raise RuntimeError(
-                    f"threshold certificate contradicted by materialization: {f_card} >= {g_card}"
-                )
-            return report(mode="threshold", detail="ratio product below 1/(2*h_f); set materialized",
-                          elements=elements, f_card=f_card, g_card=g_card)
-        return report(mode="threshold",
-                      detail="ratio product below 1/(2*h_f); set described by (moduli, window), "
-                             "beyond the materialization caps")
-
-    if direct:
-        if not _fits_caps(consumed, element_cap, modulus_cap):
-            size = math.prod(len(loc.residues) for loc in consumed)
-            return report(mode="shortfall",
-                          detail=f"direct mode but size {size} / modulus {modulus} "
-                                 f"exceed caps {element_cap} / {modulus_cap}")
-        elements, f_card, g_card = _materialize(form_f, form_g, consumed, window_start)
-        return report(mode="direct" if f_card < g_card else "shortfall",
-                      detail="materialized comparison",
-                      elements=elements, f_card=f_card, g_card=g_card)
-
-    # Threshold mode, stream exhausted: try the largest materializable prefix.
-    prefix: list[LocalSolution] = []
-    for loc in consumed:
-        if not _fits_caps(prefix + [loc], element_cap, modulus_cap):
-            break
-        prefix.append(loc)
-    if prefix:
-        elements, f_card, g_card = _materialize(form_f, form_g, prefix, window_start)
-        if f_card < g_card:
-            return report(prefix, mode="direct",
-                          detail=f"stream exhausted at ratio product {product} >= {threshold}; "
-                                 f"direct comparison on the first {len(prefix)} locals succeeded",
-                          elements=elements, f_card=f_card, g_card=g_card)
-        direct_note = (f"; direct comparison on the first {len(prefix)} locals gave "
-                       f"|f(A)|={f_card} >= |g(A)|={g_card}")
-    else:
-        direct_note = "; no prefix fits the materialization caps"
-    return report(mode="shortfall",
-                  detail=f"stream exhausted: ratio product {product} never fell below "
-                         f"threshold {threshold}{direct_note}")
+        if fitting < len(consumed):
+            return replace(report, mode="threshold",
+                           detail="ratio product below 1/(2*h_f); set described by (moduli, window), "
+                                  "beyond the materialization caps")
+        report = _materialize(report)
+        if report.f_card >= report.g_card:
+            raise RuntimeError(f"threshold certificate contradicted by materialization: "
+                               f"{report.f_card} >= {report.g_card}")
+        return replace(report, mode="threshold", detail="ratio product below 1/(2*h_f); set materialized")
+    note = f"ratio product {product} of {len(consumed)} locals is not below threshold {report.threshold}"
+    if not fitting:
+        return replace(report, detail=f"{note}, and no prefix fits the materialization caps")
+    report = _materialize(replace(report, locals_used=tuple(consumed[:fitting])))
+    separated = report.f_card < report.g_card
+    return replace(report, mode="direct" if separated else "shortfall",
+                   detail=f"{note}; the first {fitting}, within the caps, gave "
+                          f"|f(A)|={report.f_card} {'<' if separated else '>='} |g(A)|={report.g_card}")
 
 
 def local_ratio_search(

@@ -15,10 +15,11 @@ no witness set is proven, and is_prime refuses to answer.
 find_primes and primes_between sieve their progression (every integer,
 for primes_between) in blocks of _SIEVE_BLOCK candidates on a numpy
 boolean array: each base prime q <= min(sqrt(limit), _SIEVE_BASE) not
-dividing the step crosses out its multiples other than q itself.  A
-survivor below _SIEVE_BASE^2 is then prime; a larger one still goes
-through is_prime.  The sieve works on candidate indices and booleans
-only, so no floating point enters here either.
+dividing the step crosses out its multiples other than q itself.  The
+base primes come from the same sieve, run on every integer up to that
+bound, recursively.  A survivor below _SIEVE_BASE^2 is then prime; a
+larger one still goes through is_prime.  The sieve works on candidate
+indices and booleans only, so no floating point enters here either.
 """
 
 from __future__ import annotations
@@ -209,10 +210,13 @@ def _sieved_primes(c: int, step: int, hi: int) -> Iterator[int]:
     """The primes among c, c + step, c + 2*step, ... up to hi, in increasing order.
 
     Requires c >= 2 and gcd(c, step) = 1: primes dividing step then divide
-    no candidate, and are left out of the sieve base.
+    no candidate, and are left out of the sieve base.  The base, the primes
+    up to min(sqrt(hi), _SIEVE_BASE), comes from this sieve, recursively.
     """
-    base = [(q, pow(step, -1, q)) for q in _primes_to(min(math.isqrt(max(hi, 0)), _SIEVE_BASE))
-            if step % q]
+    if c > hi:  # also ends the recursion
+        return
+    limit = min(math.isqrt(hi), _SIEVE_BASE)
+    base = [(q, pow(step, -1, q)) for q in _sieved_primes(2, 1, limit) if step % q]
     while c <= hi:
         size = min(_SIEVE_BLOCK, (hi - c) // step + 1)
         alive = np.ones(size, dtype=bool)
@@ -226,18 +230,6 @@ def _sieved_primes(c: int, step: int, hi: int) -> Iterator[int]:
             if n < _SIEVE_BASE**2 or is_prime(n):
                 yield n
         c += size * step
-
-
-def _primes_to(n: int) -> list[int]:
-    """The primes p <= n, by the sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    composite = np.zeros(n + 1, dtype=bool)
-    composite[:2] = True
-    for q in range(2, math.isqrt(n) + 1):
-        if not composite[q]:
-            composite[q * q::q] = True
-    return np.flatnonzero(~composite).tolist()
 
 
 def is_qth_power_residue(a: int, q: int, p: int) -> bool:

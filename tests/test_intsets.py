@@ -169,7 +169,7 @@ class TestImage:
             (15, wide, "_python_fold"),
             (16, wide, "_sort_fold"),
             (2000, fits, "_sort_fold"),   # 4,000,000 tuples, mask too costly
-            (2001, fits, "_bitset_fold"),  # above 4,000,000 tuples the mask runs if it fits
+            (2001, fits, "_sort_fold"),   # the cost rule alone decides at any tuple count
             (2000, wide, "_sort_fold"),
             (2001, wide, "_sort_fold"),
         ]
@@ -358,12 +358,14 @@ class TestWideSortFold:
     time limit.
     """
 
-    @pytest.mark.parametrize("dilation", [2**62, 3 * 2**61], ids=["2^62", "3*2^61"])
-    def test_low_limb_collisions_fall_back_to_lexsort(self, monkeypatch, dilation):
+    @pytest.mark.parametrize("dilation", [2**62, 3 * 2**61, 2**116], ids=["2^62", "3*2^61", "2^116"])
+    def test_low_limb_collisions_group_by_hash(self, monkeypatch, dilation):
         # Half the elements are dilation*b, half dilation*b + 1, so the
         # offsets' gcd is 1 and every image value's low limb is one of a few
-        # values shared by many different high limbs.
-        fallbacks = spy(monkeypatch, "_lexsort_distinct")
+        # values shared by many different high limbs; at 2^116 the high
+        # limbs differ only in their top bits.  The hash of all limbs still
+        # tells them apart, so nothing is lexsorted.
+        lexsorts = spy(monkeypatch, "_lexsorted_distinct")
         limb_folds = spy(monkeypatch, "_limb_fold")
         rng = random.Random(37)
         shift = -(10**30) - 7
@@ -372,7 +374,7 @@ class TestWideSortFold:
             elems = [dilation * b + i % 2 + shift for i, b in enumerate(rng.sample(range(300), n))]
             assert_image_exact(coeffs, elems)
         assert len(limb_folds) == 6 * 4  # auto and merge
-        assert fallbacks
+        assert not lexsorts
 
     def test_offsets_at_limb_edges(self, monkeypatch):
         limb_folds = spy(monkeypatch, "_limb_fold")
@@ -444,7 +446,7 @@ class TestWideSortFold:
     def test_random_wide_sets_match_python_fold(self, monkeypatch):
         # Dilations by limb-aligned and huge factors, then translated; a
         # second, shifted copy of part of the set defeats the gcd step.
-        fallbacks = spy(monkeypatch, "_lexsort_distinct")
+        lexsorts = spy(monkeypatch, "_lexsorted_distinct")
         limb_folds = spy(monkeypatch, "_limb_fold")
         rng = random.Random(61)
         forms = ((1, 1), (1, -1), (2, 1), (-2, 3), (1, 1, 1), (1, -1, 2))
@@ -461,11 +463,12 @@ class TestWideSortFold:
                 terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
                 assert_image_exact(coeffs, elems, intsets._python_fold(terms))
         # the gcd step sends the sets without a shifted copy to one int64 limb
-        assert fallbacks and {terms[0].shape[0] == 1 for terms, _ in limb_folds} == {True, False}
+        assert {terms[0].shape[0] == 1 for terms, _ in limb_folds} == {True, False}
+        assert not lexsorts
 
     def test_hash_clashes_fall_back_to_lexsort(self, monkeypatch):
-        # A zero multiplier makes the fallback's hash the low limb again, so
-        # every run it regroups still clashes and goes to np.lexsort.
+        # A zero multiplier makes the hash the low limb, so every run of
+        # values sharing one clashes and goes to np.lexsort.
         monkeypatch.setattr(intsets, "_HASH_MUL", 0)
         lexsorts = spy(monkeypatch, "_lexsorted_distinct")
         rng = random.Random(41)

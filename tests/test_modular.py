@@ -245,6 +245,18 @@ def ap_local(modulus, length, form_f, form_g):
     return local_solution(form_f, form_g, ResidueSet(modulus, range(length)))
 
 
+AP_SHAPES = ((7, 3), (11, 5), (13, 5), (17, 7), (19, 7), (23, 9), (29, 11))
+
+
+@pytest.fixture
+def caps(monkeypatch):
+    """Set modular's materialization caps for one test: caps(elements=..., modulus=...)."""
+    def set_caps(elements=modular.DEFAULT_ELEMENT_CAP, modulus=modular.DEFAULT_MODULUS_CAP):
+        monkeypatch.setattr(modular, "DEFAULT_ELEMENT_CAP", elements)
+        monkeypatch.setattr(modular, "DEFAULT_MODULUS_CAP", modulus)
+    return set_caps
+
+
 class TestBuildSeparatingSet:
     def test_hand_picked_direct_window_one(self):
         report = build_separating_set(F21, SUM, hand_picked_locals(), window_start=1, direct=True)
@@ -259,7 +271,30 @@ class TestBuildSeparatingSet:
     def test_hand_picked_threshold_mode_falls_back_to_direct(self):
         report = build_separating_set(F21, SUM, hand_picked_locals())
         assert report.success and report.mode == "direct"
-        assert "exhausted" in report.detail
+        assert "of 4 locals" in report.detail and "the first 4, within the caps" in report.detail
+
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_direct_flag_changes_nothing_below_the_certificate(self, caps, direct):
+        # None of these streams meets the threshold, so both values of
+        # direct consume every local and materialize the same prefix.
+        rings = [local_solution(F21, SUM, ResidueSet.full_ring(m)) for m in (5, 7, 9)]
+        cases = [  # stream, (element cap, modulus cap), mode, prefix length, |f(A)|, |g(A)|
+            (hand_picked_locals(), (10**7, 10**7), "direct", 4, 108035, 114548),
+            (rings, (10**7, 10**7), "shortfall", 3, 943, 629),
+            (hand_picked_locals(), (1000, 10**7), "shortfall", 3, 5950, 5884),
+            (hand_picked_locals(), (10**7, 100), "shortfall", 1, 26, 18),
+            (hand_picked_locals(), (5, 10**7), "shortfall", 4, None, None),
+        ]
+        for locs, (element_cap, modulus_cap), mode, used, f_card, g_card in cases:
+            caps(elements=element_cap, modulus=modulus_cap)
+            report = build_separating_set(F21, SUM, locs, direct=direct)
+            assert (report.mode, report.f_card, report.g_card) == (mode, f_card, g_card)
+            assert report.locals_used == tuple(locs[:used])
+            assert not report.threshold_met
+            if f_card is None:
+                assert report.elements is None and "no prefix" in report.detail
+            else:
+                assert report.elements == rectify(crt_product([loc.residues for loc in locs[:used]]))
 
     def test_full_rings_fail_with_ratio_one(self):
         locs = [local_solution(F21, SUM, ResidueSet.full_ring(m)) for m in (5, 7, 9)]
@@ -273,13 +308,7 @@ class TestBuildSeparatingSet:
         # g = 2x+y covers everything once 3r-2 >= m; five coprime moduli
         # push the product below the 1/4 threshold for h_f = 2.
         f, g = SUM, F21
-        locs = [
-            ap_local(7, 3, f, g),
-            ap_local(11, 5, f, g),
-            ap_local(13, 5, f, g),
-            ap_local(17, 7, f, g),
-            ap_local(19, 7, f, g),
-        ]
+        locs = [ap_local(m, r, f, g) for m, r in AP_SHAPES[:5]]
         product = math.prod((loc.ratio for loc in locs), start=Fraction(1))
         assert product < Fraction(1, 4)
         report = build_separating_set(f, g, locs)
@@ -290,16 +319,19 @@ class TestBuildSeparatingSet:
         assert report.f_card is not None and report.f_card < report.g_card
         assert report.f_card_upper < report.g_card_lower
 
-    def test_derived_fields_follow_the_locals_used(self):
+    def test_derived_fields_follow_the_locals_used(self, caps):
         f, g = SUM, F21
-        aps = [ap_local(m, r, f, g) for m, r in ((7, 3), (11, 5), (13, 5), (17, 7), (19, 7))]
-        reports = [
-            build_separating_set(f, g, aps),
-            build_separating_set(f, g, aps, element_cap=10),
-            build_separating_set(F21, SUM, hand_picked_locals(), window_start=1, direct=True),
-            build_separating_set(F21, SUM, hand_picked_locals(), element_cap=1000),
-            build_separating_set(F21, SUM, hand_picked_locals(), direct=True, element_cap=10),
-        ]
+        aps = [ap_local(m, r, f, g) for m, r in AP_SHAPES[:5]]
+        reports = []
+        for element_cap, forms, locs, options in [
+            (10**7, (f, g), aps, {}),
+            (10, (f, g), aps, {}),
+            (10**7, (F21, SUM), hand_picked_locals(), {"window_start": 1, "direct": True}),
+            (1000, (F21, SUM), hand_picked_locals(), {}),
+            (10, (F21, SUM), hand_picked_locals(), {"direct": True}),
+        ]:
+            caps(elements=element_cap)
+            reports.append(build_separating_set(*forms, locs, **options))
         assert {r.mode for r in reports} == {"threshold", "direct", "shortfall"}
         for report in reports:
             locs = report.locals_used
@@ -316,31 +348,29 @@ class TestBuildSeparatingSet:
             assert out["f_card_upper"] == 2 * h * math.prod(loc.f_card for loc in locs)
             assert out["g_card_lower"] == math.prod(loc.g_card for loc in locs)
 
-    def test_threshold_certified_beyond_caps(self):
+    def test_threshold_certified_beyond_caps(self, caps):
         f, g = SUM, F21
-        locs = [
-            ap_local(7, 3, f, g),
-            ap_local(11, 5, f, g),
-            ap_local(13, 5, f, g),
-            ap_local(17, 7, f, g),
-            ap_local(19, 7, f, g),
-        ]
-        report = build_separating_set(f, g, locs, element_cap=10)
+        locs = [ap_local(m, r, f, g) for m, r in AP_SHAPES[:5]]
+        caps(elements=10)
+        report = build_separating_set(f, g, locs)
         assert report.success and report.mode == "threshold"
         assert report.elements is None and report.f_card is None
         assert report.f_card_upper < report.g_card_lower
 
+    def test_direct_mode_consumes_every_local_and_still_certifies(self):
+        # The product falls below 1/4 after five locals; direct=True takes
+        # all seven, whose combined modulus 215,656,441 is over the modulus
+        # cap, so the certified set stays described.
+        f, g = SUM, F21
+        locs = [ap_local(m, r, f, g) for m, r in AP_SHAPES]
+        report = build_separating_set(f, g, locs, direct=True)
+        assert report.mode == "threshold" and report.locals_used == tuple(locs)
+        assert report.combined_modulus > modular.DEFAULT_MODULUS_CAP
+        assert report.elements is None and report.f_card_upper < report.g_card_lower
+
     def test_threshold_mode_stops_consuming_once_met(self):
         f, g = SUM, F21
-        locs = [
-            ap_local(7, 3, f, g),
-            ap_local(11, 5, f, g),
-            ap_local(13, 5, f, g),
-            ap_local(17, 7, f, g),
-            ap_local(19, 7, f, g),
-            ap_local(23, 9, f, g),
-            ap_local(29, 11, f, g),
-        ]
+        locs = [ap_local(m, r, f, g) for m, r in AP_SHAPES]
         report = build_separating_set(f, g, locs)
         assert report.success
         assert len(report.locals_used) == 5
@@ -357,10 +387,16 @@ class TestBuildSeparatingSet:
         with pytest.raises(ValueError):
             build_separating_set(F21, SUM, [])
 
-    def test_direct_mode_over_caps_is_a_shortfall(self):
-        report = build_separating_set(F21, SUM, hand_picked_locals(), direct=True, modulus_cap=100)
-        assert not report.success
-        assert "caps" in report.detail
+    def test_direct_mode_over_caps_materializes_the_longest_prefix(self, caps):
+        # 13 fits a modulus cap of 100 and 13*15 does not: the first local
+        # alone is materialized, and on it |f(A)| = 26 is not below 18.
+        locs = hand_picked_locals()
+        caps(modulus=100)
+        report = build_separating_set(F21, SUM, locs, direct=True)
+        assert report.mode == "shortfall" and report.locals_used == tuple(locs[:1])
+        assert report.elements == rectify(HAND_PICKED[0])
+        assert (report.f_card, report.g_card) == (26, 18)
+        assert "the first 1, within the caps" in report.detail
 
     def test_report_serializes(self, monkeypatch):
         report = build_separating_set(F21, SUM, hand_picked_locals(), window_start=1, direct=True)

@@ -1,4 +1,9 @@
-"""Static checks on the package source: no module imports a name it never uses."""
+"""Static checks on the package source.
+
+No module imports a name it never uses, and every private module-level
+name is read somewhere in the package, so deleting the last caller of a
+helper or constant also shows the helper or constant.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +13,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "linform"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 # __init__.py imports names only to re-export them.
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +46,39 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level names with one leading underscore that source binds, with their lines."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return {name: line for name, line in names.items() if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """Names that source reads, bare (x) or as an attribute (module.x)."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_scan_finds_unread_private_names():
+    source = ("_A = 1\n_B, C = 2, 3\n__all__ = []\n\ndef _f():\n    return _A\n\n"
+              "def _g():\n    return 0\n\nclass _K:\n    pass\n")
+    assert private_definitions(source) == {"_A": 1, "_B": 2, "_f": 5, "_g": 8, "_K": 11}
+    defined = private_definitions(source)
+    assert sorted(defined.keys() - read_names(source + "x = y._g\n")) == ["_B", "_K", "_f"]
+
+
+def test_private_names_are_read():
+    read = set().union(*(read_names(p.read_text()) for p in SOURCES))
+    unread = [f"{p.name}: {name} (line {line})" for p in SOURCES
+              for name, line in private_definitions(p.read_text()).items() if name not in read]
+    assert unread == []
