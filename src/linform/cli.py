@@ -56,8 +56,12 @@ LOCAL_SEARCH_BUDGET_CAP = 100_000
 # Explicit image --strategy pairs enumerates all |A|^n tuples in Python; x+y
 # on 2,000 elements (4,000,000 tuples) took 4.2 s and 216 MB peak RSS.
 PAIRS_TUPLE_CAP = 4_000_000
+# image and compare bound |f(A)| by min(|A|^n, window width) before folding;
+# 2x+y on 5,000 generic elements (25,000,000 values) took 1.4 s and 607 MB
+# peak RSS under auto, x+y+z on 300 elements (27,000,000 tuples) 0.55 s.
+IMAGE_VALUE_CAP = 25_000_000
 # construct verifies each prime local by FFT representation counts,
-# O(p log p) each; 500 locals took 2.4 s (qr, p up to 17,477) and 2.9 s
+# O(p log p) each; 500 locals took 2.3 s (qr, p up to 17,477) and 2.6 s
 # (kpower, p up to 12,697).
 CONSTRUCT_COUNT_CAP = 500
 
@@ -129,6 +133,14 @@ def _resolve_set(args: argparse.Namespace) -> tuple[FiniteIntSet, dict]:
     raise UsageError("provide a set with -A FILE or --inline a,b,c")
 
 
+def _require_image_within_cap(form: LinearForm, a: FiniteIntSet) -> None:
+    """UsageError when f(A) may hold more than IMAGE_VALUE_CAP values; the empty set passes."""
+    bound = len(a) and min(len(a) ** form.arity, sum(map(abs, form.coefficients)) * (a[-1] - a[0]) + 1)
+    if bound > IMAGE_VALUE_CAP:
+        raise UsageError(f"|f(A)| may reach {bound} values (min of |A|^n and the window width), "
+                         f"above the cap {IMAGE_VALUE_CAP}")
+
+
 def _form_str(form: LinearForm) -> str:
     return ",".join(str(c) for c in form.coefficients)
 
@@ -143,6 +155,7 @@ def cmd_image(args: argparse.Namespace) -> CommandResult:
     inputs = {"form": _form_str(form), "set": source, "strategy": args.strategy}
     if args.strategy == "pairs" and (tuples := len(a) ** form.arity) > PAIRS_TUPLE_CAP:
         raise UsageError(f"--strategy pairs is capped at {PAIRS_TUPLE_CAP} tuples (|A|^n), got {tuples}")
+    _require_image_within_cap(form, a)
     try:
         if args.full:
             img = image(form, a, strategy=args.strategy)
@@ -162,6 +175,8 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
     form_f = parse_form(args.form_f)
     form_g = parse_form(args.form_g)
     a, source = _resolve_set(args)
+    _require_image_within_cap(form_f, a)
+    _require_image_within_cap(form_g, a)
     f_card = image_cardinality(form_f, a)
     g_card = image_cardinality(form_g, a)
     relation = "<" if f_card < g_card else (">" if f_card > g_card else "=")

@@ -281,14 +281,19 @@ def local_solution(form_f: LinearForm, form_g: LinearForm, residues: ResidueSet)
 def load_locals(text: str) -> list[ResidueSet]:
     """Parse a JSON array of {"modulus": m, "classes": [...]} objects; ValueError if malformed.
 
-    A modulus above DEFAULT_MODULUS_CAP, whose images would be m-bit masks,
-    is rejected before any set is built.
+    Moduli and classes must be JSON integers: a float or a boolean is
+    rejected, not truncated.  A modulus above DEFAULT_MODULUS_CAP, whose
+    images would be m-bit masks, is rejected before any set is built.
     """
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("locals file must contain a JSON array")
     try:
-        largest = max((int(entry["modulus"]) for entry in data), default=0)
+        for entry in data:
+            for value in (entry["modulus"], *entry["classes"]):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"moduli and classes must be integers, got {value!r}")
+        largest = max((entry["modulus"] for entry in data), default=0)
         if largest > DEFAULT_MODULUS_CAP:
             raise ValueError(f"modulus {largest} is above the cap {DEFAULT_MODULUS_CAP}")
         return [ResidueSet.from_dict(entry) for entry in data]

@@ -168,9 +168,7 @@ class PrimeSearchResult:
     """Primes found by find_primes, with an explicit shortfall marker."""
 
     primes: tuple[int, ...]
-    requested: int
     shortfall: bool
-    search_limit: int
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.primes)
@@ -198,12 +196,7 @@ def find_primes(spec: PrimeSearchSpec, count: int) -> PrimeSearchResult:
             found.append(n)
             if len(found) == count:
                 break
-    return PrimeSearchResult(
-        primes=tuple(found),
-        requested=count,
-        shortfall=len(found) < count,
-        search_limit=spec.search_limit,
-    )
+    return PrimeSearchResult(primes=tuple(found), shortfall=len(found) < count)
 
 
 def _sieved_primes(c: int, step: int, hi: int) -> Iterator[int]:

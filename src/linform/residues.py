@@ -1,31 +1,45 @@
-"""Local solutions from quadratic residues and k-th power subgroups.
+"""Local solutions from k-th power subgroups, the quadratic residues being k = 2.
 
-For an odd prime p the quadratic residues R_p sum and difference to all
-of Z/pZ once p = 1 (mod 4) and p > 5, while 0 lands in f(R_p) exactly
-when -uv is a square mod p; choosing primes where it is not gives local
-solutions with |f(R_p)| = p - 1 against |s(R_p)| = |d(R_p)| = p.  The
-k-th power subgroups generalize this: for p > k^4 every nonzero class is
-f(h1, h2) with h1, h2 k-th powers, and excluding 0 reduces to a single
-power-residue test.
+Let H be the subgroup of k-th powers in the units mod a prime
+p = 1 (mod 2k), of order (p-1)/k, and f = ux+vy with p not dividing uv.
+One flow, _subgroup_locals, turns H into a local solution with
+|f(H)| = p - 1 against |s(H)| = |d(H)| = p at each prime where a given
+integer a is not a k-th power residue:
 
-Subgroups and their coverage are found by full enumeration.
+- 0 is not in f(H).  u*h1 + v*h2 = 0 means h1/h2 = -v/u, and the
+  quotients h1/h2 run over H, so 0 is in f(H) exactly when -v/u is a
+  k-th power.  Multiplying by the k-th power u^k, that is when -u^(k-1)*v
+  is one: a = -uv for the squares, a = -u^(q-1)*v for q-th powers.
+- f(H) holds every nonzero class: for p > k^4 by the coverage bound (the
+  k-th power sources take p > q^4), and for k = 2 from p > 5 on.  There
+  u*x^2 + v*y^2 = c != 0 has p - (-uv/p) >= p - 1 solutions (x, y), and
+  at most 4 of them have x = 0 or y = 0, since v*y^2 = c and u*x^2 = c
+  have at most two roots each.
+- s(H) and d(H) are all of Z/pZ.  The nonzero classes follow as for f
+  with (u, v) = (1, +-1).  0 is in d(H) always, and in s(H) because -1
+  is in H: (-1)^((p-1)/k) = 1 as (p-1)/k is even for p = 1 (mod 2k).
+
+While |H| is at most FULL_ENUMERATION_ORDER_CAP, the flow counts the
+representations of every class under f, x+y and x-y and checks all of
+the above on the counts; past the cap it checks -1 in H and relies on
+the lemma.
+
 power_subgroup raises every x in [1, p) to the k-th power by
 square-and-multiply on numpy int64, which is exact while
 (p-1)^2 < 2^63, so it takes p below POWER_SUBGROUP_P_CAP.  The
 representations of every class under f = ux+vy are counted as the cyclic
-convolution of the 0/1 indicators of u*R and v*R mod p, in O(p log p)
+convolution of the 0/1 indicators of u*H and v*H mod p, in O(p log p)
 time and O(p) memory, by modular._representation_counts: a float64 FFT
 whose rounding is exact by the error bound in its docstring and checked
 on every call.  The forms checked at one prime share their transforms;
--R = R for the squares mod p = 1 (mod 4) and for subgroups of odd index,
-so x-y takes the counts of x+y.
+-H = H for p = 1 (mod 2k), so x-y takes the counts of x+y.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,14 +52,12 @@ from .numtheory import (
     find_primes,
     is_perfect_kth_power,
     is_prime,
-    is_qth_power_residue,
-    jacobi,
     primes_between,
 )
 
-# Subgroup order up to which kth_power_local_solutions checks each subgroup
-# by its representation counts (an O(p log p) FFT); above it the proven
-# p > k^4 coverage bound, the power-residue test and -1 in H stand in.
+# Subgroup order up to which the local-solution sources check each subgroup
+# by its representation counts (an O(p log p) FFT); above it the lemma of
+# the module docstring, the power-residue test and -1 in H stand in.
 FULL_ENUMERATION_ORDER_CAP = 10_000
 
 # Smallest p power_subgroup rejects: below it (p-1)^2 < 2^63, so the
@@ -67,18 +79,6 @@ class PowerSubgroup:
 
     def residue_set(self) -> ResidueSet:
         return ResidueSet._from_sorted(self.p, self.classes)
-
-    @cached_property
-    def coset_labels(self) -> np.ndarray:
-        """x^|H| mod p for x = 1, ..., p-1, computed once per subgroup.
-
-        H is the subgroup of |H| elements of the cyclic group of units
-        mod p, so x and y lie in one coset of H exactly when (x/y)^|H| = 1,
-        that is when their labels agree.
-        """
-        labels = _powers(self.p, self.order)
-        labels.flags.writeable = False
-        return labels
 
     def __contains__(self, value: int) -> bool:
         v = value % self.p
@@ -110,22 +110,20 @@ def power_subgroup(p: int, k: int) -> PowerSubgroup:
 
 
 def _powers(p: int, e: int) -> np.ndarray:
-    """x^e mod p for x = 1, ..., p-1, by square-and-multiply on int64.
+    """x^e mod p for x = 1, ..., p-1 and e >= 1, by left-to-right square-and-multiply on int64.
 
     Every product is of two residues below p, so below 2^63 when p is
     below POWER_SUBGROUP_P_CAP.
     """
     base = np.arange(1, p, dtype=np.int64)
-    powers = np.ones(p - 1, dtype=np.int64)
-    while True:
-        if e & 1:
+    powers = base.copy()
+    for bit in bin(e)[3:]:
+        powers *= powers
+        powers %= p
+        if bit == "1":
             powers *= base
             powers %= p
-        e >>= 1
-        if not e:
-            return powers
-        base *= base
-        base %= p
+    return powers
 
 
 def quadratic_residues(p: int) -> PowerSubgroup:
@@ -151,10 +149,11 @@ def _form_counts(forms: Sequence[LinearForm], m: int, classes: Sequence[int]) ->
     """counts[x] = #{(a, b) in R x R : f(a, b) = x mod m} for each binary form f.
 
     Every coefficient must be a unit mod m, so that u*R has |R| classes.
+    Each distinct coefficient dilates R once.
     """
-    r = np.asarray(classes, dtype=np.int64)
-    return _representation_counts([tuple(_dilation(m, r, c) for c in form.coefficients)
-                                   for form in forms])
+    r = np.fromiter(classes, dtype=np.int64, count=len(classes))
+    terms = {c: _dilation(m, r, c) for c in {c for form in forms for c in form.coefficients}}
+    return _representation_counts([tuple(terms[c] for c in form.coefficients) for form in forms])
 
 
 def zero_in_f_of_qr(u: int, v: int, p: int) -> bool:
@@ -217,70 +216,62 @@ def _checked_counts(forms: Sequence[LinearForm], subgroup: PowerSubgroup) -> lis
     if n < 2:
         raise ValueError(f"subgroup order must be >= 2, got {n}")
     all_counts = _form_counts(forms, p, subgroup.classes)
-    for counts in all_counts:
+    distinct = list({id(c): c for c in all_counts}.values())  # x+y and x-y may share one array
+    for counts in distinct:
         total = int(counts.sum())
         if total != n * n:
             raise RuntimeError(f"representation counts sum to {total}, expected {n * n}")
-        _check_coset_constancy(counts, subgroup)
-        if p > k**4 and not counts[1:].all():
-            raise RuntimeError(
-                f"nonzero coverage guaranteed for p={p} > k^4={k**4} but enumeration disagrees"
-            )
+    _check_coset_constancy(np.array(distinct), subgroup)
+    if p > k**4 and not all(counts[1:].all() for counts in distinct):
+        raise RuntimeError(f"nonzero coverage guaranteed for p={p} > k^4={k**4} but enumeration disagrees")
     return all_counts
 
 
 def _check_coset_constancy(counts: np.ndarray, subgroup: PowerSubgroup) -> None:
-    """Raise unless counts[x] is constant on each coset of the subgroup H.
+    """Raise unless counts[x], or each row of counts, is constant on each coset of H.
 
-    One member's count is stored per coset label (see
-    PowerSubgroup.coset_labels) and every count is compared with it; all
-    agree exactly when the counts are constant on each coset.
+    With H = <g>, the cosets are the orbits of x -> g*x, so the counts are
+    constant on every coset exactly when counts[g*x] = counts[x] for all
+    units x.
     """
-    p, labels = subgroup.p, subgroup.coset_labels
-    vals = counts[1:]
-    per_label = np.zeros(p, dtype=counts.dtype)
-    per_label[labels] = vals
-    bad = np.flatnonzero(per_label[labels] != vals)
-    if len(bad):
-        raise RuntimeError(f"representation count not constant on the coset of {bad[0] + 1} mod {p}")
+    p = subgroup.p
+    shifted = np.arange(1, p, dtype=np.int64) * _generator(subgroup) % p
+    for row in np.atleast_2d(counts):
+        bad = np.flatnonzero(row[shifted] != row[1:])
+        if len(bad):
+            raise RuntimeError(f"representation count not constant on the coset of {bad[0] + 1} mod {p}")
 
 
-def qr_local_solutions(
-    u: int,
-    v: int,
-    count: int,
-    search_limit: int = DEFAULT_SEARCH_LIMIT,
-) -> list[LocalSolution]:
+def _generator(subgroup: PowerSubgroup) -> int:
+    """A generator of the cyclic group H.
+
+    An element g of H generates it when g^(|H|/l) != 1 for every prime l
+    dividing |H|; each such l is a divisor d <= sqrt(|H|) or |H|/d.
+    """
+    p, n = subgroup.p, subgroup.order
+    divisors = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    primes = {e for d in divisors for e in (d, n // d) if is_prime(e)}
+    for g in subgroup.classes:
+        if all(pow(g, n // ell, p) != 1 for ell in primes):
+            return g
+    raise RuntimeError(f"no generator of the order-{n} subgroup mod {p}")
+
+
+def qr_local_solutions(u: int, v: int, count: int,
+                       search_limit: int = DEFAULT_SEARCH_LIMIT) -> list[LocalSolution]:
     """Local solutions from quadratic residues, for f = ux+vy vs s or d.
 
-    Searches for primes p = 1 (mod 4), p > 5, not dividing uv, with
-    -uv a quadratic nonresidue; each yields R_p with |f(R_p)| = p - 1
-    while sums and differences both cover Z/pZ (g_card = p for either
-    choice of g).  Every solution is re-verified by enumeration.  Returns
-    fewer than ``count`` solutions when the search limit is reached.
+    The k = 2 case of _subgroup_locals: primes p = 1 (mod 4), p > 5, not
+    dividing uv, with -uv a quadratic nonresidue; each yields R_p with
+    |f(R_p)| = p - 1 and |s(R_p)| = |d(R_p)| = p.  Returns fewer than
+    ``count`` solutions when the search limit is reached.
     """
     form = LinearForm((u, v))
     if not form.is_normalized:
         raise ValueError(f"normalized form required, got ({u}, {v})")
     if is_perfect_kth_power(abs(u * v), 2):
         raise ValueError(f"|uv| = {abs(u * v)} is a perfect square; no such primes exist")
-
-    spec = PrimeSearchSpec(
-        residue_conditions=((1, 4),),
-        lower_bound=5,
-        extra_predicate=lambda p: u % p != 0 and v % p != 0 and jacobi(-u * v, p) == -1,
-        search_limit=search_limit,
-    )
-    solutions = []
-    for p in find_primes(spec, count):
-        residues = quadratic_residues(p).residue_set()
-        f_counts, s_counts, d_counts = _form_counts((form, SUM, DIFFERENCE), p, residues.classes)
-        if f_counts[0]:
-            raise RuntimeError(f"0 in f(R_{p}) despite jacobi({-u * v}, {p}) = -1")
-        if not (s_counts.all() and d_counts.all()):
-            raise RuntimeError(f"sums/differences of squares do not cover Z/{p}Z")
-        solutions.append(LocalSolution(residues, f_card=int(np.count_nonzero(f_counts)), g_card=p))
-    return solutions
+    return _subgroup_locals(form, 2, -u * v, 5, count, search_limit)
 
 
 def choose_power_exponent(u: int, v: int) -> tuple[int, int]:
@@ -296,53 +287,47 @@ def choose_power_exponent(u: int, v: int) -> tuple[int, int]:
     raise RuntimeError(f"no usable exponent below 100 for (u, v) = ({u}, {v})")
 
 
-def kth_power_local_solutions(
-    u: int,
-    v: int,
-    count: int,
-    search_limit: int = DEFAULT_SEARCH_LIMIT,
-) -> list[LocalSolution]:
+def kth_power_local_solutions(u: int, v: int, count: int,
+                              search_limit: int = DEFAULT_SEARCH_LIMIT) -> list[LocalSolution]:
     """Local solutions from k-th power subgroups, for f = ux+vy vs s or d.
 
-    Picks the smallest odd prime q with a = -u^(q-1)*v not an integer
-    q-th power, then primes p = 1 (mod q), p > q^4, p not dividing uv,
-    with a not a q-th power residue; the subgroup H of q-th powers then
-    has f(H) equal to exactly the nonzero classes while s and d cover
-    everything.  Full enumeration verifies each solution while the
-    subgroup order is small; beyond that the proven coverage bound plus
-    the zero-exclusion test stand in.
+    The k = q case of _subgroup_locals, for the (q, a) of
+    choose_power_exponent: primes p = 1 (mod q), p > q^4, not dividing uv,
+    with a not a q-th power residue.
     """
     form = LinearForm((u, v))
     if not form.is_normalized or u <= abs(v):
         raise ValueError(f"normalized form with u > |v| >= 1 required, got ({u}, {v})")
     q, a = choose_power_exponent(u, v)
+    return _subgroup_locals(form, q, a, q**4, count, search_limit)
 
+
+def _subgroup_locals(form: LinearForm, k: int, a: int, lower_bound: int, count: int,
+                     search_limit: int) -> list[LocalSolution]:
+    """Local solutions from the k-th powers mod the first ``count`` suitable primes.
+
+    Suitable: p > lower_bound, p = 1 (mod 2k), p not dividing uv and a not
+    a k-th power mod p.  Each is a local solution with f_card = p - 1 and g_card = p by the
+    lemma of the module docstring, checked on the representation counts
+    up to FULL_ENUMERATION_ORDER_CAP.
+    """
+    u, v = form.coefficients
     spec = PrimeSearchSpec(
-        residue_conditions=((1, q),),
-        lower_bound=q**4,
-        extra_predicate=lambda p: u % p != 0
-        and v % p != 0
-        and not is_qth_power_residue(a, q, p),
+        residue_conditions=((1, 2 * k),),
+        lower_bound=lower_bound,
+        extra_predicate=lambda p: u % p != 0 and v % p != 0 and pow(a, (p - 1) // k, p) != 1,
         search_limit=search_limit,
     )
     solutions = []
     for p in find_primes(spec, count):
-        subgroup = power_subgroup(p, q)
+        subgroup = power_subgroup(p, k)
         if subgroup.order <= FULL_ENUMERATION_ORDER_CAP:
             f_counts, s_counts, d_counts = _checked_counts((form, SUM, DIFFERENCE), subgroup)
             if f_counts[0] or not f_counts[1:].all():
-                raise RuntimeError(f"k-th power local solution at p={p} failed verification")
-            if not s_counts.all():
-                raise RuntimeError(f"sums over the subgroup mod {p} do not cover Z/{p}Z")
-            if not d_counts.all():
-                raise RuntimeError(f"differences over the subgroup mod {p} do not cover Z/{p}Z")
-        else:
-            # order > cap: p > q^4 guarantees nonzero coverage; 0 stays
-            # excluded because a is not a q-th power residue, and -1 is a
-            # q-th power (q odd) so sums still reach 0.
-            if p - 1 not in subgroup:
-                raise RuntimeError(f"-1 is not a {q}-th power mod {p} although {q} is odd")
-        solutions.append(
-            LocalSolution(residues=subgroup.residue_set(), f_card=p - 1, g_card=p)
-        )
+                raise RuntimeError(f"f(H) mod {p} is not exactly the nonzero classes")
+            if not (s_counts.all() and d_counts.all()):
+                raise RuntimeError(f"sums/differences over the subgroup mod {p} do not cover Z/{p}Z")
+        elif p - 1 not in subgroup:
+            raise RuntimeError(f"-1 is not a {k}-th power mod {p} although p = 1 (mod {2 * k})")
+        solutions.append(LocalSolution(subgroup.residue_set(), f_card=p - 1, g_card=p))
     return solutions

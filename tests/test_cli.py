@@ -83,6 +83,26 @@ class TestImageCommand:
         assert err.startswith(f"error: --strategy pairs is capped at {cli.PAIRS_TUPLE_CAP} tuples")
 
 
+    @pytest.mark.parametrize("command,form,size", [("image", ("-f", "1,1"), 5001),
+                                                   ("image", ("-f", "1,1,1"), 293),
+                                                   ("compare", ("-f", "1,1", "-g", "2,1"), 5001)])
+    def test_image_beyond_value_cap_is_usage_error(self, capsys, command, form, size):
+        # Sparse sets: the bound is |A|^n, just above the cap, and nothing is folded.
+        inline = ",".join(str(10**6 * x) for x in range(size))
+        code, out, err = run(capsys, command, *form, "--inline", inline)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: |f(A)| may reach {size ** (len(form[1]) // 2 + 1)} values")
+        assert err.rstrip().endswith(f"above the cap {cli.IMAGE_VALUE_CAP}")
+
+    def test_dense_set_is_bounded_by_its_window(self, capsys):
+        # 6,000^2 tuples exceed the cap, but x+y of an interval has 11,999 values.
+        inline = ",".join(str(x) for x in range(6000))
+        code, data, _ = run_json(capsys, "image", "-f", "1,1", "--inline", inline)
+        assert code == 0
+        assert data["outputs"]["cardinality"] == 11999
+
+
 class TestCompareCommand:
     def test_ordering(self, capsys):
         code, data, _ = run_json(capsys, "compare", "-f", "2,1", "-g", "1,1",
@@ -242,7 +262,12 @@ class TestConstructCommand:
         ([5], "bad locals file: each entry must be"),
         ([{"modulus": 4, "classes": [0, 1]}, {"modulus": 10**12, "classes": [0, 1, 5]}],
          f"bad locals file: modulus {10**12} is above the cap {modular.DEFAULT_MODULUS_CAP}"),
-    ], ids=["non-coprime-moduli", "missing-modulus", "not-an-object", "modulus-above-cap"])
+        ([{"modulus": 13.9, "classes": [0.2, 1.9, 3.5]}, {"modulus": 7, "classes": [True, 2]}],
+         "bad locals file: moduli and classes must be integers, got 13.9"),
+        ([{"modulus": 13, "classes": [0, 1.0]}], "bad locals file: moduli and classes must be integers, got 1.0"),
+        ([{"modulus": 7, "classes": [True, 2]}], "bad locals file: moduli and classes must be integers, got True"),
+    ], ids=["non-coprime-moduli", "missing-modulus", "not-an-object", "modulus-above-cap",
+            "float-modulus", "float-class", "boolean-class"])
     def test_malformed_locals_file_is_usage_error(self, capsys, tmp_path, time_limit, entries, message):
         locals_path = tmp_path / "locals.json"
         locals_path.write_text(json.dumps(entries))

@@ -274,7 +274,6 @@ class TestFindPrimes:
         result = find_primes(spec, count=5)
         assert result.primes == (5, 13)
         assert result.shortfall
-        assert result.requested == 5
 
     def test_compatible_overlapping_conditions(self):
         # p = 1 (mod 4) and p = 5 (mod 8) is consistent and means 5 (mod 8)

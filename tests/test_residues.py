@@ -219,22 +219,33 @@ class TestCoverage:
                 with pytest.raises(RuntimeError, match=f"not constant on the coset of .* mod {p}"):
                     residues._check_coset_constancy(perturbed, h)
 
+    def test_generator_generates_every_subgroup_below_200(self):
+        # Any g != 1 catches a single perturbed count; only a generator sees
+        # every coset whole.
+        for p, k in SMALL_SUBGROUPS:
+            h = power_subgroup(p, k)
+            g = residues._generator(h)
+            assert {pow(g, i, p) for i in range(h.order)} == set(h.classes), (p, k)
+
     def test_coverage_runs_the_coset_check(self, monkeypatch):
         # +1 and -1 inside one coset keep the total, so only the coset check
-        # can catch it.
+        # can catch it; both local-solution sources run it on f's counts too.
         p, k = 97, 3
         h = power_subgroup(p, k)
         form_counts = residues._form_counts
 
         def skewed(forms, m, classes):
-            (counts,) = form_counts(forms, m, classes)
-            counts[5] += 1
-            counts[5 * h.classes[1] % p] -= 1
-            return [counts]
+            counts = form_counts(forms, m, classes)
+            counts[0][5] += 1
+            counts[0][5 * classes[1] % m] -= 1
+            return counts
 
         monkeypatch.setattr(residues, "_form_counts", skewed)
         with pytest.raises(RuntimeError, match="not constant on the coset"):
             coverage(LinearForm((2, 1)), h)
+        for source in (qr_local_solutions, kth_power_local_solutions):
+            with pytest.raises(RuntimeError, match="not constant on the coset"):
+                source(2, 1, 3)
 
     def test_rejects_dividing_prime_and_tiny_subgroups(self):
         with pytest.raises(ValueError):
@@ -326,17 +337,6 @@ class TestKthPowerLocalSolutions:
         # u = 8: -u^2*v = -64 is a cube, so q = 3 is unusable
         assert choose_power_exponent(8, 1)[0] == 5
 
-    def test_coset_labels_computed_once_per_subgroup(self, monkeypatch):
-        # power_subgroup and the coset labels take one _powers call each;
-        # the three coverage reports per prime share the labels.
-        calls = []
-        powers = residues._powers
-        monkeypatch.setattr(residues, "_powers", lambda p, e: calls.append((p, e)) or powers(p, e))
-        sols = kth_power_local_solutions(2, 1, 20)
-        assert all(sol.residues.modulus // 3 < residues.FULL_ENUMERATION_ORDER_CAP for sol in sols)
-        assert sorted(calls) == sorted((sol.residues.modulus, e) for sol in sols
-                                       for e in (3, (sol.residues.modulus - 1) // 3))
-
     def test_two_one_first_prime_is_97(self):
         sols = kth_power_local_solutions(2, 1, 2)
         assert [s.residues.modulus for s in sols] == [97, 103]
@@ -369,6 +369,56 @@ class TestKthPowerLocalSolutions:
     def test_shortfall_returns_fewer(self):
         sols = kth_power_local_solutions(2, 1, 5, search_limit=100)
         assert [s.residues.modulus for s in sols] == [97]
+
+
+SOURCES = (qr_local_solutions, kth_power_local_solutions)
+
+
+class TestSubgroupLocals:
+    def test_one_powers_pass_and_one_counts_call_per_prime(self, monkeypatch):
+        # power_subgroup takes one _powers pass per prime, and f, x+y and x-y
+        # share one _form_counts call; the coset check needs no other pass.
+        powers, form_counts = residues._powers, residues._form_counts
+        for source, k in zip(SOURCES, (2, 3)):
+            calls = []
+            monkeypatch.setattr(residues, "_powers", lambda p, e: calls.append(("powers", p, e)) or powers(p, e))
+            monkeypatch.setattr(residues, "_form_counts",
+                                lambda forms, m, classes: calls.append(("counts", m, len(forms)))
+                                or form_counts(forms, m, classes))
+            sols = source(2, 1, 20)
+            assert all(sol.residues.modulus // k <= residues.FULL_ENUMERATION_ORDER_CAP for sol in sols)
+            assert calls == [call for sol in sols
+                             for call in (("powers", sol.residues.modulus, k), ("counts", sol.residues.modulus, 3))]
+
+    @pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.__name__)
+    def test_zero_in_f_is_caught(self, monkeypatch, source):
+        # Moving one representation from each class of H to 0 keeps the sum
+        # and the coset constancy, so only the check of f(H) can catch it.
+        form_counts = residues._form_counts
+
+        def skewed(forms, m, classes):
+            counts = form_counts(forms, m, classes)
+            counts[0][list(classes)] -= 1
+            counts[0][0] += len(classes)
+            return counts
+
+        monkeypatch.setattr(residues, "_form_counts", skewed)
+        with pytest.raises(RuntimeError, match="not exactly the nonzero classes"):
+            source(2, 1, 3)
+
+    @pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.__name__)
+    @pytest.mark.parametrize("u,v", [(2, 1), (3, -2), (7, 5)])
+    def test_lemma_above_the_cap_matches_enumeration(self, monkeypatch, source, u, v):
+        def described(sols):
+            return [(s.residues.modulus, s.residues.classes, s.f_card, s.g_card) for s in sols]
+
+        enumerated = described(source(u, v, 12))
+        counted = []
+        form_counts = residues._form_counts
+        monkeypatch.setattr(residues, "FULL_ENUMERATION_ORDER_CAP", 1)
+        monkeypatch.setattr(residues, "_form_counts", lambda *args: counted.append(args) or form_counts(*args))
+        assert described(source(u, v, 12)) == enumerated
+        assert counted == []
 
 
 class TestPipelineMechanics:
