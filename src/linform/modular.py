@@ -482,10 +482,13 @@ def local_ratio_search(
     Greedy seeding (randomized feasible shrink from the full ring)
     followed by hill-climbing add/remove/swap moves, restarted while the
     move budget lasts.  Deterministic for a fixed seed.  May return the
-    full ring (ratio 1) when nothing better is found.
+    full ring (ratio 1) when nothing better is found; budget 0 returns it
+    without searching, and a negative budget raises ValueError.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     rng = random.Random(seed)
     m = modulus
 

@@ -111,6 +111,17 @@ class TestCompareCommand:
         assert data["outputs"] == {"f_card": 4, "g_card": 3, "relation": ">"}
 
 
+@pytest.mark.parametrize("command,forms", [("image", ("-f", "2,1")),
+                                           ("compare", ("-f", "2,1", "-g", "1,1"))])
+def test_empty_set_file_is_usage_error(capsys, tmp_path, command, forms):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no elements\n\n")
+    code, out, err = run(capsys, command, *forms, "-A", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: set file {str(path)!r} is empty\n"
+
+
 class TestClassifyCommand:
     def test_basic(self, capsys):
         code, data, _ = run_json(capsys, "classify3", "-u", "3", "-v", "1")
@@ -193,6 +204,13 @@ class TestLocalSearchCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: --modulus is capped at {cli.LOCAL_SEARCH_MODULUS_CAP}")
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "local-search", "-f", "2,1", "-g", "1,1", "-m", "13",
+                             "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: budget must be >= 0, got -1")
 
     def test_budget_beyond_cap_is_usage_error(self, capsys):
         budget = cli.LOCAL_SEARCH_BUDGET_CAP + 1
@@ -304,6 +322,45 @@ class TestVerifyCommand:
         assert "RuntimeError: sums over the subgroup mod 97 do not cover Z/97Z" in out
         assert "0/1 checks passed" in out
         assert "Traceback" not in out + err
+
+
+class TestSharedParser:
+    """main() parses every call with one parser, built on the first call."""
+
+    SUBCOMMANDS = ("image", "compare", "classify3", "witness", "local-search", "construct", "verify")
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_image_full_does_not_leak_into_the_next_call(self, capsys):
+        run_json(capsys, "image", "-f", "2,1", "--inline", "0,1,2", "--full")
+        code, data, _ = run_json(capsys, "image", "-f", "2,1", "--inline", "0,1,2")
+        assert code == 0
+        assert data["outputs"] == {"cardinality": 7}
+
+    def test_witness_t_does_not_leak_into_the_next_call(self, capsys):
+        assert run(capsys, "witness", "ap", "-u", "3", "-v", "2", "-t", "2")[0] == 0
+        assert cli.build_parser().parse_args(["witness", "four", "-u", "2", "-v", "1"]).t is None
+        code, out, err = run(capsys, "witness", "ap", "-u", "3", "-v", "2")
+        assert code == 2
+        assert err.startswith("error: witness ap needs -t")
+
+    def test_argparse_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["image", "--inline", "0,1"])
+        assert exc.value.code == 2
+        assert "required: -f/--form" in capsys.readouterr().err
+        code, out, _ = run(capsys, "image", "-f", "2,1", "--inline", "0,1,2")
+        assert code == 0
+        assert "|f(A)| = 7" in out
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_after_a_call(self, capsys, command):
+        assert run(capsys, "classify3", "-u", "3", "-v", "1")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: linform {command}")
 
 
 class TestNegativeControl:

@@ -441,6 +441,15 @@ class TestLocalRatioSearch:
         with pytest.raises(ValueError):
             local_ratio_search(SUM, LinearForm((2, 2)), 4, budget=100)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+            local_ratio_search(F21, SUM, 13, budget=-1)
+
+    def test_zero_budget_returns_the_full_ring(self):
+        sol = local_ratio_search(F21, SUM, 13, budget=0)
+        assert list(sol.residues.classes) == list(range(13))
+        assert sol.ratio == 1
+
     @pytest.mark.parametrize("form_g, m, seed, classes, f_card", [
         (SUM, 13, 1801454923, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 13),
         (DIFFERENCE, 17, 228545753, [0, 1, 2, 10, 15, 16], 15),
