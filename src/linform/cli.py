@@ -124,12 +124,9 @@ def load_set_file(path: str) -> FiniteIntSet:
     except OSError as exc:
         raise UsageError(f"cannot read set file {path!r}: {exc}") from None
     try:
-        a = set_from_json(text) if path.endswith(".json") else set_from_text(text)
-    except ValueError as exc:
+        return set_from_json(text) if path.endswith(".json") else set_from_text(text)
+    except ValueError as exc:  # an empty set too: FiniteIntSet rejects it
         raise UsageError(f"bad set file {path!r}: {exc}") from None
-    if not a:
-        raise UsageError(f"set file {path!r} is empty")
-    return a
 
 
 def _resolve_set(args: argparse.Namespace) -> tuple[FiniteIntSet, dict]:

@@ -77,16 +77,22 @@ _HASH_MUL = 0x5851F42D4C957F2D  # hashes wide limb columns; any value is exact
 
 @dataclass(frozen=True)
 class FiniteIntSet:
-    """A sorted, duplicate-free finite set of arbitrary-precision integers."""
+    """A nonempty, sorted, duplicate-free finite set of arbitrary-precision integers.
+
+    ValueError on an empty iterable or an element that is not an int (bool,
+    float or numpy integer), so every operation may assume a nonempty set.
+    """
 
     elements: tuple[int, ...]
 
-    def __init__(self, elements: Iterable[int] = ()) -> None:
+    def __init__(self, elements: Iterable[int]) -> None:
         seen = set()
         for a in elements:
             if not isinstance(a, int) or isinstance(a, bool):
                 raise ValueError(f"set elements must be integers, got {a!r}")
             seen.add(a)
+        if not seen:
+            raise ValueError("a set needs at least one element")
         object.__setattr__(self, "elements", tuple(sorted(seen)))
 
     @classmethod
@@ -198,33 +204,25 @@ def dilate(u: int, a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
     """The dilation u*A = {u*a : a in A}; u must be nonzero."""
     if u == 0:
         raise ValueError("dilation by zero collapses the set")
-    a = _as_set(a)
-    _require_nonempty(a)
-    return FiniteIntSet(u * x for x in a)
+    return FiniteIntSet(u * x for x in _as_set(a))
 
 
 def sumset(a: FiniteIntSet | Iterable[int], b: FiniteIntSet | Iterable[int],
            strategy: str = "auto") -> FiniteIntSet:
     """The sumset A + B = {a + b : a in A, b in B}."""
     a, b = _as_set(a), _as_set(b)
-    _require_nonempty(a)
-    _require_nonempty(b)
     return FiniteIntSet._from_sorted(_fold_sumsets([list(a.elements), list(b.elements)], strategy))
 
 
 def image(form: LinearForm, a: FiniteIntSet | Iterable[int], strategy: str = "auto") -> FiniteIntSet:
     """The image f(A) = {sum ui*ai : ai in A}, sorted and deduplicated."""
-    a = _as_set(a)
-    _require_nonempty(a)
-    return FiniteIntSet._from_sorted(_fold_sumsets(_terms(form, a), strategy))
+    return FiniteIntSet._from_sorted(_fold_sumsets(_terms(form, _as_set(a)), strategy))
 
 
 def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],
                       strategy: str = "auto") -> int:
     """|f(A)| without materializing the image when the bitmask kernel applies."""
-    a = _as_set(a)
-    _require_nonempty(a)
-    terms = _terms(form, a)
+    terms = _terms(form, _as_set(a))
     chosen = _choose_strategy(terms, strategy)
     if chosen == "bitset":
         mask, _ = _bitset_fold(terms)
@@ -237,11 +235,6 @@ def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],
 
 def _as_set(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
     return a if isinstance(a, FiniteIntSet) else FiniteIntSet(a)
-
-
-def _require_nonempty(a: FiniteIntSet) -> None:
-    if not a.elements:
-        raise ValueError("empty sets are rejected; every operation here assumes a nonempty set")
 
 
 def _terms(form: LinearForm, a: FiniteIntSet) -> list[list[int]]:
@@ -525,17 +518,18 @@ def amplify(form_f: LinearForm, form_g: LinearForm,
     and |g(A_M)| = |g(A)|^2.  The images are not formed: each term c*A is
     sorted, so min f(A) and max f(A) are the sums of the terms' first and
     last elements, and a largest absolute value is at one of those ends.
+    A_M = {x + M*y} is listed by y, then x, already sorted and distinct:
+    |x - x'| <= 2*max|A| < M, so x + M*y < x' + M*y' whenever y < y'.
     """
     if form_f.arity != form_g.arity:
         raise ValueError("both forms must have the same arity")
     a = _as_set(a)
-    _require_nonempty(a)
     ends = [a[0], a[-1]]
     for form in (form_f, form_g):
         terms = _terms(form, a)
         ends += [sum(t[0] for t in terms), sum(t[-1] for t in terms)]
     big_m = 2 * max(map(abs, ends)) + 1
-    return big_m, sumset(a, dilate(big_m, a))
+    return big_m, FiniteIntSet._from_sorted([x + big_m * y for y in a.elements for x in a.elements])
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +541,7 @@ def set_to_text(a: FiniteIntSet) -> str:
 
 
 def set_from_text(text: str) -> FiniteIntSet:
-    """Parse one integer per line; '#' starts a comment, blank lines ignored."""
+    """Parse one integer per line; '#' starts a comment, blank lines ignored; ValueError if none remain."""
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

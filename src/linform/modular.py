@@ -59,21 +59,31 @@ INLINE_SET_LIMIT = 100_000
 _FFT_CROSSOVER = 144
 # Largest modulus _image_mask folds on the FFT: at m = 2^20 one 2x+y image
 # of m/2 classes took 0.75 s at a traced peak of 84 MiB (21 MiB at 2^18),
-# about 80 bytes per class.  Larger moduli fold by shift-or in O(m) memory.
+# about 80 bytes per class.  Larger moduli fold by shift-or in O(m) memory
+# but |R|*m/32 words of time (2x+y and x+y of 20,000 classes mod 4,000,037:
+# 13.4 s; the worst found below the cap, 1.2-2.0 s), so load_locals rejects them.
 _FFT_MODULUS_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
 class ResidueSet:
-    """A nonempty subset of Z/mZ, stored as sorted classes in [0, m-1]."""
+    """A nonempty subset of Z/mZ, stored as sorted classes in [0, m-1].
+
+    ValueError on m < 2, on no classes, and on a modulus or class that is
+    not an int (bool, float, str or numpy integer): nothing is coerced.
+    """
 
     modulus: int
     classes: tuple[int, ...]
 
     def __init__(self, modulus: int, classes: Iterable[int]) -> None:
+        classes = tuple(classes)  # read once: a generator is accepted
+        for value in (modulus, *classes):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"moduli and classes must be integers, got {value!r}")
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
-        reduced = sorted({int(c) % modulus for c in classes})
+        reduced = sorted({c % modulus for c in classes})
         if not reduced:
             raise ValueError("a residue set needs at least one class")
         object.__setattr__(self, "modulus", modulus)
@@ -105,7 +115,7 @@ class ResidueSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResidueSet":
-        return cls(int(data["modulus"]), data["classes"])
+        return cls(data["modulus"], data["classes"])
 
 
 def modular_image(form: LinearForm, residues: ResidueSet) -> ResidueSet:
@@ -222,17 +232,9 @@ def crt_product(residue_sets: Sequence[ResidueSet]) -> ResidueSet:
             raise ValueError(f"moduli {m1} and {m2} are not coprime")
         m = m1 * m2
         inv = pow(m1, -1, m2)
-        classes = []
-        for a in combined.classes:
-            for b in nxt.classes:
-                t = (b - a) * inv % m2
-                classes.append((a + m1 * t) % m)
-        combined = ResidueSet(m, classes)
-    expected = 1
-    for r in residue_sets:
-        expected *= len(r)
-    if len(combined) != expected:
-        raise RuntimeError("CRT class count mismatch; moduli were not coprime?")
+        # a + m1*t in [0, m) is the one class that is a mod m1 and b mod m2: all distinct.
+        classes = [a + m1 * ((b - a) * inv % m2) for a in combined.classes for b in nxt.classes]
+        combined = ResidueSet._from_sorted(m, sorted(classes))
     return combined
 
 
@@ -279,26 +281,22 @@ def local_solution(form_f: LinearForm, form_g: LinearForm, residues: ResidueSet)
 
 
 def load_locals(text: str) -> list[ResidueSet]:
-    """Parse a JSON array of {"modulus": m, "classes": [...]} objects; ValueError if malformed.
+    """Parse a nonempty JSON array of {"modulus": m, "classes": [...]} objects; ValueError if malformed.
 
-    Moduli and classes must be JSON integers: a float or a boolean is
-    rejected, not truncated.  A modulus above DEFAULT_MODULUS_CAP, whose
-    images would be m-bit masks, is rejected before any set is built.
+    A modulus above _FFT_MODULUS_CAP, whose images would fold by shift-or
+    in time growing with |R| (see there), is rejected before any image.
     """
     data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("locals file must contain a JSON array")
+    if not isinstance(data, list) or not data:
+        raise ValueError("locals file must contain a nonempty JSON array")
     try:
-        for entry in data:
-            for value in (entry["modulus"], *entry["classes"]):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValueError(f"moduli and classes must be integers, got {value!r}")
-        largest = max((entry["modulus"] for entry in data), default=0)
-        if largest > DEFAULT_MODULUS_CAP:
-            raise ValueError(f"modulus {largest} is above the cap {DEFAULT_MODULUS_CAP}")
-        return [ResidueSet.from_dict(entry) for entry in data]
+        residue_sets = [ResidueSet.from_dict(entry) for entry in data]
     except (KeyError, TypeError) as exc:
         raise ValueError(f'each entry must be {{"modulus": m, "classes": [...]}}: {exc!r}') from None
+    largest = max(r.modulus for r in residue_sets)
+    if largest > _FFT_MODULUS_CAP:
+        raise ValueError(f"modulus {largest} is above the cap {_FFT_MODULUS_CAP}")
+    return residue_sets
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,12 @@ import numpy as np
 DEFAULT_SEARCH_LIMIT = 10**6
 
 # Miller-Rabin witness sets, each proven deterministic for all n below its
-# bound (see the module docstring for the citations).
+# bound (see the module docstring for the citations).  The twelve primes up
+# to 37 are also is_prime's trial divisors.
 _MR_SMALL_WITNESSES = (2, 3, 5, 7)
 _MR_SMALL_BOUND = 3_215_031_751
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # _sieved_primes sieves with the primes up to _SIEVE_BASE, so survivors
 # below _SIEVE_BASE^2 = 2^32 need no primality test, and holds one boolean
@@ -69,7 +68,7 @@ def jacobi(a: int, n: int) -> int:
 def is_prime(n: int) -> bool:
     """Deterministic primality for n below the proven Miller-Rabin bound.
 
-    n <= 1 is not prime, and any n with a factor among the small primes
+    n <= 1 is not prime, and any n with a factor among the primes up to 37
     is decided exactly.  Other n below _MR_SMALL_BOUND run Miller-Rabin
     on the witnesses 2, 3, 5, 7, and n below _MR_PROVEN_BOUND on the
     twelve primes up to 37.  For any other n at or above _MR_PROVEN_BOUND
@@ -78,7 +77,7 @@ def is_prime(n: int) -> bool:
     """
     if n <= 1:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n >= _MR_PROVEN_BOUND:
@@ -138,10 +137,10 @@ def crt_combine(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
 class PrimeSearchSpec:
     """A bounded search for primes in an intersection of arithmetic progressions.
 
-    ``residue_conditions`` lists (residue, modulus) pairs the prime must
-    satisfy; each residue must be coprime to its modulus, otherwise the
-    progression contains at most one prime.  ``extra_predicate`` is an
-    arbitrary additional test on the candidate prime.
+    ``residue_conditions`` lists (residue, modulus) pairs of ints, never
+    truncated, that the prime must satisfy; each residue must be coprime to
+    its modulus, otherwise the progression contains at most one prime.
+    ``extra_predicate`` is an arbitrary additional test on the candidate prime.
     """
 
     residue_conditions: tuple[tuple[int, int], ...] = ()
@@ -150,9 +149,11 @@ class PrimeSearchSpec:
     search_limit: int = DEFAULT_SEARCH_LIMIT
 
     def __post_init__(self) -> None:
-        conditions = tuple((int(r), int(n)) for r, n in self.residue_conditions)
+        conditions = tuple((r, n) for r, n in self.residue_conditions)
         object.__setattr__(self, "residue_conditions", conditions)
         for r, n in conditions:
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (r, n)):
+                raise ValueError(f"residue conditions must be pairs of integers, got {(r, n)!r}")
             if n < 2:
                 raise ValueError(f"residue condition modulus must be >= 2, got {n}")
             if math.gcd(r, n) != 1:

@@ -119,7 +119,28 @@ def test_empty_set_file_is_usage_error(capsys, tmp_path, command, forms):
     code, out, err = run(capsys, command, *forms, "-A", str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: set file {str(path)!r} is empty\n"
+    assert err == f"error: bad set file {str(path)!r}: a set needs at least one element\n"
+
+
+@pytest.mark.parametrize("name,content,reason", [
+    ("empty.json", "[]", "a set needs at least one element"),
+    ("floats.json", "[1, 2.5]", "set elements must be integers, got 2.5"),
+    ("bools.json", "[0, true]", "set elements must be integers, got True"),
+    ("words.txt", "1\nx\n", "line 2: not an integer: 'x'"),
+])
+@pytest.mark.parametrize("command,forms", [("image", ("-f", "2,1")),
+                                           ("compare", ("-f", "2,1", "-g", "1,1"))])
+def test_bad_set_file_computes_no_image(capsys, tmp_path, monkeypatch, command, forms, name, content, reason):
+    def no_image(*args, **kwargs):
+        raise AssertionError("an image was computed")
+    monkeypatch.setattr(cli, "image", no_image)
+    monkeypatch.setattr(cli, "image_cardinality", no_image)
+    path = tmp_path / name
+    path.write_text(content)
+    code, out, err = run(capsys, command, *forms, "-A", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad set file {str(path)!r}: {reason}\n"
 
 
 class TestClassifyCommand:
@@ -279,7 +300,7 @@ class TestConstructCommand:
         ([{"classes": [0, 1]}], "bad locals file: each entry must be"),
         ([5], "bad locals file: each entry must be"),
         ([{"modulus": 4, "classes": [0, 1]}, {"modulus": 10**12, "classes": [0, 1, 5]}],
-         f"bad locals file: modulus {10**12} is above the cap {modular.DEFAULT_MODULUS_CAP}"),
+         f"bad locals file: modulus {10**12} is above the cap {modular._FFT_MODULUS_CAP}"),
         ([{"modulus": 13.9, "classes": [0.2, 1.9, 3.5]}, {"modulus": 7, "classes": [True, 2]}],
          "bad locals file: moduli and classes must be integers, got 13.9"),
         ([{"modulus": 13, "classes": [0, 1.0]}], "bad locals file: moduli and classes must be integers, got 1.0"),
@@ -295,6 +316,25 @@ class TestConstructCommand:
         assert out == ""
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("entries,message", [
+        ([{"modulus": 13, "classes": [0, 1]}, {"modulus": 1_048_583, "classes": [0, 1]}],
+         f"modulus 1048583 is above the cap {modular._FFT_MODULUS_CAP}"),
+        ([], "locals file must contain a nonempty JSON array"),
+        ([{"modulus": 13, "classes": [0, 1]}, {"modulus": 7, "classes": [0, 1.5]}],
+         "moduli and classes must be integers, got 1.5"),
+    ], ids=["modulus-above-fft-cap", "empty-array", "float-class"])
+    def test_bad_locals_file_computes_no_image(self, capsys, tmp_path, monkeypatch, entries, message):
+        def no_image(*args, **kwargs):
+            raise AssertionError("an image was computed")
+        monkeypatch.setattr(modular, "_image_mask", no_image)
+        locals_path = tmp_path / "locals.json"
+        locals_path.write_text(json.dumps(entries))
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1",
+                             "--source", "file", "--locals", str(locals_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad locals file: {message}\n"
 
 
 class TestVerifyCommand:

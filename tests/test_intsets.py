@@ -50,6 +50,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             FiniteIntSet([True])
 
+    @pytest.mark.parametrize("elements", [[], (), iter(()), range(0)], ids=["list", "tuple", "iterator", "range"])
+    def test_set_rejects_empty(self, elements):
+        with pytest.raises(ValueError, match="^a set needs at least one element$"):
+            FiniteIntSet(elements)
+
+    def test_set_needs_an_argument(self):
+        with pytest.raises(TypeError):
+            FiniteIntSet()
+
     def test_set_protocols(self):
         a = FiniteIntSet([5, 1, 3])
         assert len(a) == 3
@@ -82,6 +91,19 @@ class TestTypes:
             LinearForm((1, 2, 3)).is_normalized  # noqa: B018
 
 
+@pytest.mark.parametrize("call", [
+    lambda e: dilate(2, e),
+    lambda e: sumset(e, [0, 1]),
+    lambda e: sumset([0, 1], e),
+    lambda e: image(SUM, e),
+    lambda e: image_cardinality(SUM, e),
+    lambda e: amplify(SUM, DIFFERENCE, e),
+], ids=["dilate", "sumset-left", "sumset-right", "image", "image_cardinality", "amplify"])
+def test_operations_reject_an_empty_set(call):
+    with pytest.raises(ValueError, match="^a set needs at least one element$"):
+        call([])
+
+
 class TestImage:
     def test_more_sums_than_differences(self):
         assert image_cardinality(SUM, MSTD) == 26
@@ -100,7 +122,7 @@ class TestImage:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            image(SUM, FiniteIntSet())
+            image(SUM, FiniteIntSet([]))
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -686,6 +708,18 @@ class TestAmplify:
         with pytest.raises(ValueError):
             amplify(SUM, LinearForm((1, 1, 1)), [0, 1])
 
+    def test_matches_the_sumset_reference(self):
+        # A_M is built directly; A + M*A by the sumset kernels is the reference.
+        rng = random.Random(83)
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            f, g = (LinearForm([rng.choice([c for c in range(-9, 10) if c]) for _ in range(k)])
+                    for _ in range(2))
+            top = 10 ** rng.choice([1, 3, 30])
+            a = FiniteIntSet(rng.randrange(-top, top) for _ in range(rng.randint(1, 12)))
+            big_m, amplified = amplify(f, g, a)
+            assert amplified == sumset(a, dilate(big_m, a))
+
 
 class TestSerialization:
     def test_text_round_trip(self):
@@ -707,3 +741,12 @@ class TestSerialization:
     def test_json_rejects_non_arrays(self):
         with pytest.raises(ValueError):
             set_from_json('{"a": 1}')
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  \n# one\n   # two\n"])
+    def test_text_without_integers_rejected(self, text):
+        with pytest.raises(ValueError, match="^a set needs at least one element$"):
+            set_from_text(text)
+
+    def test_json_empty_array_rejected(self):
+        with pytest.raises(ValueError, match="^a set needs at least one element$"):
+            set_from_json("[]")

@@ -61,6 +61,29 @@ class TestResidueSet:
         r = ResidueSet(16, [0, 1, 3])
         assert ResidueSet.from_dict(r.to_dict()) == r
 
+    @pytest.mark.parametrize("bad", [13.0, 13.9, True, np.int64(13), "13"],
+                             ids=["integral-float", "float", "bool", "numpy-int64", "str"])
+    def test_rejects_non_integer_modulus(self, bad):
+        with pytest.raises(ValueError) as exc:
+            ResidueSet(bad, [0, 1])
+        assert str(exc.value) == f"moduli and classes must be integers, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", [1.0, 1.9, True, np.int64(1), "1"],
+                             ids=["integral-float", "float", "bool", "numpy-int64", "str"])
+    def test_rejects_non_integer_class(self, bad):
+        with pytest.raises(ValueError) as exc:
+            ResidueSet(13, [0, bad])
+        assert str(exc.value) == f"moduli and classes must be integers, got {bad!r}"
+
+    def test_from_dict_does_not_coerce(self):
+        with pytest.raises(ValueError, match="got 13.9"):
+            ResidueSet.from_dict({"modulus": 13.9, "classes": [0.2, 1.9]})
+        with pytest.raises(ValueError, match="got 0.2"):
+            ResidueSet.from_dict({"modulus": 13, "classes": [0.2, 1.9]})
+
+    def test_generator_classes_read_once(self):
+        assert ResidueSet(7, (c for c in [9, 2, 2, -1])).classes == (2, 6)
+
 
 class TestModularImage:
     def test_hand_picked_13(self):
@@ -238,6 +261,16 @@ class TestLocalSolution:
         assert load_locals(text) == HAND_PICKED
         with pytest.raises(ValueError):
             load_locals('{"modulus": 5}')
+
+    def test_load_locals_rejects_an_empty_array(self):
+        with pytest.raises(ValueError, match="^locals file must contain a nonempty JSON array$"):
+            load_locals("[]")
+
+    def test_load_locals_caps_each_modulus_at_the_fft_cap(self):
+        cap = modular._FFT_MODULUS_CAP
+        assert load_locals(json.dumps([{"modulus": cap, "classes": [0, 1]}]))[0].modulus == cap
+        with pytest.raises(ValueError, match=f"^modulus {cap + 1} is above the cap {cap}$"):
+            load_locals(json.dumps([{"modulus": 13, "classes": [0]}, {"modulus": cap + 1, "classes": [0, 1]}]))
 
 
 def ap_local(modulus, length, form_f, form_g):

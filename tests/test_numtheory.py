@@ -293,6 +293,15 @@ class TestFindPrimes:
         with pytest.raises(ValueError):
             PrimeSearchSpec(lower_bound=100, search_limit=50)
 
+    @pytest.mark.parametrize("condition", [(1.5, 4.0), (1, 4.0), (1.0, 4), (True, 4)],
+                             ids=["both-floats", "float-modulus", "integral-float-residue", "bool-residue"])
+    def test_spec_rejects_non_integer_conditions(self, condition):
+        with pytest.raises(ValueError, match="residue conditions must be pairs of integers"):
+            PrimeSearchSpec(residue_conditions=(condition,))
+
+    def test_spec_normalises_conditions_to_tuples(self):
+        assert PrimeSearchSpec(residue_conditions=[[1, 4], (2, 5)]).residue_conditions == ((1, 4), (2, 5))
+
     @pytest.mark.parametrize("name", SIEVE_SPECS)
     @pytest.mark.parametrize("block", [numtheory._SIEVE_BLOCK, 61])
     def test_sieve_matches_brute_filter(self, monkeypatch, name, block):
