@@ -7,7 +7,11 @@ JSON document with --json; the schema is the same for all commands:
      "status": "success" | "failure", "reason": ... | null}
 
 Exit codes: 0 on success, 1 on a domain failure (for example a
-construction shortfall), 2 on usage or parse errors.
+construction shortfall), 2 on usage or parse errors.  main() alone maps
+exceptions to exit codes: the library raises ValueError on a violated
+precondition and RuntimeError on a failed self-check, so a ValueError
+(UsageError included) or an OSError from a handler prints one ``error:``
+line to stderr and exits 2, and a RuntimeError, a fault, propagates.
 
 The parser is built once per process, on the first main() call; later
 calls only parse.  In process, a small image, compare, classify3 or
@@ -23,7 +27,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .intsets import (
     STRATEGIES,
@@ -73,7 +77,10 @@ CONSTRUCT_COUNT_CAP = 500
 
 
 class UsageError(ValueError):
-    """Bad command-line input; maps to exit code 2."""
+    """Bad command-line input found by the CLI's own checks; maps to exit code 2."""
+
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -118,28 +125,31 @@ def parse_inline_set(token: str) -> FiniteIntSet:
     return FiniteIntSet(values)
 
 
+def read_input(path: str, what: str, parse: Callable[[str], T]) -> T:
+    """parse() of the file's text; UsageError naming the file if reading or parsing fails."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise UsageError(f"bad {what} file {path!r}: {exc}") from None
+
+
 def load_set_file(path: str) -> FiniteIntSet:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read set file {path!r}: {exc}") from None
-    try:
-        return set_from_json(text) if path.endswith(".json") else set_from_text(text)
-    except ValueError as exc:  # an empty set too: FiniteIntSet rejects it
-        raise UsageError(f"bad set file {path!r}: {exc}") from None
+    return read_input(path, "set", set_from_json if path.endswith(".json") else set_from_text)
 
 
 def _resolve_set(args: argparse.Namespace) -> tuple[FiniteIntSet, dict]:
-    if getattr(args, "inline", None) is not None:
+    if args.inline is not None and args.set_file is not None:
+        raise UsageError("give the set with -A FILE or --inline, not both")
+    if args.inline is not None:
         return parse_inline_set(args.inline), {"inline": args.inline}
-    if getattr(args, "set_file", None) is not None:
+    if args.set_file is not None:
         return load_set_file(args.set_file), {"file": args.set_file}
     raise UsageError("provide a set with -A FILE or --inline a,b,c")
 
 
-def _require_image_within_cap(form: LinearForm, a: FiniteIntSet) -> None:
-    """UsageError when f(A) may hold more than IMAGE_VALUE_CAP values."""
-    bound = min(len(a) ** form.arity, sum(map(abs, form.coefficients)) * (a[-1] - a[0]) + 1)
+def _require_image_within_cap(form: LinearForm, size: int, span: int) -> None:
+    """UsageError when f(A) may hold more than IMAGE_VALUE_CAP values; |A| = size, max - min = span."""
+    bound = min(size ** form.arity, sum(map(abs, form.coefficients)) * span + 1)
     if bound > IMAGE_VALUE_CAP:
         raise UsageError(f"|f(A)| may reach {bound} values (min of |A|^n and the window width), "
                          f"above the cap {IMAGE_VALUE_CAP}")
@@ -159,19 +169,16 @@ def cmd_image(args: argparse.Namespace) -> CommandResult:
     inputs = {"form": _form_str(form), "set": source, "strategy": args.strategy}
     if args.strategy == "pairs" and (tuples := len(a) ** form.arity) > PAIRS_TUPLE_CAP:
         raise UsageError(f"--strategy pairs is capped at {PAIRS_TUPLE_CAP} tuples (|A|^n), got {tuples}")
-    _require_image_within_cap(form, a)
-    try:
-        if args.full:
-            img = image(form, a, strategy=args.strategy)
-            card = len(img)
-            outputs: dict = {"cardinality": card, "image": list(img.elements)}
-            text = f"|f(A)| = {card}\n" + " ".join(str(x) for x in img.elements)
-        else:
-            card = image_cardinality(form, a, strategy=args.strategy)
-            outputs = {"cardinality": card}
-            text = f"|f(A)| = {card}"
-    except ValueError as exc:  # an explicit strategy that cannot take this set
-        raise UsageError(str(exc)) from None
+    _require_image_within_cap(form, len(a), a[-1] - a[0])
+    if args.full:
+        img = image(form, a, strategy=args.strategy)
+        card = len(img)
+        outputs: dict = {"cardinality": card, "image": list(img.elements)}
+        text = f"|f(A)| = {card}\n" + " ".join(str(x) for x in img.elements)
+    else:
+        card = image_cardinality(form, a, strategy=args.strategy)
+        outputs = {"cardinality": card}
+        text = f"|f(A)| = {card}"
     return CommandResult("image", inputs, outputs, text=text)
 
 
@@ -179,8 +186,8 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
     form_f = parse_form(args.form_f)
     form_g = parse_form(args.form_g)
     a, source = _resolve_set(args)
-    _require_image_within_cap(form_f, a)
-    _require_image_within_cap(form_g, a)
+    _require_image_within_cap(form_f, len(a), a[-1] - a[0])
+    _require_image_within_cap(form_g, len(a), a[-1] - a[0])
     f_card = image_cardinality(form_f, a)
     g_card = image_cardinality(form_g, a)
     relation = "<" if f_card < g_card else (">" if f_card > g_card else "=")
@@ -194,10 +201,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
 
 def cmd_classify3(args: argparse.Namespace) -> CommandResult:
     form = parse_form(f"{args.u},{args.v}")
-    try:
-        result = classify_triples(form)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = classify_triples(form)
     pairs = result.as_pairs()
     lines = [f"{{{', '.join(str(x) for x in elems)}}}: |f| = {card}" for elems, card in pairs]
     return CommandResult(
@@ -209,13 +213,6 @@ def cmd_classify3(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_witness(args: argparse.Namespace) -> CommandResult:
-    try:
-        return _witness(args)
-    except ValueError as exc:  # the constructors reject forms and parameters outside their range
-        raise UsageError(str(exc)) from None
-
-
-def _witness(args: argparse.Namespace) -> CommandResult:
     kind = args.kind
     if kind == "three":
         if args.form_f is None or args.form_g is None:
@@ -234,9 +231,10 @@ def _witness(args: argparse.Namespace) -> CommandResult:
         _require_uv(args)
         if args.t is None:
             raise UsageError("witness ap needs -t")
-        a = ap_equality_set(args.u, args.v, args.t)
         form_f = LinearForm((args.u, args.v))
         form_g = LinearForm((args.u, -args.v))
+        _require_image_within_cap(form_f, args.t, args.t - 1)  # A = [0, t-1]; g has f's height
+        a = ap_equality_set(args.u, args.v, args.t)
         cf = image_cardinality(form_f, a)
         cg = image_cardinality(form_g, a)
         return CommandResult(
@@ -278,10 +276,7 @@ def cmd_local_search(args: argparse.Namespace) -> CommandResult:
         raise UsageError(f"--modulus is capped at {LOCAL_SEARCH_MODULUS_CAP}, got {args.modulus}")
     if args.budget > LOCAL_SEARCH_BUDGET_CAP:
         raise UsageError(f"--budget is capped at {LOCAL_SEARCH_BUDGET_CAP}, got {args.budget}")
-    try:
-        sol = local_ratio_search(form_f, form_g, args.modulus, budget=args.budget, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    sol = local_ratio_search(form_f, form_g, args.modulus, budget=args.budget, seed=args.seed)
     return CommandResult(
         "local-search",
         {
@@ -316,17 +311,11 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
         "locals": args.locals,
     }
     shortfall_note = ""
-    if args.source == "file":
+    direct = args.source == "file"
+    if direct:
         if not args.locals:
             raise UsageError("--source file needs --locals PATH")
-        try:
-            residue_sets = load_locals(Path(args.locals).read_text())
-        except OSError as exc:
-            raise UsageError(f"cannot read locals file: {exc}") from None
-        except ValueError as exc:
-            raise UsageError(f"bad locals file: {exc}") from None
-        locs = [local_solution(form_f, form_g, r) for r in residue_sets]
-        direct = True
+        locs = [local_solution(form_f, form_g, r) for r in read_input(args.locals, "locals", load_locals)]
     else:
         if not form_f.is_binary:
             raise UsageError("this command needs a binary form u,v")
@@ -335,26 +324,17 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
             raise UsageError(f"--source {args.source} builds locals against x+y or x-y only")
         if args.count > CONSTRUCT_COUNT_CAP:
             raise UsageError(f"--count is capped at {CONSTRUCT_COUNT_CAP}, got {args.count}")
-        try:
-            if args.source == "qr":
-                locs = qr_local_solutions(u, v, args.count)
-            else:
-                locs = kth_power_local_solutions(u, v, args.count)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        source = qr_local_solutions if args.source == "qr" else kth_power_local_solutions
+        locs = source(u, v, args.count)
         if len(locs) < args.count:
             shortfall_note = f"prime search found only {len(locs)} of {args.count} local solutions; "
-        direct = False
     if not locs:
         return CommandResult(
             "construct", inputs, {"locals_found": 0},
             status="failure", reason=shortfall_note + "no local solutions found",
             text="no local solutions found",
         )
-    try:
-        report = build_separating_set(form_f, form_g, locs, window_start=args.window, direct=direct)
-    except ValueError as exc:  # moduli of a locals file that are not pairwise coprime
-        raise UsageError(f"bad locals file: {exc}") from None
+    report = build_separating_set(form_f, form_g, locs, window_start=args.window, direct=direct)
     outputs = report.to_dict()
     if args.set_out and report.elements is not None:
         Path(args.set_out).write_text(set_to_text(report.elements))
@@ -471,11 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result: CommandResult = args.handler(args)
-    except UsageError as exc:
+    except (ValueError, OSError) as exc:  # bad input; a RuntimeError is a fault and propagates
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -243,10 +243,14 @@ def rectify(residues: ResidueSet, window_start: int = 0) -> FiniteIntSet:
 
     window_start=0 picks the least nonnegative representatives.  The
     image cardinalities of the result are sandwiched between |f(R)| and
-    2*h_f*|f(R)| for every linear form f.
+    2*h_f*|f(R)| for every linear form f.  The classes are distinct ints
+    in [0, m), so for an int window_start the values w + (c - w) mod m are
+    distinct ints in [w, w + m): sorted, they need no further check.
     """
+    if not isinstance(window_start, int) or isinstance(window_start, bool):
+        raise ValueError(f"window_start must be an integer, got {window_start!r}")
     m = residues.modulus
-    return FiniteIntSet(window_start + (c - window_start) % m for c in residues.classes)
+    return FiniteIntSet._from_sorted(sorted(window_start + (c - window_start) % m for c in residues.classes))
 
 
 @dataclass(frozen=True)
@@ -284,7 +288,9 @@ def load_locals(text: str) -> list[ResidueSet]:
     """Parse a nonempty JSON array of {"modulus": m, "classes": [...]} objects; ValueError if malformed.
 
     A modulus above _FFT_MODULUS_CAP, whose images would fold by shift-or
-    in time growing with |R| (see there), is rejected before any image.
+    in time growing with |R| (see there), and moduli that are not pairwise
+    coprime, which build_separating_set would reject, are rejected before
+    any image.
     """
     data = json.loads(text)
     if not isinstance(data, list) or not data:
@@ -296,6 +302,11 @@ def load_locals(text: str) -> list[ResidueSet]:
     largest = max(r.modulus for r in residue_sets)
     if largest > _FFT_MODULUS_CAP:
         raise ValueError(f"modulus {largest} is above the cap {_FFT_MODULUS_CAP}")
+    combined = 1
+    for r in residue_sets:
+        if math.gcd(combined, r.modulus) != 1:
+            raise ValueError(f"modulus {r.modulus} is not coprime to the combined modulus {combined}")
+        combined *= r.modulus
     return residue_sets
 
 

@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_one_error_line(code, out, err, prefix):
+    """Exit 2, nothing on stdout, and one error line that starts with prefix."""
+    assert code == 2
+    assert out == ""
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     data = json.loads(out)
@@ -143,6 +152,38 @@ def test_bad_set_file_computes_no_image(capsys, tmp_path, monkeypatch, command, 
     assert err == f"error: bad set file {str(path)!r}: {reason}\n"
 
 
+@pytest.mark.parametrize("name,content", [("binary.txt", b"1\n\xff\xfe\n2\n"),
+                                          ("nested.json", b"[" * 100_000)],
+                         ids=["non-utf8", "deeply-nested-json"])
+@pytest.mark.parametrize("command,forms", [("image", ("-f", "2,1")),
+                                           ("compare", ("-f", "2,1", "-g", "1,1"))])
+def test_unparsable_set_file_is_usage_error(capsys, tmp_path, command, forms, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, *forms, "-A", str(path))
+    assert_one_error_line(code, out, err, f"error: bad set file {str(path)!r}: ")
+
+
+@pytest.mark.parametrize("command,forms", [("image", ("-f", "1,1")),
+                                           ("compare", ("-f", "2,1", "-g", "1,1"))])
+def test_set_file_and_inline_together_is_usage_error(capsys, tmp_path, command, forms):
+    path = tmp_path / "a.txt"
+    path.write_text("0\n5\n")
+    code, out, err = run(capsys, command, *forms, "-A", str(path), "--inline", "0,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: give the set with -A FILE or --inline, not both\n"
+
+
+def test_runtime_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(form):
+        raise RuntimeError("self-check failed")
+    monkeypatch.setattr(cli, "classify_triples", broken)
+    with pytest.raises(RuntimeError, match="^self-check failed$"):
+        cli.main(["classify3", "-u", "3", "-v", "1"])
+    assert capsys.readouterr() == ("", "")
+
+
 class TestClassifyCommand:
     def test_basic(self, capsys):
         code, data, _ = run_json(capsys, "classify3", "-u", "3", "-v", "1")
@@ -193,6 +234,21 @@ class TestWitnessCommand:
     def test_ap(self, capsys):
         code, data, _ = run_json(capsys, "witness", "ap", "-u", "3", "-v", "2", "-t", "3")
         assert data["outputs"]["f_card"] == 9 == data["outputs"]["g_card"]
+
+    def test_ap_beyond_value_cap_builds_no_set(self, capsys, monkeypatch):
+        def no_set(*args):
+            raise AssertionError("the progression was built")
+        monkeypatch.setattr(cli, "ap_equality_set", no_set)
+        code, out, err = run(capsys, "witness", "ap", "-u", "1000001", "-v", "1", "-t", "5001")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: |f(A)| may reach {5001 ** 2} values (min of |A|^n and the window width), "
+                       f"above the cap {cli.IMAGE_VALUE_CAP}\n")
+
+    def test_ap_within_value_cap_runs(self, capsys):
+        code, data, _ = run_json(capsys, "witness", "ap", "-u", "1001", "-v", "1", "-t", "200")
+        assert code == 0
+        assert data["outputs"]["f_card"] == 200 ** 2 == data["outputs"]["g_card"]
 
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "witness", "five", "-u", "2")
@@ -296,15 +352,15 @@ class TestConstructCommand:
 
     @pytest.mark.parametrize("entries,message", [
         ([{"modulus": 4, "classes": [0, 1]}, {"modulus": 6, "classes": [0, 1]}],
-         "bad locals file: modulus 6 is not coprime"),
-        ([{"classes": [0, 1]}], "bad locals file: each entry must be"),
-        ([5], "bad locals file: each entry must be"),
+         "modulus 6 is not coprime"),
+        ([{"classes": [0, 1]}], "each entry must be"),
+        ([5], "each entry must be"),
         ([{"modulus": 4, "classes": [0, 1]}, {"modulus": 10**12, "classes": [0, 1, 5]}],
-         f"bad locals file: modulus {10**12} is above the cap {modular._FFT_MODULUS_CAP}"),
+         f"modulus {10**12} is above the cap {modular._FFT_MODULUS_CAP}"),
         ([{"modulus": 13.9, "classes": [0.2, 1.9, 3.5]}, {"modulus": 7, "classes": [True, 2]}],
-         "bad locals file: moduli and classes must be integers, got 13.9"),
-        ([{"modulus": 13, "classes": [0, 1.0]}], "bad locals file: moduli and classes must be integers, got 1.0"),
-        ([{"modulus": 7, "classes": [True, 2]}], "bad locals file: moduli and classes must be integers, got True"),
+         "moduli and classes must be integers, got 13.9"),
+        ([{"modulus": 13, "classes": [0, 1.0]}], "moduli and classes must be integers, got 1.0"),
+        ([{"modulus": 7, "classes": [True, 2]}], "moduli and classes must be integers, got True"),
     ], ids=["non-coprime-moduli", "missing-modulus", "not-an-object", "modulus-above-cap",
             "float-modulus", "float-class", "boolean-class"])
     def test_malformed_locals_file_is_usage_error(self, capsys, tmp_path, time_limit, entries, message):
@@ -314,7 +370,7 @@ class TestConstructCommand:
                              "--source", "file", "--locals", str(locals_path))
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {message}")
+        assert err.startswith(f"error: bad locals file {str(locals_path)!r}: {message}")
         assert "Traceback" not in out + err
 
     @pytest.mark.parametrize("entries,message", [
@@ -323,7 +379,9 @@ class TestConstructCommand:
         ([], "locals file must contain a nonempty JSON array"),
         ([{"modulus": 13, "classes": [0, 1]}, {"modulus": 7, "classes": [0, 1.5]}],
          "moduli and classes must be integers, got 1.5"),
-    ], ids=["modulus-above-fft-cap", "empty-array", "float-class"])
+        ([{"modulus": 13, "classes": [0, 1]}, {"modulus": 7, "classes": [0]}, {"modulus": 26, "classes": [0, 1]}],
+         "modulus 26 is not coprime to the combined modulus 91"),
+    ], ids=["modulus-above-fft-cap", "empty-array", "float-class", "non-coprime-moduli"])
     def test_bad_locals_file_computes_no_image(self, capsys, tmp_path, monkeypatch, entries, message):
         def no_image(*args, **kwargs):
             raise AssertionError("an image was computed")
@@ -334,7 +392,29 @@ class TestConstructCommand:
                              "--source", "file", "--locals", str(locals_path))
         assert code == 2
         assert out == ""
-        assert err == f"error: bad locals file: {message}\n"
+        assert err == f"error: bad locals file {str(locals_path)!r}: {message}\n"
+
+    def test_deeply_nested_locals_file_is_usage_error(self, capsys, tmp_path):
+        locals_path = tmp_path / "locals.json"
+        locals_path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1",
+                             "--source", "file", "--locals", str(locals_path))
+        assert_one_error_line(code, out, err, f"error: bad locals file {str(locals_path)!r}: ")
+
+    def test_missing_locals_path_is_usage_error(self, capsys, tmp_path):
+        locals_path = tmp_path / "absent.json"
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1",
+                             "--source", "file", "--locals", str(locals_path))
+        assert_one_error_line(code, out, err, f"error: bad locals file {str(locals_path)!r}: [Errno 2]")
+
+    def test_unwritable_set_out_is_usage_error(self, capsys, tmp_path):
+        locals_path = tmp_path / "locals.json"
+        locals_path.write_text(json.dumps([r.to_dict() for r in packaged_locals()]))
+        set_path = tmp_path / "no-such-dir" / "a.txt"
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", "--source", "file",
+                             "--locals", str(locals_path), "--set-out", str(set_path))
+        assert_one_error_line(code, out, err, "error: [Errno 2] No such file or directory: ")
+        assert str(set_path) in err
 
 
 class TestVerifyCommand:

@@ -240,6 +240,24 @@ class TestRectify:
                 f_int = image_cardinality(f, a)
                 assert f_mod <= f_int <= 2 * f.height * f_mod
 
+    def test_matches_the_checking_constructor(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            m = rng.randint(2, 500)
+            r = ResidueSet(m, rng.sample(range(m), rng.randint(1, m)))
+            window = rng.randint(-3 * m, 3 * m)
+            a = rectify(r, window)
+            expected = FiniteIntSet(window + (c - window) % m for c in r.classes)
+            assert a == expected
+            assert all(type(x) is int for x in a.elements)
+        big = ResidueSet(10**30 + 1, [5, 10**30])
+        assert rectify(big, -(10**40)) == FiniteIntSet(-(10**40) + (c + 10**40) % (10**30 + 1) for c in big)
+
+    @pytest.mark.parametrize("window", [0.0, 1.5, True, np.int64(3)], ids=["float", "fraction", "bool", "numpy"])
+    def test_rejects_a_non_integer_window(self, window):
+        with pytest.raises(ValueError, match="^window_start must be an integer, got "):
+            rectify(ResidueSet(13, [0, 1, 6]), window)
+
 
 class TestLocalSolution:
     def test_ratio(self):
@@ -271,6 +289,12 @@ class TestLocalSolution:
         assert load_locals(json.dumps([{"modulus": cap, "classes": [0, 1]}]))[0].modulus == cap
         with pytest.raises(ValueError, match=f"^modulus {cap + 1} is above the cap {cap}$"):
             load_locals(json.dumps([{"modulus": 13, "classes": [0]}, {"modulus": cap + 1, "classes": [0, 1]}]))
+
+    def test_load_locals_rejects_moduli_that_are_not_pairwise_coprime(self):
+        entries = [{"modulus": m, "classes": [0, 1]} for m in (13, 7, 5, 91)]
+        with pytest.raises(ValueError, match="^modulus 91 is not coprime to the combined modulus 455$"):
+            load_locals(json.dumps(entries))
+        assert [r.modulus for r in load_locals(json.dumps(entries[:3]))] == [13, 7, 5]
 
 
 def ap_local(modulus, length, form_f, form_g):
