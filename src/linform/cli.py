@@ -311,6 +311,8 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
         "locals": args.locals,
     }
     shortfall_note = ""
+    if args.set_out:
+        open(args.set_out, "a").close()  # an unwritable path fails before the construction; truncates nothing
     direct = args.source == "file"
     if direct:
         if not args.locals:

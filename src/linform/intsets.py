@@ -27,7 +27,9 @@ representations, chosen by its estimated cost in 64-bit word operations
 _WORD_FOLD_COST a Python int, shifted and ORed whole per element; from
 there on a numpy uint64 word array, into which one shifted copy per
 distinct bit shift is ORed in place per element.  Both use only shifts
-and ORs, so they give the same mask bit for bit.
+and ORs, so they give the same mask bit for bit.  Like merge, the word
+array folds each unordered pair of c*(x + y) and c*(x - y) once; the
+big int folds every ordered pair.
 """
 
 from __future__ import annotations
@@ -449,23 +451,43 @@ def _word_fold(terms: list[list[int]]) -> int:
     the accumulator into the output from word q on.  Each of the at most
     64 shifted copies is built once per stage.  Only shifts and ORs are
     used, so the result is bit for bit the big-int fold's.
+
+    Two terms with offsets O, O (c*(x + y)) or O, span - reversed(O)
+    (c*(x - y)) fold each unordered pair once: offset t ORs the copy's
+    words from lo = q, or lo = (span - t) // 64, into the output from word
+    q + lo.  They hold every o + t with o >= t, or with o + t >= span, and
+    only sums; a difference image is symmetric about span, so its bit
+    reversal is ORed in.
     """
-    q, s = np.divmod(_limbs(terms[0], 1)[0], 64)
+    offsets = [_limbs(term, 1)[0] for term in terms]
+    span = int(offsets[0][-1])
+    pair = len(offsets) == 2 and np.array_equal(offsets[1], offsets[0])
+    mirrored = len(offsets) == 2 and np.array_equal(offsets[1], span - offsets[0][::-1])
+    q, s = np.divmod(offsets.pop(0), 64)
     acc = np.zeros(int(q[-1]) + 1, np.uint64)
     np.bitwise_or.at(acc, q, np.uint64(1) << s.astype(np.uint64))
-    for term in terms[1:]:
-        q, s = np.divmod(_limbs(term, 1)[0], 64)
+    while offsets:  # popped, so each offset array is freed once split
+        q, s = np.divmod(offsets.pop(0), 64)
         n = len(acc)
         out = np.zeros(n + int(q[-1]) + 1, np.uint64)
-        for shift in np.flatnonzero(np.bincount(s, minlength=64)):
+        for shift in np.flatnonzero(np.bincount(s, minlength=64)).tolist():
             shifted = np.zeros(n + 1, np.uint64)
             np.left_shift(acc, np.uint64(shift), out=shifted[:n])
             if shift:
                 shifted[1:] |= acc >> np.uint64(64 - shift)
             for j in q[s == shift].tolist():
-                out[j:j + n + 1] |= shifted
+                if pair or mirrored:  # a view per element costs other forms about 5%
+                    lo = j if pair else (span - 64 * j - shift) // 64
+                    out[j + lo:j + n + 1] |= shifted[lo:]
+                else:
+                    out[j:j + n + 1] |= shifted
         acc = out
-    return int.from_bytes(acc.astype("<u8", copy=False).tobytes(), "little")
+    data = acc.astype("<u8", copy=False).view(np.uint8)
+    mask = int.from_bytes(data, "little")
+    if mirrored:  # bit p of the 8*len(data)-bit reversal is bit 8*len(data) - 1 - p of mask
+        byte_reversed = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
+        mask |= int.from_bytes(byte_reversed[data[::-1]], "little") >> (8 * len(data) - 1 - 2 * span)
+    return mask
 
 
 def _limbs(term: list[int], k: int) -> np.ndarray:

@@ -63,6 +63,9 @@ _FFT_CROSSOVER = 144
 # but |R|*m/32 words of time (2x+y and x+y of 20,000 classes mod 4,000,037:
 # 13.4 s; the worst found below the cap, 1.2-2.0 s), so load_locals rejects them.
 _FFT_MODULUS_CAP = 1 << 20
+# Largest sum of the moduli of a locals file: each entry costs two images in
+# time growing with its modulus (two entries near 2^20: 2.8-3.9 s in all).
+LOCALS_MODULUS_SUM_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -288,9 +291,9 @@ def load_locals(text: str) -> list[ResidueSet]:
     """Parse a nonempty JSON array of {"modulus": m, "classes": [...]} objects; ValueError if malformed.
 
     A modulus above _FFT_MODULUS_CAP, whose images would fold by shift-or
-    in time growing with |R| (see there), and moduli that are not pairwise
-    coprime, which build_separating_set would reject, are rejected before
-    any image.
+    in time growing with |R| (see there), moduli summing to more than
+    LOCALS_MODULUS_SUM_CAP, and moduli that are not pairwise coprime,
+    which build_separating_set would reject, are rejected before any image.
     """
     data = json.loads(text)
     if not isinstance(data, list) or not data:
@@ -302,6 +305,8 @@ def load_locals(text: str) -> list[ResidueSet]:
     largest = max(r.modulus for r in residue_sets)
     if largest > _FFT_MODULUS_CAP:
         raise ValueError(f"modulus {largest} is above the cap {_FFT_MODULUS_CAP}")
+    if (total := sum(r.modulus for r in residue_sets)) > LOCALS_MODULUS_SUM_CAP:
+        raise ValueError(f"the moduli sum to {total}, above the cap {LOCALS_MODULUS_SUM_CAP}")
     combined = 1
     for r in residue_sets:
         if math.gcd(combined, r.modulus) != 1:

@@ -381,7 +381,9 @@ class TestConstructCommand:
          "moduli and classes must be integers, got 1.5"),
         ([{"modulus": 13, "classes": [0, 1]}, {"modulus": 7, "classes": [0]}, {"modulus": 26, "classes": [0, 1]}],
          "modulus 26 is not coprime to the combined modulus 91"),
-    ], ids=["modulus-above-fft-cap", "empty-array", "float-class", "non-coprime-moduli"])
+        ([{"modulus": m, "classes": [0, 1]} for m in (1_048_573, 1_048_571, 13)],
+         f"the moduli sum to 2097157, above the cap {modular.LOCALS_MODULUS_SUM_CAP}"),
+    ], ids=["modulus-above-fft-cap", "empty-array", "float-class", "non-coprime-moduli", "moduli-sum-above-cap"])
     def test_bad_locals_file_computes_no_image(self, capsys, tmp_path, monkeypatch, entries, message):
         def no_image(*args, **kwargs):
             raise AssertionError("an image was computed")
@@ -415,6 +417,28 @@ class TestConstructCommand:
                              "--locals", str(locals_path), "--set-out", str(set_path))
         assert_one_error_line(code, out, err, "error: [Errno 2] No such file or directory: ")
         assert str(set_path) in err
+
+    @pytest.mark.parametrize("source", [("--source", "file", "--locals", "unused.json"),
+                                        ("--source", "qr", "--count", "4")], ids=["file", "qr"])
+    def test_unwritable_set_out_fails_before_the_construction(self, capsys, tmp_path, monkeypatch, source):
+        def no_construction(*args, **kwargs):
+            raise AssertionError("the construction ran")
+        for name in ("build_separating_set", "load_locals", "qr_local_solutions"):
+            monkeypatch.setattr(cli, name, no_construction)
+        set_path = tmp_path / "no-such-dir" / "a.txt"
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", *source, "--set-out", str(set_path))
+        assert_one_error_line(code, out, err, "error: [Errno 2] No such file or directory: ")
+
+    def test_failed_construction_keeps_an_existing_set_out(self, capsys, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("construction failed")
+        monkeypatch.setattr(cli, "build_separating_set", failing)
+        set_path = tmp_path / "a.txt"
+        set_path.write_text("1\n2\n")
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", "--source", "qr", "--count", "1",
+                             "--set-out", str(set_path))
+        assert_one_error_line(code, out, err, "error: construction failed")
+        assert set_path.read_text() == "1\n2\n"
 
 
 class TestVerifyCommand:

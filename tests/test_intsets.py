@@ -575,6 +575,59 @@ class TestPairFolds:
         assert sum(limbs.shape[1] for limbs, *_ in distinct) == 30 * 30
 
 
+def word_pair_sets():
+    """(name, elements) whose pair folds cost at least _WORD_FOLD_COST words.
+
+    Offsets 0, 63, 64, 65 from each end, on spans = 0 and 63 mod 64; a set
+    with A = -A, for which x + y is also a mirrored pair; one far from 0.
+    """
+    rng = random.Random(83)
+    edges = [0, 63, 64, 65]
+    sets = []
+    for span in (1 << 20, (1 << 20) + 63):
+        sets.append((f"span-mod64-{span % 64}",
+                     edges + [span - e for e in edges] + rng.sample(range(66, span - 65), 40)))
+    half = rng.sample(range(1, 1 << 19), 24)
+    sets.append(("symmetric", sorted({0, *half, *(-x for x in half)})))
+    sets.append(("far", [10**40 + x for x in rng.sample(range(1 << 20), 48)]))
+    return sets
+
+
+WORD_PAIR_COEFFS = [(c, s * c) for c in (1, 3, -1, -3) for s in (1, -1)]
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestWordPairFolds:
+    """The word kernel folds c*(x + y) and c*(x - y) on unordered pairs, against pairs."""
+
+    def test_images_match_pairs_and_big_int(self, monkeypatch):
+        word_folds = spy(monkeypatch, "_word_fold")
+        word_fold_cost = intsets._WORD_FOLD_COST
+        for name, elems in word_pair_sets():
+            a = FiniteIntSet(elems)
+            for coeffs in WORD_PAIR_COEFFS:
+                f = LinearForm(coeffs)
+                terms = intsets._terms(f, a)
+                assert intsets._bitset_cost(terms, intsets._width(terms)) >= word_fold_cost
+                monkeypatch.setattr(intsets, "_WORD_FOLD_COST", math.inf)
+                big_int = intsets._bitset_fold(terms)
+                monkeypatch.setattr(intsets, "_WORD_FOLD_COST", word_fold_cost)
+                del word_folds[:]
+                assert intsets._bitset_fold(terms) == big_int, (name, coeffs)
+                expected = image(f, a, strategy="pairs").elements
+                assert image(f, a, strategy="bitset").elements == expected, (name, coeffs)
+                assert image_cardinality(f, a, strategy="bitset") == len(expected), (name, coeffs)
+                assert len(word_folds) == 3
+
+    def test_sumsets_of_a_set_with_itself_and_its_reflection(self, monkeypatch):
+        word_folds = spy(monkeypatch, "_word_fold")
+        for name, elems in word_pair_sets():
+            reflected = [-x for x in elems]
+            for b in (elems, reflected):
+                assert sumset(elems, b, strategy="bitset") == sumset(elems, b, strategy="pairs"), name
+        assert len(word_folds) == 2 * len(word_pair_sets())
+
+
 class TestDilateSumset:
     def test_dilate(self):
         assert dilate(2, [0, 1, 3]).elements == (0, 2, 6)

@@ -12,7 +12,7 @@ import pytest
 import numpy as np
 
 from conftest import brute_modular_image
-from linform import modular
+from linform import modular, verify
 from linform.intsets import DIFFERENCE, SUM, FiniteIntSet, LinearForm, image, image_cardinality
 from linform.modular import (
     ConstructionReport,
@@ -289,6 +289,17 @@ class TestLocalSolution:
         assert load_locals(json.dumps([{"modulus": cap, "classes": [0, 1]}]))[0].modulus == cap
         with pytest.raises(ValueError, match=f"^modulus {cap + 1} is above the cap {cap}$"):
             load_locals(json.dumps([{"modulus": 13, "classes": [0]}, {"modulus": cap + 1, "classes": [0, 1]}]))
+
+    def test_load_locals_caps_the_summed_moduli(self):
+        cap = modular.LOCALS_MODULUS_SUM_CAP
+        primes = (1_048_573, 1_048_571)  # below _FFT_MODULUS_CAP; 8 + both = cap
+        assert sum(primes) + 8 == cap
+        entries = [{"modulus": m, "classes": [0, 1]} for m in (*primes, 8)]
+        assert [r.modulus for r in load_locals(json.dumps(entries))] == [*primes, 8]
+        entries[-1]["modulus"] = 9
+        with pytest.raises(ValueError, match=f"^the moduli sum to {cap + 1}, above the cap {cap}$"):
+            load_locals(json.dumps(entries))
+        assert [r.modulus for r in verify.packaged_locals()] == [13, 15, 16, 19]  # packaged_locals runs load_locals
 
     def test_load_locals_rejects_moduli_that_are_not_pairwise_coprime(self):
         entries = [{"modulus": m, "classes": [0, 1]} for m in (13, 7, 5, 91)]
