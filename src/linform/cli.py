@@ -149,7 +149,7 @@ def _resolve_set(args: argparse.Namespace) -> tuple[FiniteIntSet, dict]:
 
 def _require_image_within_cap(form: LinearForm, size: int, span: int) -> None:
     """UsageError when f(A) may hold more than IMAGE_VALUE_CAP values; |A| = size, max - min = span."""
-    bound = min(size ** form.arity, sum(map(abs, form.coefficients)) * span + 1)
+    bound = min(size ** form.arity, form.height * span + 1)
     if bound > IMAGE_VALUE_CAP:
         raise UsageError(f"|f(A)| may reach {bound} values (min of |A|^n and the window width), "
                          f"above the cap {IMAGE_VALUE_CAP}")
@@ -346,7 +346,7 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
     headline = (
         f"|f(A)| = {report.f_card} < {report.g_card} = |g(A)|"
         if report.success and report.f_card is not None
-        else (f"certified: |f(A)| <= {report.f_card_upper} < {report.g_card_lower} <= |g(A)|"
+        else ("certified: |f(A)| <= {} < {} <= |g(A)|".format(*(b.value for b in report.certificate))
               if report.success else f"failed: {report.detail}")
     )
     text = (

@@ -5,12 +5,10 @@ under f misses classes that g still covers.  Local solutions at pairwise
 coprime moduli combine multiplicatively through the Chinese remainder
 theorem; picking one integer representative per combined class
 ("rectification") turns them into a finite integer set A whose image
-cardinalities are sandwiched by the modular ones:
-
-    |f(R)| <= |f(A)| <= 2*h_f*|f(R)|    (h_f = sum of |coefficients|)
-
-so a running product of local ratios below 1/(2*h_f) certifies
-|f(A)| < |g(A)| without materializing anything.
+cardinalities are bounded by the modular ones.  proved_bounds lists
+those bounds as data, each rule proved once in the docstring of the
+function that computes it, and a running product of local ratios below
+1/(2*h_f) certifies |f(A)| < |g(A)| without materializing anything.
 
 Residue images are m-bit masks.  Small or sparse sets fold by big-int
 shift-or, one shifted copy of the mask per class, about |R|*m/32 words
@@ -31,7 +29,7 @@ import bisect
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -241,17 +239,22 @@ def crt_product(residue_sets: Sequence[ResidueSet]) -> ResidueSet:
     return combined
 
 
+def _require_int_window(window_start: int) -> None:
+    """ValueError unless window_start is an int (a bool is not): rule "rectification" needs one."""
+    if not isinstance(window_start, int) or isinstance(window_start, bool):
+        raise ValueError(f"window_start must be an integer, got {window_start!r}")
+
+
 def rectify(residues: ResidueSet, window_start: int = 0) -> FiniteIntSet:
     """One integer representative per class, from [window_start, window_start + m - 1].
 
     window_start=0 picks the least nonnegative representatives.  The
-    image cardinalities of the result are sandwiched between |f(R)| and
-    2*h_f*|f(R)| for every linear form f.  The classes are distinct ints
-    in [0, m), so for an int window_start the values w + (c - w) mod m are
-    distinct ints in [w, w + m): sorted, they need no further check.
+    image cardinalities of the result obey the bounds of proved_bounds.
+    The classes are distinct ints in [0, m), so for an int window_start
+    the values w + (c - w) mod m are distinct ints in [w, w + m): sorted,
+    they need no further check.
     """
-    if not isinstance(window_start, int) or isinstance(window_start, bool):
-        raise ValueError(f"window_start must be an integer, got {window_start!r}")
+    _require_int_window(window_start)
     m = residues.modulus
     return FiniteIntSet._from_sorted(sorted(window_start + (c - window_start) % m for c in residues.classes))
 
@@ -316,14 +319,43 @@ def load_locals(text: str) -> list[ResidueSet]:
 
 
 @dataclass(frozen=True)
+class Bound:
+    """A proved bound on |f(A)| or |g(A)|: quantity "f" or "g", side "lower" or "upper", by rule."""
+
+    quantity: str
+    side: str
+    value: int
+    rule: str
+
+    def holds(self, card: int) -> bool:
+        return card >= self.value if self.side == "lower" else card <= self.value
+
+
+def proved_bounds(form_f: LinearForm, locals_used: Sequence[LocalSolution]) -> tuple[Bound, ...]:
+    """The proved bounds on |f(A)| and |g(A)| for A = rectify(R, w), R the CRT product of the locals.
+
+    Rule "residue-image": |f(A)| >= prod |f(R_i)|, and so for g.  Proof.
+    With M the modulus of R, A mod M = R, so f(A) mod M = f(R), whose size
+    is prod |f(R_i)| by crt_product.
+
+    Rule "rectification": |f(A)| <= 2*h_f*|f(R)|, h_f = form_f.height.
+    Proof.  A lies in [w, w+M) for an int w, so f(A) lies in h_f*(M-1)+1
+    consecutive integers.  Those meet each of the |f(R)| classes of f(A)
+    mod M at most h_f times, so |f(A)| <= h_f*|f(R)|, half the bound.
+    """
+    f_lower = math.prod(loc.f_card for loc in locals_used)
+    return (Bound("f", "lower", f_lower, "residue-image"),
+            Bound("g", "lower", math.prod(loc.g_card for loc in locals_used), "residue-image"),
+            Bound("f", "upper", 2 * form_f.height * f_lower, "rectification"))
+
+
+@dataclass(frozen=True)
 class ConstructionReport:
     """Outcome of combining local solutions against a pair of forms.
 
-    ``mode`` is "threshold" when the exact-rational ratio product fell
-    below 1/(2*h_f) (certifying |f(A)| < |g(A)| even without
-    materializing A), "direct" when it did not but the materialized A
-    of locals_used gave |f(A)| < |g(A)| outright, and "shortfall" when
-    neither route established the inequality.
+    ``mode`` is "threshold" when the ratio product fell below 1/(2*h_f),
+    so that ``certificate`` separates the images, "direct" when it did not
+    but the materialized A gave |f(A)| < |g(A)|, else "shortfall".
     """
 
     form_f: LinearForm
@@ -350,7 +382,8 @@ class ConstructionReport:
 
     @property
     def ratio_product(self) -> Fraction:
-        return Fraction(self.f_card_lower, self.g_card_lower)
+        return Fraction(math.prod(loc.f_card for loc in self.locals_used),
+                        math.prod(loc.g_card for loc in self.locals_used))
 
     @property
     def threshold(self) -> Fraction:
@@ -361,19 +394,16 @@ class ConstructionReport:
         return self.ratio_product < self.threshold
 
     @property
-    def f_card_lower(self) -> int:
-        """prod |f(R_i)|, a lower bound on |f(A)|."""
-        return math.prod(loc.f_card for loc in self.locals_used)
+    def bounds(self) -> tuple[Bound, ...]:
+        return proved_bounds(self.form_f, self.locals_used)
 
     @property
-    def f_card_upper(self) -> int:
-        """2*h_f*prod |f(R_i)|, an upper bound on |f(A)| by rectification."""
-        return 2 * self.form_f.height * self.f_card_lower
-
-    @property
-    def g_card_lower(self) -> int:
-        """prod |g(R_i)|, a lower bound on |g(A)|."""
-        return math.prod(loc.g_card for loc in self.locals_used)
+    def certificate(self) -> tuple[Bound, Bound] | None:
+        """The least upper bound on |f(A)| and the greatest lower bound on |g(A)| if the first is less."""
+        bounds = self.bounds
+        f_upper = min((b for b in bounds if (b.quantity, b.side) == ("f", "upper")), key=lambda b: b.value)
+        g_lower = max((b for b in bounds if (b.quantity, b.side) == ("g", "lower")), key=lambda b: b.value)
+        return (f_upper, g_lower) if f_upper.value < g_lower.value else None
 
     @property
     def representative_window(self) -> tuple[int, int]:
@@ -390,8 +420,7 @@ class ConstructionReport:
             "ratio_product": [self.ratio_product.numerator, self.ratio_product.denominator],
             "threshold": [self.threshold.numerator, self.threshold.denominator],
             "threshold_met": self.threshold_met,
-            "f_card_upper": self.f_card_upper,
-            "g_card_lower": self.g_card_lower,
+            "bounds": [asdict(b) for b in self.bounds],
             "f_card": self.f_card,
             "g_card": self.g_card,
             "success": self.success,
@@ -408,16 +437,13 @@ class ConstructionReport:
 
 
 def _materialize(report: ConstructionReport) -> ConstructionReport:
-    """The report with A built from its locals and both images counted, sandwich checked."""
+    """The report with A built from its locals and both images counted, each of its bounds checked."""
     elements = rectify(crt_product([loc.residues for loc in report.locals_used]), report.window_start)
-    f_card = image_cardinality(report.form_f, elements)
-    g_card = image_cardinality(report.form_g, elements)
-    if not report.f_card_lower <= f_card <= report.f_card_upper:
-        raise RuntimeError(f"rectification sandwich violated for f: "
-                           f"{report.f_card_lower} <= {f_card} <= {report.f_card_upper}")
-    if g_card < report.g_card_lower:
-        raise RuntimeError(f"rectification lower bound violated for g: {g_card} < {report.g_card_lower}")
-    return replace(report, elements=elements, f_card=f_card, g_card=g_card)
+    cards = {"f": image_cardinality(report.form_f, elements), "g": image_cardinality(report.form_g, elements)}
+    for b in report.bounds:
+        if not b.holds(cards[b.quantity]):
+            raise RuntimeError(f"rule {b.rule!r} violated: |{b.quantity}(A)| = {cards[b.quantity]}, {b}")
+    return replace(report, elements=elements, f_card=cards["f"], g_card=cards["g"])
 
 
 def build_separating_set(
@@ -433,7 +459,7 @@ def build_separating_set(
     One flow.  Locals are consumed until the exact rational product of
     f_card/g_card falls below the threshold 1/(2*h_f), or, with
     direct=True, all of them.  A product below the threshold certifies
-    |f(A)| <= f_card_upper < g_card_lower <= |g(A)| (mode "threshold").
+    |f(A)| < |g(A)| by the report's certificate (mode "threshold").
     Then the longest prefix of the consumed locals whose class count and
     combined modulus fit DEFAULT_ELEMENT_CAP and DEFAULT_MODULUS_CAP is
     materialized and both images are counted.  A certified set is
@@ -441,7 +467,9 @@ def build_separating_set(
     described by (moduli, window).  Without a certificate the prefix
     decides: mode "direct" if |f(A)| < |g(A)| on it, else "shortfall".
     So direct=True differs only in not stopping at the certificate.
+    ValueError on a window_start that is not an int, before any local.
     """
+    _require_int_window(window_start)
     report = ConstructionReport(form_f, form_g, (), window_start, mode="shortfall")
     consumed: list[LocalSolution] = []
     product = Fraction(1)
@@ -463,16 +491,13 @@ def build_separating_set(
         raise ValueError("no local solutions supplied")
     report = replace(report, locals_used=tuple(consumed))
     if report.threshold_met:
-        if report.f_card_upper >= report.g_card_lower:
-            raise RuntimeError("threshold met but certified bounds do not separate")
+        if report.certificate is None:
+            raise RuntimeError(f"threshold met but certified bounds do not separate: {report.bounds}")
         if fitting < len(consumed):
             return replace(report, mode="threshold",
                            detail="ratio product below 1/(2*h_f); set described by (moduli, window), "
                                   "beyond the materialization caps")
-        report = _materialize(report)
-        if report.f_card >= report.g_card:
-            raise RuntimeError(f"threshold certificate contradicted by materialization: "
-                               f"{report.f_card} >= {report.g_card}")
+        report = _materialize(report)  # its bounds hold, so |f(A)| <= f upper < g lower <= |g(A)|
         return replace(report, mode="threshold", detail="ratio product below 1/(2*h_f); set materialized")
     note = f"ratio product {product} of {len(consumed)} locals is not below threshold {report.threshold}"
     if not fitting:

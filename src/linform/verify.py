@@ -33,6 +33,7 @@ from .modular import (
     load_locals,
     local_solution,
     modular_image,
+    proved_bounds,
     rectify,
 )
 from .numtheory import jacobi, primes_between
@@ -190,11 +191,15 @@ def check_amplification() -> str:
     return "40 random instances square |A|, |f(A)| and |g(A)| exactly"
 
 
-def _expect_sandwich(f: LinearForm, residues: ResidueSet, f_mod: int, where: str) -> None:
+def _expect_bounds(f: LinearForm, residue_sets: Sequence[ResidueSet], where: str) -> None:
+    """Each proved bound for f against s, checked on |f(A)| and |s(A)| counted at windows 0 and 1."""
+    bounds = proved_bounds(f, [local_solution(f, SUM, r) for r in residue_sets])
+    combined = crt_product(residue_sets)
     for window in (0, 1):
-        f_int = image_cardinality(f, rectify(residues, window))
-        bound = 2 * f.height * f_mod
-        _expect(f_mod <= f_int <= bound, f"{where}: sandwich violated: {f_mod} <= {f_int} <= {bound}")
+        a = rectify(combined, window)
+        cards = {"f": image_cardinality(f, a), "g": image_cardinality(SUM, a)}
+        for b in bounds:
+            _expect(b.holds(cards[b.quantity]), f"{where}, window {window}: {b} fails on {cards}")
 
 
 def check_crt_and_rectification() -> str:
@@ -214,13 +219,13 @@ def check_crt_and_rectification() -> str:
             lhs = len(modular_image(f, combined))
             rhs = len(modular_image(f, r1)) * len(modular_image(f, r2))
             _expect(lhs == rhs, f"{where}: |f(R)| = {lhs} != {rhs}")
-            _expect_sandwich(f, combined, lhs, where)
-    # the seed-88 stream continues into single-modulus sandwich instances
+            _expect_bounds(f, [r1, r2], where)
+    # the seed-88 stream continues into single-modulus instances
     for trial in range(100):
         r = _random_residue_set(rng, rng.randint(2, 80))
         f = _random_form(rng, nonzero)
-        _expect_sandwich(f, r, len(modular_image(f, r)), f"single modulus trial {trial}")
-    return "200 CRT products multiply exactly; 300 sets obey the sandwich in both windows"
+        _expect_bounds(f, [r], f"single modulus trial {trial}")
+    return "200 CRT products multiply exactly; 300 rectified sets obey every proved bound in both windows"
 
 
 def check_quadratic_residue_coverage() -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import numpy as np
 
 from conftest import brute_modular_image
-from linform import modular, verify
+from linform import cli, modular, verify
 from linform.intsets import DIFFERENCE, SUM, FiniteIntSet, LinearForm, image, image_cardinality
 from linform.modular import (
     ConstructionReport,
@@ -316,6 +317,16 @@ def ap_local(modulus, length, form_f, form_g):
 AP_SHAPES = ((7, 3), (11, 5), (13, 5), (17, 7), (19, 7), (23, 9), (29, 11))
 
 
+def assert_certified(report):
+    """The certificate pairs f upper = 2*h_f*prod f_card with g lower = prod g_card, and f upper < g lower."""
+    f_upper, g_lower = report.certificate
+    locs = report.locals_used
+    assert (f_upper.quantity, f_upper.side, g_lower.quantity, g_lower.side) == ("f", "upper", "g", "lower")
+    assert f_upper.value == 2 * report.form_f.height * math.prod(loc.f_card for loc in locs)
+    assert g_lower.value == math.prod(loc.g_card for loc in locs)
+    assert f_upper.value < g_lower.value
+
+
 @pytest.fixture
 def caps(monkeypatch):
     """Set modular's materialization caps for one test: caps(elements=..., modulus=...)."""
@@ -385,7 +396,7 @@ class TestBuildSeparatingSet:
         assert report.threshold == Fraction(1, 4)
         assert report.elements is not None
         assert report.f_card is not None and report.f_card < report.g_card
-        assert report.f_card_upper < report.g_card_lower
+        assert_certified(report)
 
     def test_derived_fields_follow_the_locals_used(self, caps):
         f, g = SUM, F21
@@ -413,8 +424,13 @@ class TestBuildSeparatingSet:
             assert out["ratio_product"] == [product.numerator, product.denominator]
             assert out["threshold"] == [1, 2 * h]
             assert out["threshold_met"] == (product < Fraction(1, 2 * h))
-            assert out["f_card_upper"] == 2 * h * math.prod(loc.f_card for loc in locs)
-            assert out["g_card_lower"] == math.prod(loc.g_card for loc in locs)
+            f_lower, g_lower = math.prod(loc.f_card for loc in locs), math.prod(loc.g_card for loc in locs)
+            assert out["bounds"] == [
+                {"quantity": "f", "side": "lower", "value": f_lower, "rule": "residue-image"},
+                {"quantity": "g", "side": "lower", "value": g_lower, "rule": "residue-image"},
+                {"quantity": "f", "side": "upper", "value": 2 * h * f_lower, "rule": "rectification"},
+            ]
+            assert report.threshold_met == (report.certificate is not None)
 
     def test_threshold_certified_beyond_caps(self, caps):
         f, g = SUM, F21
@@ -423,7 +439,7 @@ class TestBuildSeparatingSet:
         report = build_separating_set(f, g, locs)
         assert report.success and report.mode == "threshold"
         assert report.elements is None and report.f_card is None
-        assert report.f_card_upper < report.g_card_lower
+        assert_certified(report)
 
     def test_direct_mode_consumes_every_local_and_still_certifies(self):
         # The product falls below 1/4 after five locals; direct=True takes
@@ -434,7 +450,8 @@ class TestBuildSeparatingSet:
         report = build_separating_set(f, g, locs, direct=True)
         assert report.mode == "threshold" and report.locals_used == tuple(locs)
         assert report.combined_modulus > modular.DEFAULT_MODULUS_CAP
-        assert report.elements is None and report.f_card_upper < report.g_card_lower
+        assert report.elements is None
+        assert_certified(report)
 
     def test_threshold_mode_stops_consuming_once_met(self):
         f, g = SUM, F21
@@ -476,6 +493,56 @@ class TestBuildSeparatingSet:
         monkeypatch.setattr(modular, "INLINE_SET_LIMIT", 10)
         small = json.loads(json.dumps(report.to_dict()))
         assert small["set"] == {"inline": False, "size": 2646}
+
+    @pytest.mark.parametrize("window", [1.5, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("count", [5, 7], ids=["materialized", "described"])
+    def test_rejects_a_non_integer_window_before_any_local(self, window, count):
+        # Seven locals certify a set too large to materialize, so rectify
+        # never sees the window; the check on entry must catch it.
+        stream = iter([ap_local(m, r, SUM, F21) for m, r in AP_SHAPES[:count]])
+        with pytest.raises(ValueError, match="^window_start must be an integer, got "):
+            build_separating_set(SUM, F21, stream, window_start=window, direct=True)
+        assert len(list(stream)) == count
+
+    @pytest.mark.parametrize("rule, quantity, side", [
+        ("residue-image", "f", "lower"),
+        ("residue-image", "g", "lower"),
+        ("rectification", "f", "upper"),
+    ])
+    def test_a_wrong_bound_is_a_fault(self, monkeypatch, tmp_path, capsys, rule, quantity, side):
+        # The packaged locals give |f(A)| = 108014 and |s(A)| = 114575 at
+        # window 1; the patched bound misses that count by one.
+        wrong = {"f": 108014, "g": 114575}[quantity] + (1 if side == "lower" else -1)
+        proved_bounds = modular.proved_bounds
+
+        def patched(form_f, locals_used):
+            return tuple(replace(b, value=wrong) if (b.rule, b.quantity, b.side) == (rule, quantity, side) else b
+                         for b in proved_bounds(form_f, locals_used))
+
+        monkeypatch.setattr(modular, "proved_bounds", patched)
+        message = f"^rule {rule!r} violated: \\|{quantity}\\(A\\)\\| = "
+        with pytest.raises(RuntimeError, match=message):
+            build_separating_set(F21, SUM, hand_picked_locals(), window_start=1, direct=True)
+        locals_path = tmp_path / "locals.json"
+        locals_path.write_text(json.dumps([r.to_dict() for r in verify.packaged_locals()]))
+        with pytest.raises(RuntimeError, match=message):  # a fault propagates; it is not exit 2
+            cli.main(["construct", "-f", "2,1", "-g", "1,1", "--source", "file",
+                      "--locals", str(locals_path), "--window", "1"])
+        assert capsys.readouterr().err == ""
+
+    def test_a_certificate_that_does_not_separate_is_a_fault(self, monkeypatch):
+        # Five AP locals meet the threshold; raising the rectification bound
+        # to the g lower bound leaves the ledger without a certificate.
+        proved_bounds = modular.proved_bounds
+
+        def patched(form_f, locals_used):
+            bounds = proved_bounds(form_f, locals_used)
+            g_lower = next(b.value for b in bounds if b.quantity == "g")
+            return tuple(replace(b, value=g_lower) if b.rule == "rectification" else b for b in bounds)
+
+        monkeypatch.setattr(modular, "proved_bounds", patched)
+        with pytest.raises(RuntimeError, match="^threshold met but certified bounds do not separate: .*rectification"):
+            build_separating_set(SUM, F21, [ap_local(m, r, SUM, F21) for m, r in AP_SHAPES[:5]])
 
 
 class TestLocalRatioSearch:

@@ -82,3 +82,74 @@ def test_private_names_are_read():
     unread = [f"{p.name}: {name} (line {line})" for p in SOURCES
               for name, line in private_definitions(p.read_text()).items() if name not in read]
     assert unread == []
+
+
+def bound_rules(source: str) -> list[tuple[str, str | None, bool]]:
+    """(rule, function, proved) for each Bound(...) call in source.
+
+    The rule is the fourth argument or the keyword rule.  It is proved when
+    the docstring of the innermost function holding the call has a
+    paragraph that opens with Rule "<rule>" and holds "Proof.".
+    """
+    found = []
+
+    def visit(node: ast.AST, func: ast.FunctionDef | None) -> None:
+        if isinstance(node, ast.FunctionDef):
+            func = node
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Bound":
+            arg = node.args[3] if len(node.args) > 3 else next(k.value for k in node.keywords if k.arg == "rule")
+            rule = arg.value if isinstance(arg, ast.Constant) else ast.unparse(arg)
+            paragraphs = ((func and ast.get_docstring(func)) or "").split("\n\n")
+            proved = any(p.startswith(f'Rule "{rule}"') and "Proof." in p for p in paragraphs)
+            found.append((rule, func and func.name, proved))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def reached_from_checks(sources: list[str], verify_source: str) -> set[str]:
+    """Names of the functions that the entries of CHECKS in verify_source reach.
+
+    A function reaches every name its body reads, bare or as an attribute,
+    that some source defines as a function or method: a static
+    over-approximation of the calls, property reads included.
+    """
+    bodies: dict[str, set[str]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                bodies.setdefault(node.name, set()).update(read_names(ast.unparse(node)))
+    checks = next(node.value for node in ast.parse(verify_source).body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and "CHECKS" in {t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target])})
+    todo = [node.id for node in ast.walk(checks) if isinstance(node, ast.Name) and node.id in bodies]
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(bodies[name] & bodies.keys())
+    return reached
+
+
+def test_scan_finds_unproved_and_unchecked_rules():
+    source = ('def ledger(locs):\n    """Bounds.\n\n    Rule "a": |f(A)| >= 1.\n    Proof.  One value.\n\n'
+              '    Rule "b": |f(A)| <= 9.\n    """\n'
+              '    return (Bound("f", "lower", 1, "a"), Bound("f", "upper", 9, rule="b"))\n\n'
+              'def lonely():\n    """Rule "c": |g(A)| >= 1.\n\n    Proof.  Too far from the rule."""\n'
+              '    return Bound("g", "lower", 1, "c")\n\n'
+              'def check_one():\n    return helper()\n\n'
+              'def helper():\n    return ledger([])\n\n'
+              'CHECKS = (("one", check_one, 1.0),)\n')
+    assert bound_rules(source) == [("a", "ledger", True), ("b", "ledger", False), ("c", "lonely", False)]
+    assert reached_from_checks([source], source) == {"check_one", "helper", "ledger"}
+
+
+def test_every_bound_rule_is_proved_and_checked():
+    rules = [rule for p in SOURCES for rule in bound_rules(p.read_text())]
+    assert rules, "no Bound(...) rule found"
+    assert [rule for rule in rules if not rule[2]] == []
+    reached = reached_from_checks([p.read_text() for p in SOURCES], (PACKAGE / "verify.py").read_text())
+    assert [rule for rule in rules if rule[1] not in reached] == []
