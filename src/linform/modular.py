@@ -19,8 +19,9 @@ convolution of 0/1 vectors in O(m log m), and keeps only the support.
 The kernel rounds each count and raises if any value lies 1/4 or more
 from an integer; its docstring bounds the error below 0.001 for
 m <= 2^33, so the rounding is exact.  The prime locals of residues are
-verified on the same kernel, which transforms each distinct vector once
-for all the forms checked on one set.
+verified on the same kernel, one convolution per coset of the power
+subgroup by the coset lemma there: one rfft and one irfft per
+quadratic-residue prime.
 """
 
 from __future__ import annotations
@@ -173,10 +174,8 @@ def _representation_counts(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> li
     For each pair (x, y), counts[k] = #{(i, j) : x[i] = y[j] = 1,
     i + j = k (mod m)}.  The linear convolution comes from a float64
     rfft/irfft of the power of two N >= 2m-1, and its entries at k and
-    k + m are added.  Vectors that compare equal share one rfft, and pairs
-    of the same two vectors (in either order) share one irfft: for binary
-    forms over one set R, the indicators of u*R and v*R, so the forms x+y
-    and x-y share their counts exactly when -R = R.
+    k + m are added.  Vectors that compare equal share one rfft; each pair
+    takes one irfft.
 
     Error bound.  For an FFT product of length N = 2^t, Percival (Math.
     Comp. 72, 2003, Theorem 5.1) bounds every entry's error by
@@ -199,23 +198,22 @@ def _representation_counts(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> li
     m = len(pairs[0][0])
     size = 1 << (2 * m - 1).bit_length()
     vectors = {x.tobytes(): x for pair in pairs for x in pair}  # equal vectors, one key
-    keys = [tuple(sorted((x.tobytes(), y.tobytes()))) for x, y in pairs]
-    products = list(dict.fromkeys(keys))
+    keys = [(x.tobytes(), y.tobytes()) for x, y in pairs]
     spectra: dict[bytes, np.ndarray] = {}
-    counts: dict[tuple[bytes, ...], np.ndarray] = {}
-    for i, (kx, ky) in enumerate(products):
+    counts = []
+    for i, (kx, ky) in enumerate(keys):
         for k in {kx, ky} - spectra.keys():
             spectra[k] = np.fft.rfft(vectors[k], size)
         c = spectra[kx] * spectra[ky]
-        needed = {k for later in products[i + 1:] for k in later}
+        needed = {k for later in keys[i + 1:] for k in later}
         spectra = {k: x for k, x in spectra.items() if k in needed}  # free spent spectra first
         c = np.fft.irfft(c, size)
         c = c[:m] + c[m:2 * m]
         rounded = np.rint(c)
         if np.abs(c - rounded).max() >= 0.25:
             raise RuntimeError("FFT counts are not within 1/4 of integers; rounding would be inexact")
-        counts[kx, ky] = rounded.astype(np.int64)
-    return [counts[key] for key in keys]
+        counts.append(rounded.astype(np.int64))
+    return counts
 
 
 def crt_product(residue_sets: Sequence[ResidueSet]) -> ResidueSet:

@@ -27,25 +27,35 @@ the lemma.
 power_subgroup raises every x in [1, p) to the k-th power by
 square-and-multiply on numpy int64, which is exact while
 (p-1)^2 < 2^63, so it takes p below POWER_SUBGROUP_P_CAP.  The
-representations of every class under f = ux+vy are counted as the cyclic
-convolution of the 0/1 indicators of u*H and v*H mod p, in O(p log p)
+representations r_f(x) = #{(h1, h2) in H x H : f(h1, h2) = x} of every
+class come from one cyclic convolution per coset of H, in O(p log p)
 time and O(p) memory, by modular._representation_counts: a float64 FFT
 whose rounding is exact by the error bound in its docstring and checked
-on every call.  The forms checked at one prime share their transforms;
--H = H for p = 1 (mod 2k), so x-y takes the counts of x+y.
+on every call.
+
+- Coset lemma.  r_f(x) = T_C(x/u), where C = (v/u)*H is the coset of
+  v/u and T_C(y) = #{(h, c) in H x C : h + c = y} is the convolution of
+  the indicators 1_H and 1_C.  Proof: (h1, h2) -> (h1, (v/u)*h2) maps
+  H x H one-to-one onto H x C, and u*h1 + v*h2 = x exactly when
+  h1 + (v/u)*h2 = x/u.  Units c and c' lie in one coset exactly when
+  c^|H| = c'^|H|, since c -> c^((p-1)/k) has kernel H.
+- k = 2.  The cosets are H and the nonresidues N, and
+  1_N = 1 - 1_H - 1_{0}, so T_N(y) = sum over h in H of 1_N(y - h)
+  = |H| - T_H(y) - 1_H(y), exactly.  So f, x+y and x-y at a QR prime
+  all come from the one transform pair of T_H; for k >= 3, T_H and each
+  T_cH share the transform of 1_H.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .intsets import DIFFERENCE, SUM, LinearForm
-from .modular import LocalSolution, ResidueSet, _dilation, _image_mask, _representation_counts
+from .modular import LocalSolution, ResidueSet, _image_mask, _representation_counts
 from .numtheory import (
     DEFAULT_SEARCH_LIMIT,
     PrimeSearchSpec,
@@ -72,6 +82,7 @@ class PowerSubgroup:
     p: int
     k: int
     classes: tuple[int, ...]
+    indicator: np.ndarray = field(repr=False, compare=False)  # 1_H: bool, length p, read-only
 
     @property
     def order(self) -> int:
@@ -81,9 +92,7 @@ class PowerSubgroup:
         return ResidueSet._from_sorted(self.p, self.classes)
 
     def __contains__(self, value: int) -> bool:
-        v = value % self.p
-        i = bisect.bisect_left(self.classes, v)
-        return i < len(self.classes) and self.classes[i] == v
+        return bool(self.indicator[value % self.p])
 
 
 def power_subgroup(p: int, k: int) -> PowerSubgroup:
@@ -103,10 +112,11 @@ def power_subgroup(p: int, k: int) -> PowerSubgroup:
         raise ValueError(f"power_subgroup takes p below {POWER_SUBGROUP_P_CAP}, got {p}")
     present = np.zeros(p, dtype=bool)
     present[_powers(p, k)] = True
+    present.flags.writeable = False
     classes = np.flatnonzero(present).tolist()
     if len(classes) != (p - 1) // k:
         raise RuntimeError(f"subgroup of k-th powers mod {p} has unexpected order {len(classes)}")
-    return PowerSubgroup(p=p, k=k, classes=tuple(classes))
+    return PowerSubgroup(p=p, k=k, classes=tuple(classes), indicator=present)
 
 
 def _powers(p: int, e: int) -> np.ndarray:
@@ -141,19 +151,28 @@ def qr_sum_diff_full(p: int) -> bool:
     """
     if not is_prime(p) or p % 4 != 1 or p <= 5:
         raise ValueError(f"requires a prime p = 1 (mod 4) with p > 5, got {p}")
-    s_counts, d_counts = _form_counts((SUM, DIFFERENCE), p, quadratic_residues(p).classes)
+    s_counts, d_counts = _subgroup_counts((SUM, DIFFERENCE), quadratic_residues(p))
     return bool(s_counts.all() and d_counts.all())
 
 
-def _form_counts(forms: Sequence[LinearForm], m: int, classes: Sequence[int]) -> list[np.ndarray]:
-    """counts[x] = #{(a, b) in R x R : f(a, b) = x mod m} for each binary form f.
+def _subgroup_counts(forms: Sequence[LinearForm], subgroup: PowerSubgroup) -> list[np.ndarray]:
+    """counts[x] = #{(h1, h2) in H x H : f(h1, h2) = x mod p} for each form f = ux+vy, p not dividing uv.
 
-    Every coefficient must be a unit mod m, so that u*R has |R| classes.
-    Each distinct coefficient dilates R once.
+    By the coset lemma of the module docstring: one convolution T_C for
+    each coset C of H that holds some v/u (T_H alone for k = 2), and one
+    gather x -> T_C(x/u) per form.
     """
-    r = np.fromiter(classes, dtype=np.int64, count=len(classes))
-    terms = {c: _dilation(m, r, c) for c in {c for form in forms for c in form.coefficients}}
-    return _representation_counts([tuple(terms[c] for c in form.coefficients) for form in forms])
+    p, n, h = subgroup.p, subgroup.order, subgroup.indicator
+    x = np.arange(p, dtype=np.int64)
+    inverses = [pow(form.coefficients[0], -1, p) for form in forms]
+    ratios = [form.coefficients[1] * w % p for form, w in zip(forms, inverses)]
+    keys = [pow(c, n, p) for c in ratios]  # c^|H| names the coset cH
+    cosets = {1: h} if subgroup.k == 2 else {
+        key: h if key == 1 else h[x * pow(c, -1, p) % p] for key, c in zip(keys, ratios)}  # 1_cH(y) = 1_H(y/c)
+    t = dict(zip(cosets, _representation_counts([(h, indicator) for indicator in cosets.values()])))
+    if subgroup.k == 2:
+        t[p - 1] = n - t[1] - h  # T_N
+    return [t[key] if w == 1 else t[key][x * w % p] for key, w in zip(keys, inverses)]
 
 
 def zero_in_f_of_qr(u: int, v: int, p: int) -> bool:
@@ -215,8 +234,8 @@ def _checked_counts(forms: Sequence[LinearForm], subgroup: PowerSubgroup) -> lis
             raise ValueError(f"p={p} must not divide the coefficients ({u}, {v})")
     if n < 2:
         raise ValueError(f"subgroup order must be >= 2, got {n}")
-    all_counts = _form_counts(forms, p, subgroup.classes)
-    distinct = list({id(c): c for c in all_counts}.values())  # x+y and x-y may share one array
+    all_counts = _subgroup_counts(forms, subgroup)
+    distinct = list({id(c): c for c in all_counts}.values())  # forms with u = 1 and v in one coset share one array
     for counts in distinct:
         total = int(counts.sum())
         if total != n * n:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .intsets import (
     DIFFERENCE,
     SUM,
@@ -268,7 +270,11 @@ def check_subgroup_coverage() -> str:
                 x, h = rng.randrange(1, p), rng.choice(subgroup.classes)
                 _expect(counts[x] == counts[x * h % p], f"count not constant on the coset of {x}: {where}")
                 reports += 1
-    return f"{reports} coverage reports: all nonzero classes hit, counts consistent"
+                if p < 200:  # every pair of H x H: rests on neither the FFT nor the coset lemma
+                    h1, h2 = np.ix_(subgroup.classes, subgroup.classes)
+                    recount = np.bincount(((u * h1 + v * h2) % p).ravel(), minlength=p)
+                    _expect(tuple(recount.tolist()) == counts, f"counts differ from a pair-by-pair recount: {where}")
+    return f"{reports} coverage reports: all nonzero classes hit, counts consistent, p < 200 recounted pairwise"
 
 
 def check_pipeline_qr() -> str:

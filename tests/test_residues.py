@@ -232,15 +232,15 @@ class TestCoverage:
         # can catch it; both local-solution sources run it on f's counts too.
         p, k = 97, 3
         h = power_subgroup(p, k)
-        form_counts = residues._form_counts
+        subgroup_counts = residues._subgroup_counts
 
-        def skewed(forms, m, classes):
-            counts = form_counts(forms, m, classes)
+        def skewed(forms, subgroup):
+            counts = subgroup_counts(forms, subgroup)
             counts[0][5] += 1
-            counts[0][5 * classes[1] % m] -= 1
+            counts[0][5 * subgroup.classes[1] % subgroup.p] -= 1
             return counts
 
-        monkeypatch.setattr(residues, "_form_counts", skewed)
+        monkeypatch.setattr(residues, "_subgroup_counts", skewed)
         with pytest.raises(RuntimeError, match="not constant on the coset"):
             coverage(LinearForm((2, 1)), h)
         for source in (qr_local_solutions, kth_power_local_solutions):
@@ -257,35 +257,70 @@ class TestCoverage:
 HELPER_FORMS = tuple(LinearForm(c) for c in ((1, 1), (1, -1), (2, 1), (-3, 2)))
 
 
-@st.composite
-def residue_sets(draw):
-    m = draw(st.integers(2, 200).filter(lambda m: m % 2 and m % 3))  # the coefficients are units
-    classes = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m))
-    if draw(st.booleans()):  # -R = R
-        classes |= {-c % m for c in classes}
-    return m, sorted(classes)
+def double_loop_counts(u, v, p, left, right):
+    """counts[x] = #{(a, b) in left x right : u*a + v*b = x mod p}, by a double loop."""
+    counts = [0] * p
+    for a in left:
+        for b in right:
+            counts[(u * a + v * b) % p] += 1
+    return counts
 
 
-class TestFormCounts:
+class TestSubgroupCounts:
     @settings(max_examples=150, deadline=None)
-    @given(residue_sets(), st.permutations(HELPER_FORMS))
-    def test_counts_match_brute_force_and_share_transforms(self, ms, forms):
-        m, classes = ms
+    @given(st.sampled_from([(p, k) for p, k in SMALL_SUBGROUPS if p > 3]), st.permutations(HELPER_FORMS))
+    def test_counts_match_brute_force_and_share_transforms(self, pk, forms):
+        p, k = pk
+        h = power_subgroup(p, k)
         rfft, irfft = np.fft.rfft, np.fft.irfft
         with mock.patch.object(np.fft, "rfft", side_effect=rfft) as rffts, \
                 mock.patch.object(np.fft, "irfft", side_effect=irfft) as irffts:
-            got = residues._form_counts(forms, m, classes)
+            got = residues._subgroup_counts(forms, h)
         for form, counts in zip(forms, got):
-            u, v = form.coefficients
-            brute = Counter((u * a + v * b) % m for a in classes for b in classes)
-            assert counts.tolist() == [brute[x] for x in range(m)], (m, form)
-        # One rfft per distinct dilated set, one irfft per distinct pair of them.
-        dilations = [tuple(frozenset(c * a % m for a in classes) for c in form.coefficients)
-                     for form in forms]
-        assert rffts.call_count == len({d for pair in dilations for d in pair})
-        assert irffts.call_count == len({frozenset(pair) for pair in dilations})
-        if {-c % m for c in classes} == set(classes):
-            assert got[forms.index(SUM)] is got[forms.index(DIFFERENCE)]
+            assert counts.tolist() == double_loop_counts(*form.coefficients, p, h.classes, h.classes), (p, k, form)
+        # One irfft per coset of H that holds some v/u, one rfft per coset
+        # transformed, H always among them; k = 2 needs T_H alone.
+        cosets = {frozenset(v * pow(u, -1, p) * y % p for y in h.classes)
+                  for u, v in (form.coefficients for form in forms)}
+        assert (rffts.call_count, irffts.call_count) == (
+            (1, 1) if k == 2 else (len(cosets | {frozenset(h.classes)}), len(cosets)))
+        if p - 1 in h:
+            assert got[forms.index(SUM)].tolist() == got[forms.index(DIFFERENCE)].tolist()
+
+    def test_coset_lemma_by_double_loop_for_every_subgroup_below_200(self):
+        # r_f(x) = T_C(x/u) for C = (v/u)*H, with v/u in H and, for k > 1,
+        # outside it; for k = 2 the nonresidues' T_N is |H| - T_H - 1_H.
+        rng = random.Random(2022)
+        odd_orders = 0
+        for p, k in SMALL_SUBGROUPS:
+            h = power_subgroup(p, k)
+            odd_orders += h.order % 2
+            t_h = double_loop_counts(1, 1, p, h.classes, h.classes)
+            for inside in (True, False) if k > 1 else (True,):
+                c = rng.choice([c for c in range(1, p) if (c in h) == inside])
+                u = rng.choice([u for u in range(1, 10**4) if u % p])
+                v = c * u % p + p * rng.randrange(-3, 3)
+                coset = [c * y % p for y in h.classes]
+                t_c = double_loop_counts(1, 1, p, h.classes, coset)
+                r = double_loop_counts(u, v, p, h.classes, h.classes)
+                w = pow(u, -1, p)
+                assert r == [t_c[x * w % p] for x in range(p)], (p, k, u, v)
+                assert residues._subgroup_counts((LinearForm((u, v)),), h)[0].tolist() == r, (p, k, u, v)
+                if k == 2 and not inside:
+                    assert t_c == [h.order - t_h[y] - (y in h) for y in range(p)], p
+        assert odd_orders > 0  # some H without -1
+
+    @pytest.mark.parametrize("source,per_prime", [(qr_local_solutions, 1), (kth_power_local_solutions, 2)],
+                             ids=["qr", "kpower"])
+    def test_transforms_per_prime(self, source, per_prime):
+        # f = 2x+y, x+y and x-y: one rfft and one irfft per QR prime, whether
+        # 1/2 lies in H or N; 2 + 2 per cube prime, where -4, so 1/2, is no cube.
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        with mock.patch.object(np.fft, "rfft", side_effect=rfft) as rffts, \
+                mock.patch.object(np.fft, "irfft", side_effect=irfft) as irffts:
+            sols = source(2, 1, 20)
+        assert len(sols) == 20
+        assert (rffts.call_count, irffts.call_count) == (20 * per_prime, 20 * per_prime)
 
 
 class TestQrLocalSolutions:
@@ -377,14 +412,14 @@ SOURCES = (qr_local_solutions, kth_power_local_solutions)
 class TestSubgroupLocals:
     def test_one_powers_pass_and_one_counts_call_per_prime(self, monkeypatch):
         # power_subgroup takes one _powers pass per prime, and f, x+y and x-y
-        # share one _form_counts call; the coset check needs no other pass.
-        powers, form_counts = residues._powers, residues._form_counts
+        # share one _subgroup_counts call; the coset check needs no other pass.
+        powers, subgroup_counts = residues._powers, residues._subgroup_counts
         for source, k in zip(SOURCES, (2, 3)):
             calls = []
             monkeypatch.setattr(residues, "_powers", lambda p, e: calls.append(("powers", p, e)) or powers(p, e))
-            monkeypatch.setattr(residues, "_form_counts",
-                                lambda forms, m, classes: calls.append(("counts", m, len(forms)))
-                                or form_counts(forms, m, classes))
+            monkeypatch.setattr(residues, "_subgroup_counts",
+                                lambda forms, subgroup: calls.append(("counts", subgroup.p, len(forms)))
+                                or subgroup_counts(forms, subgroup))
             sols = source(2, 1, 20)
             assert all(sol.residues.modulus // k <= residues.FULL_ENUMERATION_ORDER_CAP for sol in sols)
             assert calls == [call for sol in sols
@@ -394,15 +429,15 @@ class TestSubgroupLocals:
     def test_zero_in_f_is_caught(self, monkeypatch, source):
         # Moving one representation from each class of H to 0 keeps the sum
         # and the coset constancy, so only the check of f(H) can catch it.
-        form_counts = residues._form_counts
+        subgroup_counts = residues._subgroup_counts
 
-        def skewed(forms, m, classes):
-            counts = form_counts(forms, m, classes)
-            counts[0][list(classes)] -= 1
-            counts[0][0] += len(classes)
+        def skewed(forms, subgroup):
+            counts = subgroup_counts(forms, subgroup)
+            counts[0][list(subgroup.classes)] -= 1
+            counts[0][0] += subgroup.order
             return counts
 
-        monkeypatch.setattr(residues, "_form_counts", skewed)
+        monkeypatch.setattr(residues, "_subgroup_counts", skewed)
         with pytest.raises(RuntimeError, match="not exactly the nonzero classes"):
             source(2, 1, 3)
 
@@ -412,11 +447,14 @@ class TestSubgroupLocals:
         def described(sols):
             return [(s.residues.modulus, s.residues.classes, s.f_card, s.g_card) for s in sols]
 
-        enumerated = described(source(u, v, 12))
         counted = []
-        form_counts = residues._form_counts
+        subgroup_counts = residues._subgroup_counts
+        monkeypatch.setattr(residues, "_subgroup_counts", lambda *args: counted.append(args) or subgroup_counts(*args))
+        enumerated = described(source(u, v, 12))
+        assert len(enumerated) == 12
+        assert [subgroup.p for _, subgroup in counted] == [p for p, *_ in enumerated]  # counted below the cap
+        counted.clear()
         monkeypatch.setattr(residues, "FULL_ENUMERATION_ORDER_CAP", 1)
-        monkeypatch.setattr(residues, "_form_counts", lambda *args: counted.append(args) or form_counts(*args))
         assert described(source(u, v, 12)) == enumerated
         assert counted == []
 
