@@ -12,7 +12,6 @@ from .intsets import (
     SUM,
     FiniteIntSet,
     LinearForm,
-    NormalizationTrace,
     affine_canonical,
     amplify,
     canonical_pair,
@@ -57,7 +56,6 @@ from .residues import (
     power_subgroup,
     qr_local_solutions,
     qr_sum_diff_full,
-    quadratic_residues,
     zero_in_f_of_qr,
 )
 from .smallsets import (
@@ -77,7 +75,6 @@ __all__ = [
     "SUM",
     "FiniteIntSet",
     "LinearForm",
-    "NormalizationTrace",
     "TripleClassification",
     "WitnessPair",
     "ConstructionReport",
@@ -117,7 +114,6 @@ __all__ = [
     "primes_between",
     "qr_local_solutions",
     "qr_sum_diff_full",
-    "quadratic_residues",
     "rectify",
     "set_from_json",
     "set_from_text",

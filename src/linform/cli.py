@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .intsets import (
-    STRATEGIES,
     FiniteIntSet,
     LinearForm,
     image,
@@ -63,9 +62,6 @@ LOCAL_SEARCH_MODULUS_CAP = 4096
 # Each local-search move computes one or two images mod m; at this budget a
 # search took 32 s at m = 4096 and 1.6 s at m = 13.
 LOCAL_SEARCH_BUDGET_CAP = 100_000
-# Explicit image --strategy pairs enumerates all |A|^n tuples in Python; x+y
-# on 2,000 elements (4,000,000 tuples) took 4.2 s and 216 MB peak RSS.
-PAIRS_TUPLE_CAP = 4_000_000
 # image and compare bound |f(A)| by min(|A|^n, window width) before folding;
 # 2x+y on 5,000 generic elements (25,000,000 values) took 1.4 s and 607 MB
 # peak RSS under auto, x+y+z on 300 elements (27,000,000 tuples) 0.55 s.
@@ -166,20 +162,17 @@ def _form_str(form: LinearForm) -> str:
 def cmd_image(args: argparse.Namespace) -> CommandResult:
     form = parse_form(args.form)
     a, source = _resolve_set(args)
-    inputs = {"form": _form_str(form), "set": source, "strategy": args.strategy}
-    if args.strategy == "pairs" and (tuples := len(a) ** form.arity) > PAIRS_TUPLE_CAP:
-        raise UsageError(f"--strategy pairs is capped at {PAIRS_TUPLE_CAP} tuples (|A|^n), got {tuples}")
     _require_image_within_cap(form, len(a), a[-1] - a[0])
     if args.full:
-        img = image(form, a, strategy=args.strategy)
+        img = image(form, a)
         card = len(img)
         outputs: dict = {"cardinality": card, "image": list(img.elements)}
         text = f"|f(A)| = {card}\n" + " ".join(str(x) for x in img.elements)
     else:
-        card = image_cardinality(form, a, strategy=args.strategy)
+        card = image_cardinality(form, a)
         outputs = {"cardinality": card}
         text = f"|f(A)| = {card}"
-    return CommandResult("image", inputs, outputs, text=text)
+    return CommandResult("image", {"form": _form_str(form), "set": source}, outputs, text=text)
 
 
 def cmd_compare(args: argparse.Namespace) -> CommandResult:
@@ -215,11 +208,8 @@ def cmd_classify3(args: argparse.Namespace) -> CommandResult:
 def cmd_witness(args: argparse.Namespace) -> CommandResult:
     kind = args.kind
     if kind == "three":
-        if args.form_f is None or args.form_g is None:
-            raise UsageError("witness three needs -f and -g")
         w = three_set_witness(parse_form(args.form_f), parse_form(args.form_g))
     elif kind == "five":
-        _require_uv(args)
         a, card_f, card_d = five_set_witness(args.u, args.v)
         return CommandResult(
             "witness",
@@ -228,9 +218,6 @@ def cmd_witness(args: argparse.Namespace) -> CommandResult:
             text=f"A = {list(a.elements)}\n|f(A)| = {card_f} < {card_d} = |A - A|",
         )
     elif kind == "ap":
-        _require_uv(args)
-        if args.t is None:
-            raise UsageError("witness ap needs -t")
         form_f = LinearForm((args.u, args.v))
         form_g = LinearForm((args.u, -args.v))
         _require_image_within_cap(form_f, args.t, args.t - 1)  # A = [0, t-1]; g has f's height
@@ -243,8 +230,7 @@ def cmd_witness(args: argparse.Namespace) -> CommandResult:
             {"set": list(a.elements), "f_card": cf, "g_card": cg},
             text=f"A = {list(a.elements)}\n|f(A)| = {cf} = {cg} = |g(A)|",
         )
-    else:  # "four"; argparse restricts the choices
-        _require_uv(args)
+    else:  # "four"; argparse restricts the kinds
         w = conjugate_four_set_witness(args.u, args.v)
     return CommandResult(
         "witness",
@@ -262,11 +248,6 @@ def cmd_witness(args: argparse.Namespace) -> CommandResult:
             f"B = {list(w.set_b.elements)}: |f(B)| = {w.f_of_b}, |g(B)| = {w.g_of_b}"
         ),
     )
-
-
-def _require_uv(args: argparse.Namespace) -> None:
-    if args.u is None or args.v is None:
-        raise UsageError(f"witness {args.kind} needs -u and -v")
 
 
 def cmd_local_search(args: argparse.Namespace) -> CommandResult:
@@ -395,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--form", required=True, help="comma-separated coefficients, e.g. 2,1")
     p.add_argument("-A", "--set-file", help="set file: one integer per line, or .json array")
     p.add_argument("--inline", help="inline set, e.g. 0,1,2")
-    p.add_argument("--strategy", choices=STRATEGIES, default="auto",
-                   help=f"sumset kernel: pairs (Python hash set, at most {PAIRS_TUPLE_CAP} tuples), "
-                        "merge (numpy sort and merge), bitset (bit mask); auto picks one by size")
     p.add_argument("--full", action="store_true", help="print the image, not just its size")
     p.set_defaults(handler=cmd_image)
 
@@ -414,14 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", type=int, required=True)
     p.set_defaults(handler=cmd_classify3)
 
-    p = sub.add_parser("witness", parents=[common], help="explicit separating witness sets")
-    p.add_argument("kind", choices=["three", "four", "five", "ap"])
-    p.add_argument("-f", "--form-f", help="first form (three)")
-    p.add_argument("-g", "--form-g", help="second form (three)")
-    p.add_argument("-u", type=int, help="leading coefficient (four, five, ap)")
-    p.add_argument("-v", type=int, help="second coefficient (four, five, ap)")
-    p.add_argument("-t", type=int, help="progression length (ap)")
+    p = sub.add_parser("witness", help="explicit separating witness sets")
     p.set_defaults(handler=cmd_witness)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("three", parents=[common])
+    k.add_argument("-f", "--form-f", required=True)
+    k.add_argument("-g", "--form-g", required=True)
+    for kind in ("four", "five", "ap"):
+        k = kinds.add_parser(kind, parents=[common])
+        k.add_argument("-u", type=int, required=True, help="leading coefficient")
+        k.add_argument("-v", type=int, required=True, help="second coefficient")
+    k.add_argument("-t", type=int, required=True, help="progression length")  # k is ap, the last
 
     p = sub.add_parser("local-search", parents=[common],
                        help="search Z/mZ for a subset with small |f(R)|/|g(R)| and g(R) full")

@@ -168,38 +168,24 @@ SUM = LinearForm((1, 1))
 DIFFERENCE = LinearForm((1, -1))
 
 
-@dataclass(frozen=True)
-class NormalizationTrace:
-    """A binary form together with its normalized equivalent and the moves taken.
+def normalize_form(form: LinearForm) -> LinearForm:
+    """Reduce a binary form to u >= |v| >= 1, gcd(u, v) = 1, u > 0.
 
-    Each recorded move (gcd division, coefficient swap, global negation)
-    preserves the image cardinality |f(A)| for every finite set A.
+    Each move (gcd division, coefficient swap, global negation) preserves
+    the image cardinality |f(A)| for every finite set A.
     """
-
-    original: LinearForm
-    normalized: LinearForm
-    steps: tuple[str, ...]
-
-
-def normalize_form(form: LinearForm) -> NormalizationTrace:
-    """Reduce a binary form to u >= |v| >= 1, gcd(u, v) = 1, u > 0."""
     form._require_binary()
     u, v = form.coefficients
-    steps: list[str] = []
     d = math.gcd(u, v)
-    if d > 1:
-        u, v = u // d, v // d
-        steps.append(f"divide-gcd:{d}")
+    u, v = u // d, v // d
     if abs(u) < abs(v):
         u, v = v, u
-        steps.append("swap")
     if u < 0:
         u, v = -u, -v
-        steps.append("negate")
     normalized = LinearForm((u, v))
     if not normalized.is_normalized:
         raise RuntimeError(f"normalization of {form.coefficients} produced {normalized.coefficients}")
-    return NormalizationTrace(original=form, normalized=normalized, steps=tuple(steps))
+    return normalized
 
 
 def dilate(u: int, a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:

@@ -15,12 +15,13 @@ shift-or, one shifted copy of the mask per class, about |R|*m/32 words
 per stage.  Once |R|^2 >= _FFT_CROSSOVER*m (for quadratic-residue sets,
 m >= 576), and while m <= _FFT_MODULUS_CAP, each stage instead counts
 representations with _representation_counts, an exact float64 FFT
-convolution of 0/1 vectors in O(m log m), and keeps only the support.
-The kernel rounds each count and raises if any value lies 1/4 or more
-from an integer; its docstring bounds the error below 0.001 for
+convolution of one 0/1 vector with each of its partners in O(m log m),
+and keeps only the support; a stage of x+y convolves one dilation with
+itself.  The kernel rounds each count and raises if any value lies 1/4
+or more from an integer; its docstring bounds the error below 0.001 for
 m <= 2^33, so the rounding is exact.  The prime locals of residues are
-verified on the same kernel, one convolution per coset of the power
-subgroup by the coset lemma there: one rfft and one irfft per
+verified on the same kernel, 1_H convolved with each coset of the power
+subgroup H by the coset lemma there: one rfft and one irfft per
 quadratic-residue prime.
 """
 
@@ -154,9 +155,11 @@ def _image_mask(form: LinearForm, m: int, classes: Collection[int]) -> int:
 def _fft_image_mask(form: LinearForm, m: int, classes: Collection[int]) -> int:
     """_image_mask by cyclic counts: each stage keeps the support of acc * term."""
     array = np.fromiter(classes, dtype=np.int64, count=len(classes))
-    acc = _dilation(m, array, form.coefficients[0])
+    # One array per coefficient mod m: a term equal to acc is acc itself, and shares its rfft.
+    dilations = {r: _dilation(m, array, r) for r in {c % m for c in form.coefficients}}
+    acc = dilations[form.coefficients[0] % m]
     for c in form.coefficients[1:]:
-        (counts,) = _representation_counts([(acc, _dilation(m, array, c))])
+        (counts,) = _representation_counts(acc, [dilations[c % m]])
         acc = counts > 0
     return int.from_bytes(np.packbits(acc, bitorder="little").tobytes(), "little")
 
@@ -168,14 +171,14 @@ def _dilation(m: int, classes: np.ndarray, c: int) -> np.ndarray:
     return term
 
 
-def _representation_counts(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """Exact cyclic convolutions of pairs of 0/1 vectors of one length m, as int64.
+def _representation_counts(x: np.ndarray, ys: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Exact cyclic convolutions of the 0/1 vector x with each 0/1 vector y of its length m, as int64.
 
-    For each pair (x, y), counts[k] = #{(i, j) : x[i] = y[j] = 1,
-    i + j = k (mod m)}.  The linear convolution comes from a float64
-    rfft/irfft of the power of two N >= 2m-1, and its entries at k and
-    k + m are added.  Vectors that compare equal share one rfft; each pair
-    takes one irfft.
+    For each y, counts[k] = #{(i, j) : x[i] = y[j] = 1, i + j = k (mod m)}.
+    The linear convolution comes from a float64 rfft/irfft of the power
+    of two N >= 2m-1, and its entries at k and k + m are added.  x takes
+    one rfft, which a y that is x itself reuses; each other y takes one
+    rfft, and each y one irfft.
 
     Error bound.  For an FFT product of length N = 2^t, Percival (Math.
     Comp. 72, 2003, Theorem 5.1) bounds every entry's error by
@@ -195,18 +198,14 @@ def _representation_counts(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> li
     Memory is O(m): the transforms hold about 80 bytes per class, and each
     spectrum is dropped before the inverse transform of its last product.
     """
-    m = len(pairs[0][0])
+    m = len(x)
     size = 1 << (2 * m - 1).bit_length()
-    vectors = {x.tobytes(): x for pair in pairs for x in pair}  # equal vectors, one key
-    keys = [(x.tobytes(), y.tobytes()) for x, y in pairs]
-    spectra: dict[bytes, np.ndarray] = {}
+    spectrum = np.fft.rfft(x, size)
     counts = []
-    for i, (kx, ky) in enumerate(keys):
-        for k in {kx, ky} - spectra.keys():
-            spectra[k] = np.fft.rfft(vectors[k], size)
-        c = spectra[kx] * spectra[ky]
-        needed = {k for later in keys[i + 1:] for k in later}
-        spectra = {k: x for k, x in spectra.items() if k in needed}  # free spent spectra first
+    for i, y in enumerate(ys, 1):
+        c = spectrum * (spectrum if y is x else np.fft.rfft(y, size))
+        if i == len(ys):
+            del spectrum  # free it before the last inverse transform
         c = np.fft.irfft(c, size)
         c = c[:m] + c[m:2 * m]
         rounded = np.rint(c)

@@ -136,13 +136,6 @@ def _powers(p: int, e: int) -> np.ndarray:
     return powers
 
 
-def quadratic_residues(p: int) -> PowerSubgroup:
-    """The nonzero squares mod an odd prime p."""
-    if p == 2:
-        raise ValueError("p must be an odd prime")
-    return power_subgroup(p, 2)
-
-
 def qr_sum_diff_full(p: int) -> bool:
     """Check by enumeration that sums and differences of squares cover Z/pZ.
 
@@ -151,7 +144,7 @@ def qr_sum_diff_full(p: int) -> bool:
     """
     if not is_prime(p) or p % 4 != 1 or p <= 5:
         raise ValueError(f"requires a prime p = 1 (mod 4) with p > 5, got {p}")
-    s_counts, d_counts = _subgroup_counts((SUM, DIFFERENCE), quadratic_residues(p))
+    s_counts, d_counts = _subgroup_counts((SUM, DIFFERENCE), power_subgroup(p, 2))
     return bool(s_counts.all() and d_counts.all())
 
 
@@ -169,7 +162,7 @@ def _subgroup_counts(forms: Sequence[LinearForm], subgroup: PowerSubgroup) -> li
     keys = [pow(c, n, p) for c in ratios]  # c^|H| names the coset cH
     cosets = {1: h} if subgroup.k == 2 else {
         key: h if key == 1 else h[x * pow(c, -1, p) % p] for key, c in zip(keys, ratios)}  # 1_cH(y) = 1_H(y/c)
-    t = dict(zip(cosets, _representation_counts([(h, indicator) for indicator in cosets.values()])))
+    t = dict(zip(cosets, _representation_counts(h, list(cosets.values()))))
     if subgroup.k == 2:
         t[p - 1] = n - t[1] - h  # T_N
     return [t[key] if w == 1 else t[key][x * w % p] for key, w in zip(keys, inverses)]
@@ -184,7 +177,7 @@ def zero_in_f_of_qr(u: int, v: int, p: int) -> bool:
         raise ValueError(f"p must be an odd prime, got {p}")
     if u % p == 0 or v % p == 0:
         raise ValueError(f"p={p} must not divide the coefficients ({u}, {v})")
-    return bool(_image_mask(LinearForm((u, v)), p, quadratic_residues(p).classes) & 1)
+    return bool(_image_mask(LinearForm((u, v)), p, power_subgroup(p, 2).classes) & 1)
 
 
 @dataclass(frozen=True)

@@ -135,28 +135,15 @@ def three_set_witness(form_f: LinearForm, form_g: LinearForm) -> WitnessPair:
         raise ValueError("both forms need leading coefficient >= 2")
     if (u1, abs(v1)) == (u2, abs(v2)):
         raise ValueError("forms with equal (u, |v|) admit no 3-element witness")
-    if (u1, abs(v1)) > (u2, abs(v2)):
-        flipped = three_set_witness(form_g, form_f)
-        return WitnessPair(
-            form_f=form_f,
-            form_g=form_g,
-            set_a=flipped.set_b,
-            set_b=flipped.set_a,
-            f_of_a=flipped.g_of_b,
-            g_of_a=flipped.f_of_b,
-            f_of_b=flipped.g_of_a,
-            g_of_b=flipped.f_of_a,
-        )
-
-    if u1 < u2 and u2 != u1 + abs(v1):
-        set_a = FiniteIntSet((0, abs(v1), u1))
-        set_b = FiniteIntSet((0, abs(v2), u2))
-    elif u1 < u2:
-        set_a = FiniteIntSet((0, abs(v1), u1))
-        set_b = FiniteIntSet((0, abs(v2), u2 + abs(v2)))
+    # The form with the smaller (u, |v|) takes fewer than 9 values on small, the other on large.
+    (us, vs), (ul, vl) = sorted([(u1, abs(v1)), (u2, abs(v2))])
+    if us < ul and ul != us + vs:
+        small, large = (0, vs, us), (0, vl, ul)
+    elif us < ul:
+        small, large = (0, vs, us), (0, vl, ul + vl)
     else:
-        set_a = FiniteIntSet((0, abs(v1), u1 + abs(v1)))
-        set_b = FiniteIntSet((0, abs(v2), u2 + abs(v2)))
+        small, large = (0, vs, us + vs), (0, vl, ul + vl)
+    set_a, set_b = map(FiniteIntSet, (small, large) if (u1, abs(v1)) < (u2, abs(v2)) else (large, small))
 
     f_of_a = image_cardinality(form_f, set_a)
     g_of_a = image_cardinality(form_g, set_a)

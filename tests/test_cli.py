@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_rejected(capsys, *argv):
+    """(exit code, stdout, stderr) of argv that argparse itself rejects."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
 def assert_one_error_line(code, out, err, prefix):
     """Exit 2, nothing on stdout, and one error line that starts with prefix."""
     assert code == 2
@@ -46,6 +54,7 @@ class TestImageCommand:
     def test_singleton(self, capsys):
         code, data, _ = run_json(capsys, "image", "-f", "1,1", "--inline", "5")
         assert code == 0
+        assert data["inputs"] == {"form": "1,1", "set": {"inline": "5"}}
         assert data["outputs"]["cardinality"] == 1
 
     def test_file_source(self, capsys, tmp_path):
@@ -59,12 +68,6 @@ class TestImageCommand:
         code, data, _ = run_json(capsys, "image", "-f", "2,1", "--inline", "0,1,2", "--full")
         assert data["outputs"]["image"] == [0, 1, 2, 3, 4, 5, 6]
 
-    def test_strategy_override(self, capsys):
-        for strategy in ("pairs", "merge", "bitset"):
-            code, data, _ = run_json(capsys, "image", "-f", "1,-1", "--inline",
-                                     "0,2,3,4,7,11,12,14", "--strategy", strategy)
-            assert data["outputs"]["cardinality"] == 25
-
     def test_parse_error_names_token(self, capsys):
         code, out, err = run(capsys, "image", "-f", "2,x", "--inline", "0,1")
         assert code == 2
@@ -74,23 +77,6 @@ class TestImageCommand:
         code, _, err = run(capsys, "image", "-f", "2,1")
         assert code == 2
         assert "inline" in err
-
-    def test_bitset_beyond_width_cap_is_usage_error(self, capsys):
-        for extra in ((), ("--full",)):
-            code, out, err = run(capsys, "image", "-f", "1,1", "--inline", f"0,{10**27}",
-                                 "--strategy", "bitset", *extra)
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error: strategy 'bitset' allows windows up to 134217728 bits")
-
-    @pytest.mark.parametrize("form,size", [("1,1", 2001), ("1,1,1", 159)])
-    def test_pairs_beyond_tuple_cap_is_usage_error(self, capsys, form, size):
-        inline = ",".join(str(3 * x) for x in range(size))
-        code, out, err = run(capsys, "image", "-f", form, "--inline", inline, "--strategy", "pairs")
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: --strategy pairs is capped at {cli.PAIRS_TUPLE_CAP} tuples")
-
 
     @pytest.mark.parametrize("command,form,size", [("image", ("-f", "1,1"), 5001),
                                                    ("image", ("-f", "1,1,1"), 293),
@@ -251,8 +237,20 @@ class TestWitnessCommand:
         assert data["outputs"]["f_card"] == 200 ** 2 == data["outputs"]["g_card"]
 
     def test_missing_parameters(self, capsys):
-        code, _, err = run(capsys, "witness", "five", "-u", "2")
-        assert code == 2
+        code, out, err = run_rejected(capsys, "witness", "five", "-u", "2")
+        assert (code, out) == (2, "")
+        assert "error: the following arguments are required: -v" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("four", "-u", "2", "-v", "1", "-t", "3"), "-t 3"),
+        (("five", "-u", "2", "-v", "1", "-t", "1"), "-t 1"),
+        (("three", "-f", "3,1", "-g", "5,1", "-u", "2"), "-u 2"),
+        (("ap", "-u", "3", "-v", "2", "-t", "2", "-f", "2,1"), "-f 2,1"),
+    ])
+    def test_flag_of_another_kind_is_rejected(self, capsys, argv, flag):
+        code, out, err = run_rejected(capsys, "witness", *argv)
+        assert (code, out) == (2, "")
+        assert f"error: unrecognized arguments: {flag}" in err
 
     @pytest.mark.parametrize("argv, message", [
         (("five", "-u", "3", "-v", "3"), "need u > v >= 1, got u=3, v=3"),
@@ -484,10 +482,10 @@ class TestSharedParser:
 
     def test_witness_t_does_not_leak_into_the_next_call(self, capsys):
         assert run(capsys, "witness", "ap", "-u", "3", "-v", "2", "-t", "2")[0] == 0
-        assert cli.build_parser().parse_args(["witness", "four", "-u", "2", "-v", "1"]).t is None
-        code, out, err = run(capsys, "witness", "ap", "-u", "3", "-v", "2")
-        assert code == 2
-        assert err.startswith("error: witness ap needs -t")
+        assert not hasattr(cli.build_parser().parse_args(["witness", "four", "-u", "2", "-v", "1"]), "t")
+        code, out, err = run_rejected(capsys, "witness", "ap", "-u", "3", "-v", "2")
+        assert (code, out) == (2, "")
+        assert "linform witness ap: error: the following arguments are required: -t" in err
 
     def test_argparse_error_then_valid_call(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -159,18 +160,36 @@ class TestModularImage:
             i, j = np.flatnonzero(x), np.flatnonzero(y)
             expected = np.bincount(((i[:, None] + j) % m).ravel(), minlength=m)
             squares = np.bincount(((i[:, None] + i) % m).ravel(), minlength=m)
-            xy, yx, xx = modular._representation_counts([(x, y), (y, x), (x, x.copy())])
+            xy, xx = modular._representation_counts(x, [y, x])
+            (yx,) = modular._representation_counts(y, [x])
+            (xx_copy,) = modular._representation_counts(x, [x.copy()])
             assert np.array_equal(xy, expected) and np.array_equal(yx, expected), m
-            assert np.array_equal(xx, squares), m
+            assert np.array_equal(xx, squares) and np.array_equal(xx_copy, squares), m
 
     def test_cyclic_counts_raise_when_rounding_is_ambiguous(self, monkeypatch):
         x = np.ones(50, dtype=bool)
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
         with pytest.raises(RuntimeError, match="within 1/4"):
-            modular._representation_counts([(x, x)])
+            modular._representation_counts(x, [x])
         with pytest.raises(RuntimeError, match="within 1/4"):
             modular_image(SUM, ResidueSet.full_ring(1000))
+
+    @pytest.mark.parametrize("coeffs, transforms", [((1, 1), (1, 1)), ((2, 1), (2, 1)),
+                                                    ((1, -1), (2, 1)), ((1, 1, 1), (3, 2))])
+    def test_fft_stages_share_transforms(self, monkeypatch, coeffs, transforms):
+        # x+y convolves one dilation with itself: one rfft.  Each later stage
+        # transforms its new accumulator and, unless it is the same vector, its term.
+        m = 4096
+        classes = sorted(np.random.default_rng(1).choice(m, m // 2, replace=False).tolist())
+        assert len(classes) ** 2 >= modular._FFT_CROSSOVER * m
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        with mock.patch.object(np.fft, "rfft", side_effect=rfft) as rffts, \
+                mock.patch.object(np.fft, "irfft", side_effect=irfft) as irffts:
+            mask = modular._image_mask(LinearForm(coeffs), m, classes)
+        assert (rffts.call_count, irffts.call_count) == transforms
+        monkeypatch.setattr(modular, "_FFT_MODULUS_CAP", m - 1)  # the same image by shift-or
+        assert mask == modular._image_mask(LinearForm(coeffs), m, classes)
 
     def test_agrees_with_integer_image_reduced(self):
         rng = random.Random(23)

@@ -24,7 +24,6 @@ from linform.residues import (
     power_subgroup,
     qr_local_solutions,
     qr_sum_diff_full,
-    quadratic_residues,
     zero_in_f_of_qr,
 )
 
@@ -49,14 +48,14 @@ KPOWER_2_1_MODULI = (
 
 class TestPowerSubgroup:
     def test_squares_mod_13(self):
-        assert quadratic_residues(13).classes == (1, 3, 4, 9, 10, 12)
+        assert power_subgroup(13, 2).classes == (1, 3, 4, 9, 10, 12)
 
     def test_squares_mod_5(self):
-        assert quadratic_residues(5).classes == (1, 4)
+        assert power_subgroup(5, 2).classes == (1, 4)
 
     def test_membership_matches_jacobi(self):
         for p in primes_between(3, 97):
-            qr = quadratic_residues(p)
+            qr = power_subgroup(p, 2)
             for a in range(1, p):
                 assert (a in qr) == (jacobi(a, p) == 1), (a, p)
 
@@ -77,7 +76,7 @@ class TestPowerSubgroup:
         with pytest.raises(ValueError):
             power_subgroup(13, 5)  # 5 does not divide 12
         with pytest.raises(ValueError):
-            quadratic_residues(2)
+            power_subgroup(2, 2)
 
     def test_matches_pow_for_every_divisor_below_200(self):
         for p, k in SMALL_SUBGROUPS + [(p, p - 1) for p in primes_between(3, 199)]:
@@ -331,7 +330,7 @@ class TestQrLocalSolutions:
         assert all(p % 8 == 5 for p in moduli)
         for sol in sols:
             p = sol.residues.modulus
-            assert sol.residues == quadratic_residues(p).residue_set()
+            assert sol.residues == power_subgroup(p, 2).residue_set()
             assert sol.f_card == p - 1
             assert sol.g_card == p
 

@@ -4,11 +4,13 @@ No module imports a name it never uses, and every private module-level
 name is read somewhere in the package, so deleting the last caller of a
 helper or constant also shows the helper or constant.  numpy's fft is
 used only inside modular._representation_counts, so every float count
-sits behind its one proved error bound and rounding guard.
+sits behind its one proved error bound and rounding guard.  Every
+command-line option is read by cli.py, so a flag cannot outlive its use.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -192,3 +194,41 @@ def test_fft_only_in_representation_counts():
     uses = [(p.name, func, line) for p in SOURCES for func, line in fft_uses(p.read_text())]
     assert uses, "no fft use found"
     assert [use for use in uses if use[:2] != ("modular.py", "_representation_counts")] == []
+
+
+def option_dests(parser: argparse.ArgumentParser) -> set[str]:
+    """The dest of every option of parser and of its subcommands, nested ones included; --help excepted."""
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= option_dests(sub)
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            dests.add(action.dest)
+    return dests
+
+
+def args_reads(source: str) -> set[str]:
+    """The attributes x that source reads as args.x."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_scan_finds_unread_options():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--top")
+    inner = parser.add_subparsers(dest="command").add_parser("outer").add_subparsers(dest="kind")
+    leaf = inner.add_parser("leaf")
+    leaf.add_argument("-n", "--count", type=int)
+    leaf.add_argument("--dry-run", action="store_true")
+    assert option_dests(parser) == {"top", "count", "dry_run"}
+    source = "def handler(args):\n    return args.count, other.dry_run, args.kind\n"
+    assert sorted(option_dests(parser) - args_reads(source)) == ["dry_run", "top"]
+
+
+def test_every_cli_option_is_read():
+    from linform import cli
+
+    dests = option_dests(cli.build_parser())
+    assert {"json", "form", "form_f", "u", "t", "only"} <= dests  # nested witness options included
+    assert sorted(dests - args_reads((PACKAGE / "cli.py").read_text())) == []
