@@ -4,8 +4,8 @@ The image of a linear form f(x1,...,xn) = u1*x1 + ... + un*xn on a set A
 is {f(a1,...,an) : ai in A}, computed here by folding sumsets of the
 dilations ui*A.  Each strategy name runs exactly one sumset kernel:
 pairs enumerates every tuple into a Python hash set, merge sorts and
-merges numpy offsets, and bitset ORs shifted bit masks.  auto picks one
-by input size unless a name is given.
+merges numpy offsets, and bitset ORs shifted bit masks.  auto runs the
+one with the least predicted time (_predicted_ns) unless a name is given.
 
 The merge kernel folds on offsets from the sum of the terms' first
 elements.  It forms each stage's outer sum in blocks of at most
@@ -22,14 +22,15 @@ more than 2**63 integers, each offset is held as k limbs of _LIMB_BITS =
 2**63, so the limb-wise outer sum cannot overflow (see _limb_fold).
 
 The bitmask kernel keeps the accumulated sumset in one of two exact
-representations, chosen by its estimated cost in 64-bit word operations
-(one accumulator pass per element of each later term): below
-_WORD_FOLD_COST a Python int, shifted and ORed whole per element; from
-there on a numpy uint64 word array, into which one shifted copy per
-distinct bit shift is ORed in place per element.  Both use only shifts
-and ORs, so they give the same mask bit for bit.  Like merge, the word
-array folds each unordered pair of c*(x + y) and c*(x - y) once; the
-big int folds every ordered pair.
+representations, the one with the lower predicted time: a Python int,
+shifted and ORed whole per element, or a numpy uint64 word array, into
+which one shifted copy per distinct bit shift is ORed in place per
+element.  The word array costs about 50 us per call and 1.5 us per
+element, the big int about 8 us per call and 2 ns per word, so narrow or
+small images stay on big ints.  Both use only shifts and ORs, so they
+give the same mask bit for bit.  Like merge, the word array folds each
+unordered pair of c*(x + y) and c*(x - y) once; the big int folds every
+ordered pair.
 """
 
 from __future__ import annotations
@@ -50,21 +51,17 @@ STRATEGIES = ("auto", "pairs", "merge", "bitset")
 # explicit strategy="bitset" on a wider image raises ValueError.
 BITSET_WIDTH_CAP = 1 << 27
 
-# Fold cost (_bitset_cost, in words) from which the numpy word kernel runs
-# instead of big-int shift-or.  Measured crossover, Python 3.11 and numpy 2.4
-# on a 2-CPU Xeon, binary forms on random sets: big ints win by 1.3-14x below
-# 2e5 words (numpy costs about 60 us per call and 1 us per element), the two
-# are within 1.7x of each other from 5e5 to 8e5, and numpy wins by 1.7-2.6x
-# at 2e6-3e6, 4-7x at 8e6-3e7 and 14-24x on the 1.4e9-word image of a
-# 39,312-element set over a 2.2e6-bit window.
-_WORD_FOLD_COST = 1 << 20
-
-# Tuple count from which auto picks merge rather than pairs.  Measured
-# crossover, same host, random sets in [0, 1e9): Python wins by
-# 3-6x at 9-16 tuples (2-3 us against 9-15 us per call), the two are within
-# 1.7x of each other from 36 to 216, and int64 wins by 1.9-2.9x at 256,
-# 5-11x at 900 and 7-16x at 1,600.
-_SORT_FOLD_TUPLES = 256
+# Nanoseconds per unit of each kernel's work, in _predicted_ns's order, fitted
+# by tools/kernel_grid.py (least squares on log time) on its 120 cells with
+# Python 3.11, numpy 2.4, 2-CPU Xeon.  Two of its rows, in us:
+#   x+y, n=128, span 254,567:  pairs 1,872  merge 144  big-int 1,436  word 836  -> merge
+#   x+y+z, n=4096, span 4,096:  big-int 4,249  word 13,762  -> big-int
+_KERNEL_NS = {
+    "pairs": (77.0, 2_410.0),                   # tuple; call
+    "merge": (16.9, 22_000.0),                  # tuple after the pair fold; call
+    "big-int": (1.86, 263.0, 7_770.0),          # word; element; call
+    "word": (0.46, 1_480.0, 5_040.0, 47_500.0),  # word after the pair fold; element; shift; call
+}
 
 # Most int64 values (32 MiB) the merge kernel's outer sum holds at once,
 # counting every limb.
@@ -118,8 +115,8 @@ class FiniteIntSet:
         return self.elements[i]
 
     def reflect(self) -> "FiniteIntSet":
-        """The set {-a : a in A}."""
-        return FiniteIntSet(-a for a in self.elements)
+        """The set {-a : a in A}: negating the reversed elements keeps them sorted and distinct."""
+        return FiniteIntSet._from_sorted([-a for a in reversed(self.elements)])
 
 
 @dataclass(frozen=True)
@@ -211,11 +208,11 @@ def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],
                       strategy: str = "auto") -> int:
     """|f(A)| without materializing the image when the bitmask kernel applies."""
     terms = _terms(form, _as_set(a))
-    chosen = _choose_strategy(terms, strategy)
-    if chosen == "bitset":
-        mask, _ = _bitset_fold(terms)
+    kernel = _choose_strategy(terms, strategy)
+    if kernel in ("big-int", "word"):
+        mask, _ = _bitset_fold(terms, kernel == "word")
         return mask.bit_count()
-    if chosen == "merge":
+    if kernel == "merge":
         limbs, _, mirrored = _sort_fold(terms)
         return 2 * limbs.shape[1] + 1 if mirrored else limbs.shape[1]
     return len(_python_fold(terms))
@@ -236,42 +233,58 @@ def _terms(form: LinearForm, a: FiniteIntSet) -> list[list[int]]:
 
 
 def _width(terms: list[list[int]]) -> int:
-    lo = sum(t[0] for t in terms)
-    hi = sum(t[-1] for t in terms)
-    return hi - lo + 1
+    return sum(t[-1] - t[0] for t in terms) + 1
 
 
 def _choose_strategy(terms: list[list[int]], strategy: str) -> str:
+    """The kernel to run (pairs, merge, big-int or word): the fastest predicted that strategy allows."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if strategy != "auto":
-        if strategy == "bitset" and (width := _width(terms)) > BITSET_WIDTH_CAP:
-            raise ValueError(f"strategy 'bitset' allows windows up to {BITSET_WIDTH_CAP} bits, "
-                             f"this image spans {width}")
+    if strategy in ("pairs", "merge"):
         return strategy
-    width = _width(terms)
-    tuples = math.prod(map(len, terms))
-    # Enumeration costs a bigger constant per tuple than the bitmask kernel
-    # does per word.
-    if width <= BITSET_WIDTH_CAP and _bitset_cost(terms, width) <= 120 * tuples:
-        return "bitset"
-    return "pairs" if tuples < _SORT_FOLD_TUPLES else "merge"
+    if strategy == "bitset" and (width := _width(terms)) > BITSET_WIDTH_CAP:
+        raise ValueError(f"strategy 'bitset' allows windows up to {BITSET_WIDTH_CAP} bits, "
+                         f"this image spans {width}")
+    ns = _predicted_ns(terms)
+    if strategy == "bitset":
+        del ns["pairs"], ns["merge"]
+    return min(ns, key=ns.get)
 
 
-def _bitset_cost(terms: list[list[int]], width: int) -> int:
-    # Rough cost model: the bitmask kernel shifts a width-bit accumulator
-    # once per element of each later term, at about one machine word per
-    # 64 bits.
-    rows = max(sum(map(len, terms)) - len(terms[0]), 1)
-    return rows * (width // 64 + 1)
+def _predicted_ns(terms: list[list[int]]) -> dict[str, float]:
+    """Each kernel's predicted time on terms; bitset ones only if the window fits BITSET_WIDTH_CAP.
+
+    pairs and merge form one sum per distinct partial sum and element of the
+    next term, merge one per unordered pair of c*(x + y) and c*(x - y).  The
+    big int shifts a window-wide mask per element of each later term.  The
+    word array, narrowest term first, ORs the mask so far per element (per
+    pair, as merge) after one shifted copy per distinct shift, <= 64 a stage.
+    """
+    by_span = sorted([(t[-1] - t[0], len(t)) for t in terms])
+    span, distinct = by_span[0]
+    tuples = words = shifts = 0
+    for s, n in by_span[1:]:
+        tuples += distinct * n
+        words += n * (span // 64 + 1)
+        shifts += min(n, 64)
+        span += s
+        distinct = min(distinct * n, span + 1)
+    folded = 2 if len(terms) == 2 and terms[1] in (terms[0], [-x for x in reversed(terms[0])]) else 1
+    (p, p_call), (m, m_call), (b, b_row, b_call), (w, w_row, w_shift, w_call) = _KERNEL_NS.values()
+    ns = {"pairs": p * tuples + p_call, "merge": m * tuples / folded + m_call}
+    if span < BITSET_WIDTH_CAP:
+        rows = max(sum(n for _, n in by_span) - len(terms[0]), 1)
+        ns["big-int"] = (b * (span // 64 + 1) + b_row) * rows + b_call
+        ns["word"] = w * words / folded + w_row * rows + w_shift * shifts + w_call
+    return ns
 
 
 def _fold_sumsets(terms: list[list[int]], strategy: str) -> list[int]:
-    chosen = _choose_strategy(terms, strategy)
-    if chosen == "bitset":
-        mask, base = _bitset_fold(terms)
+    kernel = _choose_strategy(terms, strategy)
+    if kernel in ("big-int", "word"):
+        mask, base = _bitset_fold(terms, kernel == "word")
         return _bits.decode(mask, base)
-    if chosen == "merge":
+    if kernel == "merge":
         limbs, g, mirrored = _sort_fold(terms)
         base = sum(t[0] for t in terms)
         values = [base + g * x for x in _decode(limbs)]
@@ -407,15 +420,15 @@ def _python_fold(terms: list[list[int]]) -> list[int]:
     return acc
 
 
-def _bitset_fold(terms: list[list[int]]) -> tuple[int, int]:
-    """Fold the term sumsets as bitmasks; returns (mask, base).
+def _bitset_fold(terms: list[list[int]], word: bool) -> tuple[int, int]:
+    """Fold the term sumsets as bitmasks, on uint64 words if word else on a big int; returns (mask, base).
 
     Each stage shifts the accumulated mask by the offsets of the next
     term's elements, so intermediate images are never decoded.  The word
     kernel folds the narrowest term first, so that its accumulator stays
     as short as it can.
     """
-    if _bitset_cost(terms, _width(terms)) >= _WORD_FOLD_COST:
+    if word:
         terms = sorted(terms, key=lambda t: t[-1] - t[0])
         return _word_fold(terms), sum(t[0] for t in terms)
     base = terms[0][0]
@@ -492,7 +505,8 @@ def affine_canonical(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
     """Translate to min 0 and divide by the gcd of the nonzero elements.
 
     The result is the unique representative of A under translation and
-    positive dilation; |A| >= 2 required.
+    positive dilation; |A| >= 2 required.  x -> (x - min A)/g with g > 0 is
+    increasing, so the result is sorted and distinct as A is.
     """
     a = _as_set(a)
     if len(a) < 2:
@@ -502,7 +516,7 @@ def affine_canonical(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
     g = 0
     for x in shifted:
         g = math.gcd(g, x)
-    return FiniteIntSet(x // g for x in shifted)
+    return FiniteIntSet._from_sorted([x // g for x in shifted])
 
 
 def canonical_pair(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:

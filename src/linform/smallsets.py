@@ -94,7 +94,8 @@ def classify_triples(form: LinearForm) -> TripleClassification:
     alpha*beta < 0 and |beta| < |alpha|, and its only coprime one is
     (|beta|, |alpha|)/gcd(alpha, beta).  So the 49 choices of (dx, dy)
     yield exactly the exceptional triples, and b <= |alpha| <= u + |v| =
-    ``bound``.  Each is counted exactly and keyed by ``canonical_pair``;
+    ``bound``.  A candidate (0, a, b) has 0 < a < b, so it is already
+    sorted and distinct.  Each is counted exactly and keyed by ``canonical_pair``;
     |f| = 9 or two counts in one class raise RuntimeError.  For u = 1,
     dx = -v*dy always collides: every triple is exceptional, so x+y and
     x-y raise ValueError.
@@ -107,7 +108,7 @@ def classify_triples(form: LinearForm) -> TripleClassification:
     candidates = {(0, abs(beta) // math.gcd(alpha, beta), abs(alpha) // math.gcd(alpha, beta))
                   for alpha, beta in equations if alpha * beta < 0 and abs(beta) < abs(alpha)}
     found: dict[tuple[int, ...], int] = {}
-    for triple in map(FiniteIntSet, candidates):
+    for triple in map(FiniteIntSet._from_sorted, candidates):
         card = image_cardinality(form, triple, strategy="pairs")
         key = canonical_pair(triple).elements
         if card >= 9 or found.setdefault(key, card) != card:

@@ -449,6 +449,12 @@ class TestVerifyCommand:
         code, data, _ = run_json(capsys, "verify", "--only", "mstd")
         assert data["outputs"]["checks"][0]["ok"] is True
 
+    def test_details_repeat_between_runs(self, capsys):
+        # the time is in the check's seconds field, not in its detail
+        details = [run_json(capsys, "verify", "--only", "mstd")[1]["outputs"]["checks"][0]["detail"]
+                   for _ in range(2)]
+        assert details[0] == details[1] == "|A-A|=25 < |A+A|=26"
+
     def test_unknown_prefix_fails(self, capsys):
         code, data, _ = run_json(capsys, "verify", "--only", "nonexistent")
         assert code == 1

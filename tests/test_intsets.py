@@ -32,6 +32,7 @@ from linform.intsets import (
     sumset,
 )
 from linform.modular import ResidueSet, crt_product, rectify
+from linform.verify import packaged_locals
 
 MSTD = FiniteIntSet((0, 2, 3, 4, 7, 11, 12, 14))
 
@@ -186,22 +187,22 @@ class TestImage:
         calls = []
         stubs = {"_python_fold": [], "_sort_fold": (np.zeros((1, 0), np.int64), 1, False), "_bitset_fold": (0, 0)}
         for name, result in stubs.items():
-            monkeypatch.setattr(intsets, name, lambda terms, name=name, result=result: calls.append(name) or result)
+            monkeypatch.setattr(intsets, name, lambda terms, *_, name=name, result=result: calls.append(name) or result)
         fits, wide = 2**26 - 1, 2**26
         assert 2 * fits + 1 <= intsets.BITSET_WIDTH_CAP < 2 * wide + 1
         rng = random.Random(71)
         cases = [
             (15, 99, "_bitset_fold"),     # cheap mask
             (15, fits, "_python_fold"),   # 225 tuples, mask too costly
-            (16, fits, "_sort_fold"),     # 256 tuples
+            (20, fits, "_sort_fold"),     # 400 tuples
             (15, wide, "_python_fold"),
-            (16, wide, "_sort_fold"),
+            (20, wide, "_sort_fold"),
             (2000, fits, "_sort_fold"),   # 4,000,000 tuples, mask too costly
             (2001, fits, "_sort_fold"),   # the cost rule alone decides at any tuple count
             (2000, wide, "_sort_fold"),
             (2001, wide, "_sort_fold"),
         ]
-        labels = {"_python_fold": "pairs", "_sort_fold": "merge", "_bitset_fold": "bitset"}
+        labels = {"_python_fold": "pairs", "_sort_fold": "merge", "_bitset_fold": "big-int"}
         for n, d, kernel in cases:
             a = FiniteIntSet([0, d] + rng.sample(range(1, d), n - 2))
             assert intsets._choose_strategy(intsets._terms(SUM, a), "auto") == labels[kernel], (n, d)
@@ -326,10 +327,7 @@ class TestImage:
         cases += [(coeffs, rectified) for coeffs in ((2, 1), (1, 1), (1, -1), (1, 1, 1))]
         for coeffs, elems in cases:
             terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
-            monkeypatch.setattr(intsets, "_WORD_FOLD_COST", math.inf)
-            big_int = intsets._bitset_fold(terms)
-            monkeypatch.setattr(intsets, "_WORD_FOLD_COST", 0)
-            assert intsets._bitset_fold(terms) == big_int
+            assert intsets._bitset_fold(terms, True) == intsets._bitset_fold(terms, False)
 
     @given(a=small_sets, f=binary_forms)
     @settings(max_examples=100, deadline=None)
@@ -426,8 +424,8 @@ class TestWideSortFold:
             expected = tuple(sorted({x + y for x in a for y in b}))
             for s in ("auto", "pairs", "merge"):
                 assert sumset(a, b, strategy=s).elements == expected
-        assert_image_exact((-5,), elems[:300])
-        assert len(limb_folds) == 2 * 2 + 4
+        assert_image_exact((-5,), elems[:300])  # nothing to fold: auto runs pairs
+        assert len(limb_folds) == 2 * 2 + 2
 
     def test_gcd_reduces_dilated_windows_to_int64(self, monkeypatch):
         limb_folds = spy(monkeypatch, "_limb_fold")
@@ -582,7 +580,7 @@ class TestPairFolds:
 
 
 def word_pair_sets():
-    """(name, elements) whose pair folds cost at least _WORD_FOLD_COST words.
+    """(name, elements) whose pair folds the bitset strategy runs on the word kernel.
 
     Offsets 0, 63, 64, 65 from each end, on spans = 0 and 63 mod 64; a set
     with A = -A, for which x + y is also a mirrored pair; one far from 0.
@@ -608,18 +606,15 @@ class TestWordPairFolds:
 
     def test_images_match_pairs_and_big_int(self, monkeypatch):
         word_folds = spy(monkeypatch, "_word_fold")
-        word_fold_cost = intsets._WORD_FOLD_COST
         for name, elems in word_pair_sets():
             a = FiniteIntSet(elems)
             for coeffs in WORD_PAIR_COEFFS:
                 f = LinearForm(coeffs)
                 terms = intsets._terms(f, a)
-                assert intsets._bitset_cost(terms, intsets._width(terms)) >= word_fold_cost
-                monkeypatch.setattr(intsets, "_WORD_FOLD_COST", math.inf)
-                big_int = intsets._bitset_fold(terms)
-                monkeypatch.setattr(intsets, "_WORD_FOLD_COST", word_fold_cost)
+                assert intsets._choose_strategy(terms, "bitset") == "word"
+                big_int = intsets._bitset_fold(terms, False)
                 del word_folds[:]
-                assert intsets._bitset_fold(terms) == big_int, (name, coeffs)
+                assert intsets._bitset_fold(terms, True) == big_int, (name, coeffs)
                 expected = image(f, a, strategy="pairs").elements
                 assert image(f, a, strategy="bitset").elements == expected, (name, coeffs)
                 assert image_cardinality(f, a, strategy="bitset") == len(expected), (name, coeffs)
@@ -673,6 +668,60 @@ class TestNormalization:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             normalize_form(LinearForm((1, 2, 3)))
+
+
+def check_trusted_constructions(monkeypatch):
+    """Make FiniteIntSet._from_sorted also build each set with the checking constructor and compare."""
+    trusted = FiniteIntSet._from_sorted.__func__
+
+    def checked(cls, elements):
+        made = trusted(cls, elements)
+        assert made == FiniteIntSet(elements), elements
+        return made
+
+    monkeypatch.setattr(FiniteIntSet, "_from_sorted", classmethod(checked))
+
+
+class TestTrustedConstructors:
+    def test_reflect_matches_the_checking_constructor(self, monkeypatch):
+        check_trusted_constructions(monkeypatch)
+        rng = random.Random(89)
+        for _ in range(300):
+            elems = rng.sample(range(-10**6, 10**6), rng.randint(1, 40)) + [rng.getrandbits(100)]
+            a = FiniteIntSet(elems)
+            assert a.reflect() == FiniteIntSet(-x for x in elems)
+            assert a.reflect().reflect() == a
+
+    def test_affine_canonical_matches_the_checking_constructor(self, monkeypatch):
+        check_trusted_constructions(monkeypatch)
+        rng = random.Random(97)
+        for _ in range(300):
+            scale, shift = rng.randint(1, 10**12), rng.randint(-10**30, 10**30)
+            elems = [shift + scale * x for x in rng.sample(range(-500, 500), rng.randint(2, 40))]
+            lo, g = min(elems), math.gcd(*(x - min(elems) for x in elems))
+            assert affine_canonical(elems) == FiniteIntSet((x - lo) // g for x in elems)
+
+
+class TestAutoPicks:
+    """auto's pick on fixed sets, from the cost model fitted on tools/kernel_grid.py's grid."""
+
+    def test_dense_construction_sets_stay_on_the_word_kernel(self):
+        qr = [ResidueSet(p, {x * x % p for x in range(1, p)}) for p in (13, 29, 37, 53)]
+        packaged = rectify(crt_product(packaged_locals()), 1)
+        for a in (rectify(crt_product(qr), 1), packaged):
+            for coeffs in ((2, 1), (1, 1), (1, -1)):
+                terms = intsets._terms(LinearForm(coeffs), a)
+                assert intsets._choose_strategy(terms, "auto") == "word", (len(a), coeffs)
+
+    @pytest.mark.parametrize(("f", "g", "elems", "picks"), [
+        ((1, 1), (1, -1), MSTD.elements, ("big-int", "big-int")),  # 64 elements
+        ((5, 3), (1, 1), (-34, -9, 19), ("pairs", "pairs")),
+        ((3, 1), (1, -1), (-27, -9, 8, 20, 29, 33), ("merge", "merge")),
+        ((3, 1), (1, 1), (-31, -24, -23, -20, -17, -5, 9, 12, 16), ("merge", "merge")),
+    ])
+    def test_amplified_sets(self, f, g, elems, picks):
+        _, big = amplify(LinearForm(f), LinearForm(g), elems)
+        assert tuple(intsets._choose_strategy(intsets._terms(LinearForm(c), big), "auto") for c in (f, g)) == picks
 
 
 class TestAffineCanonical:

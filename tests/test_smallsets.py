@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,26 @@ class TestClassifyTriples:
                     diffs = {x - y for x in triple for y in triple}
                     assert any(u * dx + sv * dy == 0 for dx in diffs for dy in diffs
                                if (dx, dy) != (0, 0)), (u, sv, triple)
+
+    def test_candidates_match_the_checking_constructor(self, monkeypatch):
+        # Every candidate triple, and each set canonical_pair builds from it,
+        # goes through the trusted constructor; check each against the
+        # checking one, and the classification against an unchecked run.
+        rng = random.Random(101)
+        forms = [LinearForm((u, s * v)) for u, v in rng.sample(list(coprime_pairs(40)), 60) for s in (1, -1)]
+        expected = [classify_triples(f) for f in forms]
+        trusted = FiniteIntSet._from_sorted.__func__
+        built = []
+
+        def checked(cls, elements):
+            made = trusted(cls, elements)
+            assert made == FiniteIntSet(elements), elements
+            built.append(made)
+            return made
+
+        monkeypatch.setattr(FiniteIntSet, "_from_sorted", classmethod(checked))
+        assert [classify_triples(f) for f in forms] == expected
+        assert len(built) > len(forms)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
