@@ -25,12 +25,12 @@ The bitmask kernel keeps the accumulated sumset in one of two exact
 representations, the one with the lower predicted time: a Python int,
 shifted and ORed whole per element, or a numpy uint64 word array, into
 which one shifted copy per distinct bit shift is ORed in place per
-element.  The word array costs about 50 us per call and 1.5 us per
-element, the big int about 8 us per call and 2 ns per word, so narrow or
-small images stay on big ints.  Both use only shifts and ORs, so they
-give the same mask bit for bit.  Like merge, the word array folds each
-unordered pair of c*(x + y) and c*(x - y) once; the big int folds every
-ordered pair.
+element.  The word array is priced at about 0.44 ns per word, 2.2 us per
+element and 139 us per call, the big int at 2.5 ns per word and 11 us
+per call, so narrow or small images stay on big ints.  Both use only
+shifts and ORs, so they give the same mask bit for bit.  Like merge, the
+word array folds each unordered pair of c*(x + y) and c*(x - y) once;
+the big int folds every ordered pair.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
+from operator import eq, neg
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -53,14 +54,15 @@ BITSET_WIDTH_CAP = 1 << 27
 
 # Nanoseconds per unit of each kernel's work, in _predicted_ns's order, fitted
 # by tools/kernel_grid.py (least squares on log time) on its 120 cells with
-# Python 3.11, numpy 2.4, 2-CPU Xeon.  Two of its rows, in us:
-#   x+y, n=128, span 254,567:  pairs 1,872  merge 144  big-int 1,436  word 836  -> merge
-#   x+y+z, n=4096, span 4,096:  big-int 4,249  word 13,762  -> big-int
+# Python 3.11, numpy 2.4, 2-CPU Xeon.  Three of its rows, in us:
+#   x+y, n=128, span 254,567:  pairs 1,994  merge 153  big-int 2,443  word 1,481  -> merge
+#   2x+y, n=32, span 2,561:  pairs 109  merge 34  big-int 26  word 169  -> big-int
+#   x+y+z, n=4096, span 4,096:  big-int 3,688  word 7,931  -> big-int
 _KERNEL_NS = {
-    "pairs": (77.0, 2_410.0),                   # tuple; call
-    "merge": (16.9, 22_000.0),                  # tuple after the pair fold; call
-    "big-int": (1.86, 263.0, 7_770.0),          # word; element; call
-    "word": (0.46, 1_480.0, 5_040.0, 47_500.0),  # word after the pair fold; element; shift; call
+    "pairs": (77.1,),                     # tuple
+    "merge": (16.5, 18_800.0),            # tuple after the pair fold; call
+    "big-int": (2.54, 11_200.0),          # word; call
+    "word": (0.436, 2_220.0, 139_000.0),  # word after the pair fold; element; call
 }
 
 # Most int64 values (32 MiB) the merge kernel's outer sum holds at once,
@@ -208,11 +210,11 @@ def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],
                       strategy: str = "auto") -> int:
     """|f(A)| without materializing the image when the bitmask kernel applies."""
     terms = _terms(form, _as_set(a))
-    kernel = _choose_strategy(terms, strategy)
-    if kernel in ("big-int", "word"):
-        mask, _ = _bitset_fold(terms, kernel == "word")
+    chosen = _choose_strategy(terms, strategy)
+    if chosen == "bitset":
+        mask, _ = _bitset_fold(terms)
         return mask.bit_count()
-    if kernel == "merge":
+    if chosen == "merge":
         limbs, _, mirrored = _sort_fold(terms)
         return 2 * limbs.shape[1] + 1 if mirrored else limbs.shape[1]
     return len(_python_fold(terms))
@@ -237,54 +239,53 @@ def _width(terms: list[list[int]]) -> int:
 
 
 def _choose_strategy(terms: list[list[int]], strategy: str) -> str:
-    """The kernel to run (pairs, merge, big-int or word): the fastest predicted that strategy allows."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if strategy in ("pairs", "merge"):
-        return strategy
     if strategy == "bitset" and (width := _width(terms)) > BITSET_WIDTH_CAP:
         raise ValueError(f"strategy 'bitset' allows windows up to {BITSET_WIDTH_CAP} bits, "
                          f"this image spans {width}")
+    if strategy != "auto":
+        return strategy
     ns = _predicted_ns(terms)
-    if strategy == "bitset":
-        del ns["pairs"], ns["merge"]
+    # bitset runs the representation _bitset_fold's switch picks, the cheaper one.
+    ns["bitset"] = min(ns.pop("big-int", math.inf), ns.pop("word", math.inf))
     return min(ns, key=ns.get)
 
 
 def _predicted_ns(terms: list[list[int]]) -> dict[str, float]:
-    """Each kernel's predicted time on terms; bitset ones only if the window fits BITSET_WIDTH_CAP.
+    """Each kernel's predicted time on terms; big-int and word only if the window fits BITSET_WIDTH_CAP.
 
     pairs and merge form one sum per distinct partial sum and element of the
     next term, merge one per unordered pair of c*(x + y) and c*(x - y).  The
     big int shifts a window-wide mask per element of each later term.  The
-    word array, narrowest term first, ORs the mask so far per element (per
-    pair, as merge) after one shifted copy per distinct shift, <= 64 a stage.
+    word array, narrowest term first, ORs the mask so far per element, per
+    pair as merge does.
     """
     by_span = sorted([(t[-1] - t[0], len(t)) for t in terms])
     span, distinct = by_span[0]
-    tuples = words = shifts = 0
+    tuples = words = rows = 0
     for s, n in by_span[1:]:
         tuples += distinct * n
         words += n * (span // 64 + 1)
-        shifts += min(n, 64)
+        rows += n
         span += s
         distinct = min(distinct * n, span + 1)
-    folded = 2 if len(terms) == 2 and terms[1] in (terms[0], [-x for x in reversed(terms[0])]) else 1
-    (p, p_call), (m, m_call), (b, b_row, b_call), (w, w_row, w_shift, w_call) = _KERNEL_NS.values()
-    ns = {"pairs": p * tuples + p_call, "merge": m * tuples / folded + m_call}
+    x, y = terms[0], terms[-1]
+    folded = 2 if len(terms) == 2 and (y == x or y[0] == -x[-1] and all(map(eq, y, map(neg, reversed(x))))) else 1
+    (p,), (m, m_call), (b, b_call), (w, w_row, w_call) = _KERNEL_NS.values()
+    ns = {"pairs": p * tuples, "merge": m * tuples / folded + m_call}
     if span < BITSET_WIDTH_CAP:
-        rows = max(sum(n for _, n in by_span) - len(terms[0]), 1)
-        ns["big-int"] = (b * (span // 64 + 1) + b_row) * rows + b_call
-        ns["word"] = w * words / folded + w_row * rows + w_shift * shifts + w_call
+        ns["big-int"] = b * rows * (span // 64 + 1) + b_call
+        ns["word"] = w * words / folded + w_row * rows + w_call
     return ns
 
 
 def _fold_sumsets(terms: list[list[int]], strategy: str) -> list[int]:
-    kernel = _choose_strategy(terms, strategy)
-    if kernel in ("big-int", "word"):
-        mask, base = _bitset_fold(terms, kernel == "word")
+    chosen = _choose_strategy(terms, strategy)
+    if chosen == "bitset":
+        mask, base = _bitset_fold(terms)
         return _bits.decode(mask, base)
-    if kernel == "merge":
+    if chosen == "merge":
         limbs, g, mirrored = _sort_fold(terms)
         base = sum(t[0] for t in terms)
         values = [base + g * x for x in _decode(limbs)]
@@ -420,15 +421,16 @@ def _python_fold(terms: list[list[int]]) -> list[int]:
     return acc
 
 
-def _bitset_fold(terms: list[list[int]], word: bool) -> tuple[int, int]:
-    """Fold the term sumsets as bitmasks, on uint64 words if word else on a big int; returns (mask, base).
+def _bitset_fold(terms: list[list[int]]) -> tuple[int, int]:
+    """Fold the term sumsets as bitmasks; returns (mask, base).
 
     Each stage shifts the accumulated mask by the offsets of the next
     term's elements, so intermediate images are never decoded.  The word
     kernel folds the narrowest term first, so that its accumulator stays
     as short as it can.
     """
-    if word:
+    ns = _predicted_ns(terms)
+    if ns["word"] < ns["big-int"]:
         terms = sorted(terms, key=lambda t: t[-1] - t[0])
         return _word_fold(terms), sum(t[0] for t in terms)
     base = terms[0][0]

@@ -187,14 +187,14 @@ class TestImage:
         calls = []
         stubs = {"_python_fold": [], "_sort_fold": (np.zeros((1, 0), np.int64), 1, False), "_bitset_fold": (0, 0)}
         for name, result in stubs.items():
-            monkeypatch.setattr(intsets, name, lambda terms, *_, name=name, result=result: calls.append(name) or result)
+            monkeypatch.setattr(intsets, name, lambda terms, name=name, result=result: calls.append(name) or result)
         fits, wide = 2**26 - 1, 2**26
         assert 2 * fits + 1 <= intsets.BITSET_WIDTH_CAP < 2 * wide + 1
         rng = random.Random(71)
         cases = [
             (15, 99, "_bitset_fold"),     # cheap mask
             (15, fits, "_python_fold"),   # 225 tuples, mask too costly
-            (20, fits, "_sort_fold"),     # 400 tuples
+            (20, fits, "_sort_fold"),     # 400 tuples (the pairs/merge crossover is at 273)
             (15, wide, "_python_fold"),
             (20, wide, "_sort_fold"),
             (2000, fits, "_sort_fold"),   # 4,000,000 tuples, mask too costly
@@ -202,7 +202,7 @@ class TestImage:
             (2000, wide, "_sort_fold"),
             (2001, wide, "_sort_fold"),
         ]
-        labels = {"_python_fold": "pairs", "_sort_fold": "merge", "_bitset_fold": "big-int"}
+        labels = {"_python_fold": "pairs", "_sort_fold": "merge", "_bitset_fold": "bitset"}
         for n, d, kernel in cases:
             a = FiniteIntSet([0, d] + rng.sample(range(1, d), n - 2))
             assert intsets._choose_strategy(intsets._terms(SUM, a), "auto") == labels[kernel], (n, d)
@@ -327,7 +327,7 @@ class TestImage:
         cases += [(coeffs, rectified) for coeffs in ((2, 1), (1, 1), (1, -1), (1, 1, 1))]
         for coeffs, elems in cases:
             terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
-            assert intsets._bitset_fold(terms, True) == intsets._bitset_fold(terms, False)
+            assert bitset_fold_on(monkeypatch, "word", terms) == bitset_fold_on(monkeypatch, "big-int", terms)
 
     @given(a=small_sets, f=binary_forms)
     @settings(max_examples=100, deadline=None)
@@ -579,8 +579,16 @@ class TestPairFolds:
         assert sum(limbs.shape[1] for limbs, *_ in distinct) == 30 * 30
 
 
+def bitset_fold_on(monkeypatch, representation, terms):
+    """_bitset_fold(terms) on the representation ("big-int" or "word"), the other priced out."""
+    other = "word" if representation == "big-int" else "big-int"
+    with monkeypatch.context() as m:
+        m.setitem(intsets._KERNEL_NS, other, (math.inf,) * len(intsets._KERNEL_NS[other]))
+        return intsets._bitset_fold(terms)
+
+
 def word_pair_sets():
-    """(name, elements) whose pair folds the bitset strategy runs on the word kernel.
+    """(name, elements) whose pair folds _bitset_fold runs on the word kernel.
 
     Offsets 0, 63, 64, 65 from each end, on spans = 0 and 63 mod 64; a set
     with A = -A, for which x + y is also a mirrored pair; one far from 0.
@@ -611,10 +619,11 @@ class TestWordPairFolds:
             for coeffs in WORD_PAIR_COEFFS:
                 f = LinearForm(coeffs)
                 terms = intsets._terms(f, a)
-                assert intsets._choose_strategy(terms, "bitset") == "word"
-                big_int = intsets._bitset_fold(terms, False)
+                ns = intsets._predicted_ns(terms)
+                assert ns["word"] < ns["big-int"]
+                big_int = bitset_fold_on(monkeypatch, "big-int", terms)
                 del word_folds[:]
-                assert intsets._bitset_fold(terms, True) == big_int, (name, coeffs)
+                assert intsets._bitset_fold(terms) == big_int, (name, coeffs)
                 expected = image(f, a, strategy="pairs").elements
                 assert image(f, a, strategy="bitset").elements == expected, (name, coeffs)
                 assert image_cardinality(f, a, strategy="bitset") == len(expected), (name, coeffs)
@@ -711,10 +720,12 @@ class TestAutoPicks:
         for a in (rectify(crt_product(qr), 1), packaged):
             for coeffs in ((2, 1), (1, 1), (1, -1)):
                 terms = intsets._terms(LinearForm(coeffs), a)
-                assert intsets._choose_strategy(terms, "auto") == "word", (len(a), coeffs)
+                ns = intsets._predicted_ns(terms)
+                assert intsets._choose_strategy(terms, "auto") == "bitset", (len(a), coeffs)
+                assert ns["word"] < ns["big-int"], (len(a), coeffs)
 
     @pytest.mark.parametrize(("f", "g", "elems", "picks"), [
-        ((1, 1), (1, -1), MSTD.elements, ("big-int", "big-int")),  # 64 elements
+        ((1, 1), (1, -1), MSTD.elements, ("bitset", "bitset")),  # 64 elements, on big ints
         ((5, 3), (1, 1), (-34, -9, 19), ("pairs", "pairs")),
         ((3, 1), (1, -1), (-27, -9, 8, 20, 29, 33), ("merge", "merge")),
         ((3, 1), (1, 1), (-31, -24, -23, -20, -17, -5, 9, 12, 16), ("merge", "merge")),
@@ -722,6 +733,9 @@ class TestAutoPicks:
     def test_amplified_sets(self, f, g, elems, picks):
         _, big = amplify(LinearForm(f), LinearForm(g), elems)
         assert tuple(intsets._choose_strategy(intsets._terms(LinearForm(c), big), "auto") for c in (f, g)) == picks
+        if picks[0] == "bitset":
+            ns = intsets._predicted_ns(intsets._terms(LinearForm(f), big))
+            assert ns["big-int"] < ns["word"]
 
 
 class TestAffineCanonical:

@@ -26,10 +26,11 @@ def test_every_kernel_counts_the_same_image_on_the_grid_to_512_elements():
             continue
         form = LinearForm(kernel_grid.FORMS[name])
         terms = intsets._terms(form, a)
-        cards = {image_cardinality(form, a, s) for s in ("auto", "pairs", "merge")
-                 if s == "auto" or kernel_grid.work(terms, s)}
-        cards |= {intsets._bitset_fold(terms, k == "word")[0].bit_count()
-                  for k in ("big-int", "word") if kernel_grid.work(terms, k)}
+        cards = {image_cardinality(form, a)}
+        for kernel in kernel_grid.KERNELS:
+            if kernel_grid.work(terms, kernel):
+                with kernel_grid.forced(kernel) as strategy:
+                    cards.add(image_cardinality(form, a, strategy))
         assert len(cards) == 1, (name, len(a), cards)
 
 

@@ -11,7 +11,7 @@ microseconds, the fastest kernel, auto's pick and auto's time over the
 fastest), then each kernel's constants refitted by least squares on log
 time, in the units of intsets._KERNEL_NS.
 
-    PYTHONPATH=src python tools/kernel_grid.py [--cells N] [--seed S]
+    PYTHONPATH=src python tools/kernel_grid.py [--cells N]
 
 The full grid of 120 cells takes about a minute on a 2-CPU Xeon.
 """
@@ -36,9 +36,9 @@ KERNELS = ("pairs", "merge", "big-int", "word")
 LIMITS = {"pairs": 1 << 21, "merge": 1 << 24, "big-int": 1 << 26, "word": 1 << 30}
 
 
-def cells(seed: int = 0) -> list[tuple[str, FiniteIntSet]]:
+def cells() -> list[tuple[str, FiniteIntSet]]:
     """(form name, set) for every grid cell, smallest sets first."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = []
     for n in SIZES:
         for density in DENSITIES:
@@ -69,11 +69,20 @@ def work(terms: list[list[int]], kernel: str) -> tuple[float, ...] | None:
     return tuple(counts) if counts[0] is not None and counts[0] <= LIMITS[kernel] else None
 
 
+@contextlib.contextmanager
+def forced(kernel: str):
+    """Yield the strategy that runs the kernel: its own name, or bitset with the other representation priced out."""
+    other = {"big-int": "word", "word": "big-int"}.get(kernel)
+    if other is None:
+        yield kernel
+        return
+    with priced(other, (1e30,) * len(intsets._KERNEL_NS[other])):
+        yield "bitset"
+
+
 def timed(form: LinearForm, a: FiniteIntSet, kernel: str) -> tuple[float, int]:
     """(best seconds per call, cardinality) of image_cardinality under the kernel."""
-    other = {"big-int": "word", "word": "big-int"}.get(kernel)
-    strategy = "bitset" if other else kernel
-    with priced(other, (1e30,) * len(intsets._KERNEL_NS[other])) if other else contextlib.nullcontext():
+    with forced(kernel) as strategy:
         start = time.perf_counter()
         card = intsets.image_cardinality(form, a, strategy)
         first = time.perf_counter() - start
@@ -103,13 +112,12 @@ def fit(samples: list[tuple[tuple[float, ...], float]]) -> np.ndarray:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cells", type=int, help="run only the first N cells")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     samples: dict[str, list] = {k: [] for k in KERNELS}
     print(f"{'form':6} {'n':>5} {'span':>9}" + "".join(f"{k:>10}" for k in (*KERNELS, "auto"))
           + "  fastest  auto-pick  auto/fastest")
     worst = 0.0
-    for name, a in cells(args.seed)[:args.cells]:
+    for name, a in cells()[:args.cells]:
         form = LinearForm(FORMS[name])
         times, cards = {}, set()
         terms = intsets._terms(form, a)
@@ -124,6 +132,8 @@ def main(argv: list[str] | None = None) -> None:
         if cards | {card} != {card}:
             raise RuntimeError(f"kernels disagree on {name}, n={len(a)}: {sorted(cards | {card})}")
         pick = intsets._choose_strategy(terms, "auto")
+        if pick == "bitset":  # the representation _bitset_fold's switch runs
+            pick = "word" if (ns := intsets._predicted_ns(terms))["word"] < ns["big-int"] else "big-int"
         fastest = min(times, key=times.get)
         worst = max(worst, auto / times[fastest])
         print(f"{name:6} {len(a):5} {a[-1] - a[0] + 1:9}"
@@ -133,7 +143,8 @@ def main(argv: list[str] | None = None) -> None:
     print("fitted _KERNEL_NS:")
     for kernel, s in samples.items():
         if s:
-            print(f"    {kernel!r}: ({', '.join(f'{c:.3g}' for c in fit(s))}),  # {len(s)} cells")
+            c = fit(s)
+            print(f"    {kernel!r}: ({', '.join(f'{x:.3g}' for x in c)}{',' * (len(c) == 1)}),  # {len(s)} cells")
 
 
 if __name__ == "__main__":
