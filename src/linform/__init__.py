@@ -15,14 +15,12 @@ from .intsets import (
     affine_canonical,
     amplify,
     canonical_pair,
-    dilate,
     image,
     image_cardinality,
     normalize_form,
     set_from_json,
     set_from_text,
     set_to_text,
-    sumset,
 )
 from .modular import (
     ConstructionReport,
@@ -95,7 +93,6 @@ __all__ = [
     "coverage",
     "crt_combine",
     "crt_product",
-    "dilate",
     "find_primes",
     "five_set_witness",
     "image",
@@ -118,7 +115,6 @@ __all__ = [
     "set_from_json",
     "set_from_text",
     "set_to_text",
-    "sumset",
     "three_set_witness",
     "zero_in_f_of_qr",
 ]

@@ -2,10 +2,14 @@
 
 The image of a linear form f(x1,...,xn) = u1*x1 + ... + un*xn on a set A
 is {f(a1,...,an) : ai in A}, computed here by folding sumsets of the
-dilations ui*A.  Each strategy name runs exactly one sumset kernel:
-pairs enumerates every tuple into a Python hash set, merge sorts and
-merges numpy offsets, and bitset ORs shifted bit masks.  auto runs the
-one with the least predicted time (_predicted_ns) unless a name is given.
+dilations ui*A.  Each call plans its kernel once (_plan), from the form's
+coefficients, |A| and the span of A, and runs exactly that kernel: pairs
+enumerates every tuple into a Python hash set, merge sorts and merges
+numpy offsets, and the bitset strategy ORs shifted bit masks, on a big
+int or on a word array.  pairs and merge run when named; bitset runs its
+cheaper representation and auto the kernel with the least predicted time
+(_predicted_ns).  Whether a form folds unordered pairs is read off its
+coefficients too (_pair_fold).
 
 The merge kernel folds on offsets from the sum of the terms' first
 elements.  It forms each stage's outer sum in blocks of at most
@@ -39,7 +43,6 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from operator import eq, neg
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -74,6 +77,9 @@ _SORT_CHUNK = 1 << 22
 _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _HASH_MUL = 0x5851F42D4C957F2D  # hashes wide limb columns; any value is exact
+
+# Byte b with its bits reversed, at index b: reverses a word fold's mask bytewise.
+_BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
 
 
 @dataclass(frozen=True)
@@ -187,37 +193,17 @@ def normalize_form(form: LinearForm) -> LinearForm:
     return normalized
 
 
-def dilate(u: int, a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
-    """The dilation u*A = {u*a : a in A}; u must be nonzero."""
-    if u == 0:
-        raise ValueError("dilation by zero collapses the set")
-    return FiniteIntSet(u * x for x in _as_set(a))
-
-
-def sumset(a: FiniteIntSet | Iterable[int], b: FiniteIntSet | Iterable[int],
-           strategy: str = "auto") -> FiniteIntSet:
-    """The sumset A + B = {a + b : a in A, b in B}."""
-    a, b = _as_set(a), _as_set(b)
-    return FiniteIntSet._from_sorted(_fold_sumsets([list(a.elements), list(b.elements)], strategy))
-
-
 def image(form: LinearForm, a: FiniteIntSet | Iterable[int], strategy: str = "auto") -> FiniteIntSet:
     """The image f(A) = {sum ui*ai : ai in A}, sorted and deduplicated."""
-    return FiniteIntSet._from_sorted(_fold_sumsets(_terms(form, _as_set(a)), strategy))
+    a = _as_set(a)
+    return _image(form, a, _plan(form.coefficients, a, strategy))
 
 
 def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],
                       strategy: str = "auto") -> int:
     """|f(A)| without materializing the image when the bitmask kernel applies."""
-    terms = _terms(form, _as_set(a))
-    chosen = _choose_strategy(terms, strategy)
-    if chosen == "bitset":
-        mask, _ = _bitset_fold(terms)
-        return mask.bit_count()
-    if chosen == "merge":
-        limbs, _, mirrored = _sort_fold(terms)
-        return 2 * limbs.shape[1] + 1 if mirrored else limbs.shape[1]
-    return len(_python_fold(terms))
+    a = _as_set(a)
+    return _cardinality(form, a, _plan(form.coefficients, a, strategy))
 
 
 def _as_set(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
@@ -234,44 +220,53 @@ def _terms(form: LinearForm, a: FiniteIntSet) -> list[list[int]]:
             for c in form.coefficients]
 
 
-def _width(terms: list[list[int]]) -> int:
-    return sum(t[-1] - t[0] for t in terms) + 1
+def _pair_fold(coefficients: tuple[int, ...]) -> str | None:
+    """The form's pair fold: "pair" for c*(x + y), "mirrored" for c*(x - y), else
+    None.  For |A| >= 2, c1*A and c2*A are equal or mirrored only if |c1| = |c2|."""
+    if len(coefficients) == 2 and abs(coefficients[0]) == abs(coefficients[1]):
+        return "pair" if coefficients[0] == coefficients[1] else "mirrored"
+    return None
 
 
-def _choose_strategy(terms: list[list[int]], strategy: str) -> str:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if strategy == "bitset" and (width := _width(terms)) > BITSET_WIDTH_CAP:
-        raise ValueError(f"strategy 'bitset' allows windows up to {BITSET_WIDTH_CAP} bits, "
-                         f"this image spans {width}")
-    if strategy != "auto":
-        return strategy
-    ns = _predicted_ns(terms)
-    # bitset runs the representation _bitset_fold's switch picks, the cheaper one.
-    ns["bitset"] = min(ns.pop("big-int", math.inf), ns.pop("word", math.inf))
-    return min(ns, key=ns.get)
+def _plan(coefficients: tuple[int, ...], a: FiniteIntSet, strategy: str) -> str:
+    """The kernel that runs under the strategy: pairs, merge, big-int or word.
 
-
-def _predicted_ns(terms: list[list[int]]) -> dict[str, float]:
-    """Each kernel's predicted time on terms; big-int and word only if the window fits BITSET_WIDTH_CAP.
-
-    pairs and merge form one sum per distinct partial sum and element of the
-    next term, merge one per unordered pair of c*(x + y) and c*(x - y).  The
-    big int shifts a window-wide mask per element of each later term.  The
-    word array, narrowest term first, ORs the mask so far per element, per
-    pair as merge does.
+    pairs and merge run as named, unpriced; bitset runs the cheaper of its
+    two representations, auto the cheapest of all four kernels.
     """
-    by_span = sorted([(t[-1] - t[0], len(t)) for t in terms])
-    span, distinct = by_span[0]
+    if strategy == "pairs" or strategy == "merge":
+        return strategy
+    if strategy != "auto" and strategy != "bitset":
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    d = a.elements[-1] - a.elements[0]
+    ns = _predicted_ns(coefficients, len(a), d)
+    if strategy == "auto":
+        return min(ns, key=ns.get)
+    if "word" not in ns:
+        raise ValueError(f"strategy 'bitset' allows windows up to {BITSET_WIDTH_CAP} bits, "
+                         f"this image spans {sum(map(abs, coefficients)) * d + 1}")
+    return "word" if ns["word"] < ns["big-int"] else "big-int"
+
+
+def _predicted_ns(coefficients: tuple[int, ...], n: int, d: int) -> dict[str, float]:
+    """Each kernel's predicted time on n elements of span d; big-int and word only if the window fits.
+
+    Term c*A spans |c|*d.  pairs and merge form one sum per distinct partial
+    sum and element of the next term, merge one per unordered pair of
+    c*(x + y) and c*(x - y).  The big int shifts a window-wide mask per
+    element of each later term.  The word array, narrowest term first, ORs
+    the mask so far per element, per pair as merge does.
+    """
+    spans = sorted([abs(c) * d for c in coefficients])
+    span, distinct = spans[0], n
     tuples = words = rows = 0
-    for s, n in by_span[1:]:
+    for s in spans[1:]:
         tuples += distinct * n
         words += n * (span // 64 + 1)
         rows += n
         span += s
         distinct = min(distinct * n, span + 1)
-    x, y = terms[0], terms[-1]
-    folded = 2 if len(terms) == 2 and (y == x or y[0] == -x[-1] and all(map(eq, y, map(neg, reversed(x))))) else 1
+    folded = 1 if _pair_fold(coefficients) is None else 2
     (p,), (m, m_call), (b, b_call), (w, w_row, w_call) = _KERNEL_NS.values()
     ns = {"pairs": p * tuples, "merge": m * tuples / folded + m_call}
     if span < BITSET_WIDTH_CAP:
@@ -280,45 +275,58 @@ def _predicted_ns(terms: list[list[int]]) -> dict[str, float]:
     return ns
 
 
-def _fold_sumsets(terms: list[list[int]], strategy: str) -> list[int]:
-    chosen = _choose_strategy(terms, strategy)
-    if chosen == "bitset":
-        mask, base = _bitset_fold(terms)
-        return _bits.decode(mask, base)
-    if chosen == "merge":
-        limbs, g, mirrored = _sort_fold(terms)
-        base = sum(t[0] for t in terms)
+def _image(form: LinearForm, a: FiniteIntSet, kernel: str) -> FiniteIntSet:
+    """f(A) on the kernel, one of _KERNEL_NS's names."""
+    terms = _terms(form, a)
+    if kernel == "pairs":
+        return FiniteIntSet._from_sorted(_python_fold(terms))
+    base, fold = sum(t[0] for t in terms), _pair_fold(form.coefficients)
+    if kernel == "merge":
+        limbs, g = _sort_fold(terms, fold)
         values = [base + g * x for x in _decode(limbs)]
-        return [-x for x in reversed(values)] + [0] + values if mirrored else values
-    return _python_fold(terms)
+        return FiniteIntSet._from_sorted([-x for x in reversed(values)] + [0] + values
+                                         if fold == "mirrored" else values)
+    mask = _word_fold(terms, fold) if kernel == "word" else _big_int_fold(terms)
+    return FiniteIntSet._from_sorted(_bits.decode(mask, base))
 
 
-def _sort_fold(terms: list[list[int]]) -> tuple[np.ndarray, int, bool]:
+def _cardinality(form: LinearForm, a: FiniteIntSet, kernel: str) -> int:
+    """|f(A)| on the kernel, one of _KERNEL_NS's names."""
+    terms = _terms(form, a)
+    if kernel == "pairs":
+        return len(_python_fold(terms))
+    fold = _pair_fold(form.coefficients)
+    if kernel == "merge":
+        count = _sort_fold(terms, fold)[0].shape[1]
+        return 2 * count + 1 if fold == "mirrored" else count
+    return (_word_fold(terms, fold) if kernel == "word" else _big_int_fold(terms)).bit_count()
+
+
+def _sort_fold(terms: list[list[int]], fold: str | None) -> tuple[np.ndarray, int]:
     """The image's distinct offsets from the sum of the terms' first elements.
 
-    Returns (limbs, g, mirrored): each column of the (k, count) int64 array
-    limbs is one distinct offset divided by g, sum(limbs[j] << 62*j).  Every
-    partial sum of offsets is at most the window width W minus 1.  If
-    W <= 2**63, g = 1 and k = 1.  Wider windows divide every offset by their
-    gcd g > 0 first, which keeps distinct offsets distinct; if the reduced
-    window (W - 1)/g + 1 is above 2**63, k = ceil(bitlen((W - 1)/g) / 62).
+    Returns (limbs, g): each column of the (k, count) int64 array limbs is
+    one distinct offset divided by g, sum(limbs[j] << 62*j).  Every partial
+    sum of offsets is at most the window width W minus 1.  If W <= 2**63,
+    g = 1 and k = 1.  Wider windows divide every offset by their gcd g > 0
+    first, which keeps distinct offsets distinct; if the reduced window
+    (W - 1)/g + 1 is above 2**63, k = ceil(bitlen((W - 1)/g) / 62).
 
-    Terms B, B (c*(x + y)) keep the pairs i <= j: (j, i) gives the value
-    of (i, j).  Terms B, -B (c*(x - y)), B sorted, give b_i - b_(n-1-j)
-    at (i, j), positive iff i + j >= n; those pairs give the positive
-    values D, and mirrored = True says that the image is -D, {0}, D.
+    A pair fold, terms B, B (c*(x + y)), keeps the pairs i <= j: (j, i)
+    gives the value of (i, j).  A mirrored one, terms B, -B (c*(x - y)), B
+    sorted, gives b_i - b_(n-1-j) at (i, j), positive iff i + j >= n; those
+    pairs give the positive values D only, and the image is -D, {0}, D.
     """
     n, first = len(terms[0]), None  # row i keeps the columns j >= first[i]
-    mirrored = len(terms) == 2 and terms[1] == [-x for x in reversed(terms[0])]
-    if mirrored or len(terms) == 2 and terms[1] == terms[0]:
-        first = n - np.arange(n) if mirrored else np.arange(n)
-    span = _width(terms) - 1
+    if fold is not None:
+        first = n - np.arange(n) if fold == "mirrored" else np.arange(n)
+    span = sum(t[-1] - t[0] for t in terms)
     g = math.gcd(*(x - t[0] for t in terms for x in t)) if span >= 1 << 63 else 1
     if g > 1:
         terms = [[(x - t[0]) // g for x in t] for t in terms]
         span //= g
     k = 1 if span < 1 << 63 else -(-span.bit_length() // _LIMB_BITS)
-    return _limb_fold([_limbs(t, k) for t in terms], first), g, mirrored
+    return _limb_fold([_limbs(t, k) for t in terms], first), g
 
 
 def _limb_fold(terms: list[np.ndarray], first: np.ndarray | None = None) -> np.ndarray:
@@ -421,49 +429,38 @@ def _python_fold(terms: list[list[int]]) -> list[int]:
     return acc
 
 
-def _bitset_fold(terms: list[list[int]]) -> tuple[int, int]:
-    """Fold the term sumsets as bitmasks; returns (mask, base).
-
-    Each stage shifts the accumulated mask by the offsets of the next
-    term's elements, so intermediate images are never decoded.  The word
-    kernel folds the narrowest term first, so that its accumulator stays
-    as short as it can.
-    """
-    ns = _predicted_ns(terms)
-    if ns["word"] < ns["big-int"]:
-        terms = sorted(terms, key=lambda t: t[-1] - t[0])
-        return _word_fold(terms), sum(t[0] for t in terms)
-    base = terms[0][0]
-    acc = _bits.mask_of(terms[0], base)
+def _big_int_fold(terms: list[list[int]]) -> int:
+    """The bitset fold on one Python int; returns the mask, bit i for the
+    sum of the terms' first elements plus i.  Each stage shifts the mask by
+    the next term's offsets, so intermediate images are never decoded."""
+    acc = _bits.mask_of(terms[0], terms[0][0])
     for term in terms[1:]:
         tbase = term[0]
         shifted = 0
         for t in term:
             shifted |= acc << (t - tbase)
         acc = shifted
-        base += tbase
-    return acc, base
+    return acc
 
 
-def _word_fold(terms: list[list[int]]) -> int:
+def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     """The bitset fold on numpy uint64 words, ORed in place; returns the mask.
 
-    An offset t = 64*q + s is applied by ORing the s-bit-shifted copy of
-    the accumulator into the output from word q on.  Each of the at most
-    64 shifted copies is built once per stage.  Only shifts and ORs are
-    used, so the result is bit for bit the big-int fold's.
+    The narrowest term is folded first, so that the accumulator stays as
+    short as it can.  An offset t = 64*q + s is applied by ORing the
+    s-bit-shifted copy of the accumulator into the output from word q on.
+    Each of the at most 64 shifted copies is built once per stage.  Only
+    shifts and ORs are used, so the result is bit for bit _big_int_fold's.
 
-    Two terms with offsets O, O (c*(x + y)) or O, span - reversed(O)
-    (c*(x - y)) fold each unordered pair once: offset t ORs the copy's
-    words from lo = q, or lo = (span - t) // 64, into the output from word
-    q + lo.  They hold every o + t with o >= t, or with o + t >= span, and
-    only sums; a difference image is symmetric about span, so its bit
-    reversal is ORed in.
+    A pair fold, offsets O, O (c*(x + y)), or a mirrored one, O,
+    span - reversed(O) (c*(x - y)), folds each unordered pair once: offset
+    t ORs the copy's words from lo = q, or lo = (span - t) // 64, into the
+    output from word q + lo.  They hold every o + t with o >= t, or with
+    o + t >= span, and only sums; a difference image is symmetric about
+    span, so its bit reversal is ORed in.
     """
-    offsets = [_limbs(term, 1)[0] for term in terms]
+    offsets = [_limbs(term, 1)[0] for term in sorted(terms, key=lambda t: t[-1] - t[0])]
     span = int(offsets[0][-1])
-    pair = len(offsets) == 2 and np.array_equal(offsets[1], offsets[0])
-    mirrored = len(offsets) == 2 and np.array_equal(offsets[1], span - offsets[0][::-1])
     q, s = np.divmod(offsets.pop(0), 64)
     acc = np.zeros(int(q[-1]) + 1, np.uint64)
     np.bitwise_or.at(acc, q, np.uint64(1) << s.astype(np.uint64))
@@ -476,18 +473,19 @@ def _word_fold(terms: list[list[int]]) -> int:
             np.left_shift(acc, np.uint64(shift), out=shifted[:n])
             if shift:
                 shifted[1:] |= acc >> np.uint64(64 - shift)
-            for j in q[s == shift].tolist():
-                if pair or mirrored:  # a view per element costs other forms about 5%
-                    lo = j if pair else (span - 64 * j - shift) // 64
-                    out[j + lo:j + n + 1] |= shifted[lo:]
-                else:
+            js = q[s == shift]
+            if fold is None:  # a view per element costs other forms about 5%
+                for j in js.tolist():
                     out[j:j + n + 1] |= shifted
+            else:
+                los = js if fold == "pair" else (span - shift - 64 * js) // 64
+                for j, lo in zip(js.tolist(), los.tolist()):
+                    out[j + lo:j + n + 1] |= shifted[lo:]
         acc = out
     data = acc.astype("<u8", copy=False).view(np.uint8)
     mask = int.from_bytes(data, "little")
-    if mirrored:  # bit p of the 8*len(data)-bit reversal is bit 8*len(data) - 1 - p of mask
-        byte_reversed = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
-        mask |= int.from_bytes(byte_reversed[data[::-1]], "little") >> (8 * len(data) - 1 - 2 * span)
+    if fold == "mirrored":  # bit p of the 8*len(data)-bit reversal is bit 8*len(data) - 1 - p of mask
+        mask |= int.from_bytes(_BYTE_REVERSED[data[::-1]], "little") >> (8 * len(data) - 1 - 2 * span)
     return mask
 
 

@@ -22,14 +22,12 @@ from linform.intsets import (
     affine_canonical,
     amplify,
     canonical_pair,
-    dilate,
     image,
     image_cardinality,
     normalize_form,
     set_from_json,
     set_from_text,
     set_to_text,
-    sumset,
 )
 from linform.modular import ResidueSet, crt_product, rectify
 from linform.verify import packaged_locals
@@ -93,13 +91,10 @@ class TestTypes:
 
 
 @pytest.mark.parametrize("call", [
-    lambda e: dilate(2, e),
-    lambda e: sumset(e, [0, 1]),
-    lambda e: sumset([0, 1], e),
     lambda e: image(SUM, e),
     lambda e: image_cardinality(SUM, e),
     lambda e: amplify(SUM, DIFFERENCE, e),
-], ids=["dilate", "sumset-left", "sumset-right", "image", "image_cardinality", "amplify"])
+], ids=["image", "image_cardinality", "amplify"])
 def test_operations_reject_an_empty_set(call):
     with pytest.raises(ValueError, match="^a set needs at least one element$"):
         call([])
@@ -154,25 +149,25 @@ class TestImage:
             f = LinearForm(coeffs)
             results = {s: image(f, elems, strategy=s).elements for s in ("pairs", "merge", "bitset")}
             assert results["pairs"] == results["merge"] == results["bitset"]
-            # image() and sumset() trust the fold to give sorted, distinct
-            # Python ints; the checking constructor must agree with them.
-            others = [3 * x + 1 for x in elems]
-            sums = [sumset(elems, others, strategy=s).elements for s in ("pairs", "merge", "bitset")]
-            assert sums == [tuple(sorted({x + y for x in elems for y in others}))] * 3
-            for elements in [*results.values(), *sums]:
+            # image() trusts the fold to give sorted, distinct Python ints;
+            # the checking constructor must agree with it.
+            for elements in results.values():
                 assert elements == FiniteIntSet(elements).elements
                 assert all(type(x) is int for x in elements)
             cards = {image_cardinality(f, elems, strategy=s) for s in ("pairs", "merge", "bitset")}
             assert cards == {len(results["pairs"])}
 
     def test_each_strategy_runs_exactly_its_own_kernel(self, monkeypatch):
-        kernels = {"pairs": "_python_fold", "merge": "_sort_fold", "bitset": "_bitset_fold"}
-        calls = {name: spy(monkeypatch, name) for name in kernels.values()}
+        # bitset runs the representation that _plan prices cheaper: big ints
+        # on 4 elements, the word array on 64 over a span near 10**5.
+        calls = {name: spy(monkeypatch, name) for name in KERNEL_FUNCTIONS.values()}
         rng = random.Random(67)
-        for n in (4, 64):  # 16 and 4,096 tuples
-            elems = rng.sample(range(10**4), n)
+        for n, top, bitset in ((4, 10**4, "big-int"), (64, 10**5, "word")):  # 16 and 4,096 tuples
+            elems = rng.sample(range(top), n)
             expected = brute_image((2, -1), elems)
-            for s, kernel in kernels.items():
+            assert intsets._plan((2, -1), FiniteIntSet(elems), "bitset") == bitset
+            for s, label in (("pairs", "pairs"), ("merge", "merge"), ("bitset", bitset)):
+                kernel = KERNEL_FUNCTIONS[label]
                 for c in calls.values():
                     del c[:]
                 assert list(image(LinearForm((2, -1)), elems, strategy=s)) == expected
@@ -185,14 +180,14 @@ class TestImage:
         # are dispatched but not run.  The window of x + y on [0, d] spans
         # 2d + 1 integers: d = 2**26 - 1 fits BITSET_WIDTH_CAP, 2**26 does not.
         calls = []
-        stubs = {"_python_fold": [], "_sort_fold": (np.zeros((1, 0), np.int64), 1, False), "_bitset_fold": (0, 0)}
+        stubs = {"_python_fold": [], "_sort_fold": (np.zeros((1, 0), np.int64), 1), "_big_int_fold": 0}
         for name, result in stubs.items():
-            monkeypatch.setattr(intsets, name, lambda terms, name=name, result=result: calls.append(name) or result)
+            monkeypatch.setattr(intsets, name, lambda *args, name=name, result=result: calls.append(name) or result)
         fits, wide = 2**26 - 1, 2**26
         assert 2 * fits + 1 <= intsets.BITSET_WIDTH_CAP < 2 * wide + 1
         rng = random.Random(71)
         cases = [
-            (15, 99, "_bitset_fold"),     # cheap mask
+            (15, 99, "_big_int_fold"),    # cheap mask
             (15, fits, "_python_fold"),   # 225 tuples, mask too costly
             (20, fits, "_sort_fold"),     # 400 tuples (the pairs/merge crossover is at 273)
             (15, wide, "_python_fold"),
@@ -202,10 +197,10 @@ class TestImage:
             (2000, wide, "_sort_fold"),
             (2001, wide, "_sort_fold"),
         ]
-        labels = {"_python_fold": "pairs", "_sort_fold": "merge", "_bitset_fold": "bitset"}
+        labels = {name: label for label, name in KERNEL_FUNCTIONS.items()}
         for n, d, kernel in cases:
             a = FiniteIntSet([0, d] + rng.sample(range(1, d), n - 2))
-            assert intsets._choose_strategy(intsets._terms(SUM, a), "auto") == labels[kernel], (n, d)
+            assert intsets._plan(SUM.coefficients, a, "auto") == labels[kernel], (n, d)
             del calls[:]
             image(SUM, a)
             image_cardinality(SUM, a)
@@ -231,7 +226,7 @@ class TestImage:
             ((1, -1), [-10**40 - x for x in rng.sample(range(top), 64)]),
             ((4, -3), [0, exact] + rng.sample(range(1, exact), 30)),
         ]
-        assert intsets._width(intsets._terms(LinearForm((4, -3)), FiniteIntSet(cases[-1][1]))) == 2**63
+        assert width((4, -3), cases[-1][1]) == 2**63
         for coeffs, elems in cases:
             f = LinearForm(coeffs)
             expected = brute_image(coeffs, elems)
@@ -239,21 +234,15 @@ class TestImage:
                 assert list(image(f, elems, strategy=s)) == expected
                 assert image_cardinality(f, elems, strategy=s) == len(expected)
             assert image(f, elems, strategy="pairs") == image(f, elems, strategy="merge")
-        # a one-element term, first and last
-        elems = rng.sample(range(top), 512)
-        for a, b in (([7], elems), (elems, [-7])):
-            for s in ("pairs", "merge"):
-                got = sumset(a, b, strategy=s).elements
-                assert got == tuple(sorted({x + y for x in a for y in b}))
-        assert len(sort_folds) == 5 * len(cases) + 2
-        assert len(python_folds) == 3 * len(cases) + 2
+        assert len(sort_folds) == 5 * len(cases)
+        assert len(python_folds) == 3 * len(cases)
 
     @pytest.mark.usefixtures("time_limit")
     def test_window_one_past_int64_folds_on_limbs(self, monkeypatch):
         limb_folds = spy(monkeypatch, "_limb_fold")
         rng = random.Random(29)
         elems = [0, 2**62] + rng.sample(range(1, 2**62), 30)
-        assert intsets._width(intsets._terms(SUM, FiniteIntSet(elems))) == 2**63 + 1
+        assert width((1, 1), elems) == 2**63 + 1
         expected = brute_image((1, 1), elems)
         for s in ("auto", "pairs", "merge"):
             assert list(image(SUM, elems, strategy=s)) == expected
@@ -285,9 +274,7 @@ class TestImage:
     def test_strategies_agree_on_wide_windows(self, monkeypatch):
         # Windows wide enough that the auto-selected bitset kernel runs on
         # uint64 words; a spy confirms every case reaches that path.
-        word_folds = []
-        word_fold = intsets._word_fold
-        monkeypatch.setattr(intsets, "_word_fold", lambda terms: word_folds.append(1) or word_fold(terms))
+        word_folds = spy(monkeypatch, "_word_fold")
         rng = random.Random(17)
         top = 1 << 20
         edges = [0, 63, 64, 65, 127, 128]
@@ -307,12 +294,7 @@ class TestImage:
             assert list(results["pairs"]) == brute_image(coeffs, elems)
             cards = {image_cardinality(f, elems, strategy=s) for s in ("auto", "pairs", "merge", "bitset")}
             assert cards == {len(results["pairs"])}
-        # a one-element term
-        elems = rng.sample(range(top), 128)
-        shifted = tuple(sorted(x + 7 for x in elems))
-        for s in ("auto", "pairs", "merge", "bitset"):
-            assert sumset([7], elems, strategy=s).elements == shifted
-        assert len(word_folds) == 2 * len(cases) + 1
+        assert len(word_folds) == 2 * len(cases)
 
     def test_word_kernel_matches_big_int_kernel(self, monkeypatch):
         rng = random.Random(19)
@@ -327,7 +309,7 @@ class TestImage:
         cases += [(coeffs, rectified) for coeffs in ((2, 1), (1, 1), (1, -1), (1, 1, 1))]
         for coeffs, elems in cases:
             terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
-            assert bitset_fold_on(monkeypatch, "word", terms) == bitset_fold_on(monkeypatch, "big-int", terms)
+            assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms), coeffs
 
     @given(a=small_sets, f=binary_forms)
     @settings(max_examples=100, deadline=None)
@@ -341,12 +323,44 @@ class TestImage:
             assert image_cardinality(LinearForm((u, v)), a) == t * t
 
     def test_image_is_sumset_of_dilations(self):
+        # f(A) = u*A + v*A, which brute_image enumerates pair by pair.
         rng = random.Random(3)
         for _ in range(20):
             elems = FiniteIntSet(rng.sample(range(-30, 30), rng.randint(1, 8)))
             u = rng.choice([c for c in range(-8, 9) if c])
             v = rng.choice([c for c in range(-8, 9) if c])
-            assert image(LinearForm((u, v)), elems) == sumset(dilate(u, elems), dilate(v, elems))
+            expected = brute_image((u, v), elems)
+            for s in intsets.STRATEGIES:
+                assert list(image(LinearForm((u, v)), elems, strategy=s)) == expected, (u, v, s)
+
+    @pytest.mark.parametrize("elems", [[0], [5], [-(10**30)], [0, 1], [-3, 4], [-4, 4], [0, 2**70]],
+                             ids=["zero", "five", "far", "0-1", "-3-4", "symmetric", "wide"])
+    def test_pair_folds_read_off_the_coefficients_on_one_and_two_elements(self, elems):
+        # Only equal-magnitude coefficients fold unordered pairs, so (2, 1) on
+        # {0}, whose two terms are equal, does not, and (1, 1) on {-4, 4},
+        # whose terms also mirror, folds as a pair.  Every strategy and every
+        # kernel (the bitset ones where the window fits) counts exactly.
+        a = FiniteIntSet(elems)
+        for coeffs in ((1, 1), (1, -1), (-2, 2), (2, 1), (1, 1, 1)):
+            f, expected = LinearForm(coeffs), brute_image(coeffs, elems)
+            fits = width(coeffs, elems) <= intsets.BITSET_WIDTH_CAP
+            for s in intsets.STRATEGIES if fits else ("auto", "pairs", "merge"):
+                assert list(image(f, a, strategy=s)) == expected, (coeffs, s)
+                assert image_cardinality(f, a, strategy=s) == len(expected), (coeffs, s)
+            for kernel in KERNEL_FUNCTIONS if fits else ("pairs", "merge"):
+                assert list(intsets._image(f, a, kernel)) == expected, (coeffs, kernel)
+                assert intsets._cardinality(f, a, kernel) == len(expected), (coeffs, kernel)
+        assert intsets._pair_fold((2, 1)) is None and intsets._pair_fold((-2, 2)) == "mirrored"
+
+
+# Each kernel label _plan returns, and the fold function it runs.
+KERNEL_FUNCTIONS = {"pairs": "_python_fold", "merge": "_sort_fold",
+                    "big-int": "_big_int_fold", "word": "_word_fold"}
+
+
+def width(coeffs, elems):
+    """The number of integers in the window of f(A): height(f) * (max A - min A) + 1."""
+    return LinearForm(coeffs).height * (max(elems) - min(elems)) + 1
 
 
 def spy(monkeypatch, name):
@@ -420,12 +434,10 @@ class TestWideSortFold:
         rng = random.Random(47)
         elems = sorted({rng.getrandbits(100) for _ in range(512)})
         big = 7 * 2**100
-        for a, b in (([big], elems), (elems, [-big])):
-            expected = tuple(sorted({x + y for x in a for y in b}))
-            for s in ("auto", "pairs", "merge"):
-                assert sumset(a, b, strategy=s).elements == expected
+        for coeffs in ((1, 1), (1, -1), (3, -2), (1, 2, -3)):  # every term one element
+            assert_image_exact(coeffs, [big])
         assert_image_exact((-5,), elems[:300])  # nothing to fold: auto runs pairs
-        assert len(limb_folds) == 2 * 2 + 2
+        assert len(limb_folds) == 4 * 2 + 2
 
     def test_gcd_reduces_dilated_windows_to_int64(self, monkeypatch):
         limb_folds = spy(monkeypatch, "_limb_fold")
@@ -434,8 +446,7 @@ class TestWideSortFold:
             for coeffs, n in (((1, -1), 40), ((2, 1), 40), ((1, 1, 1), 12)):
                 base = rng.sample(range(0, 3000, 3), n)  # the gcd of offsets is 3*dilation or more
                 elems = sorted(dilation * b - 10**35 for b in base)
-                terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
-                span = intsets._width(terms) - 1
+                span = width(coeffs, elems) - 1
                 g = math.gcd(*(x - elems[0] for x in elems))
                 assert span >= 2**63 and g % (3 * dilation) == 0
                 del limb_folds[:]
@@ -448,7 +459,7 @@ class TestWideSortFold:
         # between 2**63 and 2**64, which the gcd brings back under 2**63.
         elems = [0, 2**62 - 2] + rng.sample(range(1, 2**62 - 2), 30)
         doubled = [2 * x + 5 for x in elems]
-        assert 2**63 < intsets._width(intsets._terms(SUM, FiniteIntSet(doubled))) < 2**64
+        assert 2**63 < width((1, 1), doubled) < 2**64
         del limb_folds[:]
         assert_image_exact((1, 1), doubled)
         assert len(limb_folds) == 4
@@ -560,9 +571,9 @@ class TestPairFolds:
                 image_cardinality(LinearForm(coeffs), elems, strategy="merge")
                 held = sum(limbs.shape[1] for limbs, *_ in distinct)
                 assert held <= n * (n + 1) // 2, (name, coeffs)
-                # x - y keeps the pairs with a positive value, and so does
-                # x + y if A = -A, where A + A = A - A; x + y keeps i <= j
-                mirrored = coeffs[0] != coeffs[1] or sorted(-x for x in elems) == sorted(elems)
+                # x - y keeps the pairs with a positive value and x + y the
+                # pairs i <= j, even if A = -A, where A + A = A - A
+                mirrored = coeffs[0] != coeffs[1]
                 assert held == (n * (n - 1) // 2 if mirrored else n * (n + 1) // 2), (name, coeffs)
 
     def test_other_forms_hold_every_tuple(self, monkeypatch):
@@ -572,23 +583,10 @@ class TestPairFolds:
             del distinct[:]
             image_cardinality(LinearForm(coeffs), elems, strategy="merge")
             assert sum(limbs.shape[1] for limbs, *_ in distinct) == 30 * 30
-        # two different terms of the same size are not a pair fold
-        del distinct[:]
-        shifted = [x + 1 for x in elems]
-        assert sumset(elems, shifted, strategy="merge") == sumset(elems, shifted, strategy="pairs")
-        assert sum(limbs.shape[1] for limbs, *_ in distinct) == 30 * 30
-
-
-def bitset_fold_on(monkeypatch, representation, terms):
-    """_bitset_fold(terms) on the representation ("big-int" or "word"), the other priced out."""
-    other = "word" if representation == "big-int" else "big-int"
-    with monkeypatch.context() as m:
-        m.setitem(intsets._KERNEL_NS, other, (math.inf,) * len(intsets._KERNEL_NS[other]))
-        return intsets._bitset_fold(terms)
 
 
 def word_pair_sets():
-    """(name, elements) whose pair folds _bitset_fold runs on the word kernel.
+    """(name, elements) whose pair folds the bitset strategy runs on the word kernel.
 
     Offsets 0, 63, 64, 65 from each end, on spans = 0 and 63 mod 64; a set
     with A = -A, for which x + y is also a mirrored pair; one far from 0.
@@ -619,36 +617,27 @@ class TestWordPairFolds:
             for coeffs in WORD_PAIR_COEFFS:
                 f = LinearForm(coeffs)
                 terms = intsets._terms(f, a)
-                ns = intsets._predicted_ns(terms)
-                assert ns["word"] < ns["big-int"]
-                big_int = bitset_fold_on(monkeypatch, "big-int", terms)
+                assert intsets._plan(coeffs, a, "bitset") == "word"
                 del word_folds[:]
-                assert intsets._bitset_fold(terms) == big_int, (name, coeffs)
+                mask = intsets._word_fold(terms, intsets._pair_fold(coeffs))
+                assert mask == intsets._big_int_fold(terms), (name, coeffs)
                 expected = image(f, a, strategy="pairs").elements
                 assert image(f, a, strategy="bitset").elements == expected, (name, coeffs)
                 assert image_cardinality(f, a, strategy="bitset") == len(expected), (name, coeffs)
                 assert len(word_folds) == 3
 
     def test_sumsets_of_a_set_with_itself_and_its_reflection(self, monkeypatch):
+        # A + A and A - A on A and on its reflection -A: -A + -A = -(A + A),
+        # and -A - -A = A - A.
         word_folds = spy(monkeypatch, "_word_fold")
         for name, elems in word_pair_sets():
-            reflected = [-x for x in elems]
-            for b in (elems, reflected):
-                assert sumset(elems, b, strategy="bitset") == sumset(elems, b, strategy="pairs"), name
-        assert len(word_folds) == 2 * len(word_pair_sets())
-
-
-class TestDilateSumset:
-    def test_dilate(self):
-        assert dilate(2, [0, 1, 3]).elements == (0, 2, 6)
-        assert dilate(-1, [0, 1, 3]).elements == (-3, -1, 0)
-
-    def test_dilate_zero_rejected(self):
-        with pytest.raises(ValueError):
-            dilate(0, [1, 2])
-
-    def test_sumset(self):
-        assert sumset([0, 1], [0, 10]).elements == (0, 1, 10, 11)
+            a = FiniteIntSet(elems)
+            for f in (SUM, DIFFERENCE):
+                expected = image(f, a, strategy="pairs")
+                assert image(f, a, strategy="bitset") == expected, (name, f)
+                reflected = image(f, a.reflect(), strategy="bitset")
+                assert reflected == (expected.reflect() if f == SUM else expected), (name, f)
+        assert len(word_folds) == 4 * len(word_pair_sets())
 
 
 class TestNormalization:
@@ -712,30 +701,24 @@ class TestTrustedConstructors:
 
 
 class TestAutoPicks:
-    """auto's pick on fixed sets, from the cost model fitted on tools/kernel_grid.py's grid."""
+    """auto's kernel on fixed sets, from the cost model fitted on tools/kernel_grid.py's grid."""
 
     def test_dense_construction_sets_stay_on_the_word_kernel(self):
         qr = [ResidueSet(p, {x * x % p for x in range(1, p)}) for p in (13, 29, 37, 53)]
         packaged = rectify(crt_product(packaged_locals()), 1)
         for a in (rectify(crt_product(qr), 1), packaged):
             for coeffs in ((2, 1), (1, 1), (1, -1)):
-                terms = intsets._terms(LinearForm(coeffs), a)
-                ns = intsets._predicted_ns(terms)
-                assert intsets._choose_strategy(terms, "auto") == "bitset", (len(a), coeffs)
-                assert ns["word"] < ns["big-int"], (len(a), coeffs)
+                assert intsets._plan(coeffs, a, "auto") == "word", (len(a), coeffs)
 
     @pytest.mark.parametrize(("f", "g", "elems", "picks"), [
-        ((1, 1), (1, -1), MSTD.elements, ("bitset", "bitset")),  # 64 elements, on big ints
+        ((1, 1), (1, -1), MSTD.elements, ("big-int", "big-int")),  # 64 elements
         ((5, 3), (1, 1), (-34, -9, 19), ("pairs", "pairs")),
         ((3, 1), (1, -1), (-27, -9, 8, 20, 29, 33), ("merge", "merge")),
         ((3, 1), (1, 1), (-31, -24, -23, -20, -17, -5, 9, 12, 16), ("merge", "merge")),
     ])
     def test_amplified_sets(self, f, g, elems, picks):
         _, big = amplify(LinearForm(f), LinearForm(g), elems)
-        assert tuple(intsets._choose_strategy(intsets._terms(LinearForm(c), big), "auto") for c in (f, g)) == picks
-        if picks[0] == "bitset":
-            ns = intsets._predicted_ns(intsets._terms(LinearForm(f), big))
-            assert ns["big-int"] < ns["word"]
+        assert tuple(intsets._plan(c, big, "auto") for c in (f, g)) == picks
 
 
 class TestAffineCanonical:
@@ -823,7 +806,7 @@ class TestAmplify:
             amplify(SUM, LinearForm((1, 1, 1)), [0, 1])
 
     def test_matches_the_sumset_reference(self):
-        # A_M is built directly; A + M*A by the sumset kernels is the reference.
+        # A_M is built directly; A + M*A, the image of x + M*y, is the reference.
         rng = random.Random(83)
         for _ in range(300):
             k = rng.randint(1, 3)
@@ -832,7 +815,7 @@ class TestAmplify:
             top = 10 ** rng.choice([1, 3, 30])
             a = FiniteIntSet(rng.randrange(-top, top) for _ in range(rng.randint(1, 12)))
             big_m, amplified = amplify(f, g, a)
-            assert amplified == sumset(a, dilate(big_m, a))
+            assert amplified == image(LinearForm((1, big_m)), a)
 
 
 class TestSerialization:

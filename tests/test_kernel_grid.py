@@ -25,12 +25,10 @@ def test_every_kernel_counts_the_same_image_on_the_grid_to_512_elements():
         if len(a) > 512:
             continue
         form = LinearForm(kernel_grid.FORMS[name])
-        terms = intsets._terms(form, a)
         cards = {image_cardinality(form, a)}
         for kernel in kernel_grid.KERNELS:
-            if kernel_grid.work(terms, kernel):
-                with kernel_grid.forced(kernel) as strategy:
-                    cards.add(image_cardinality(form, a, strategy))
+            if kernel_grid.work(form, a, kernel):
+                cards.add(intsets._cardinality(form, a, kernel))
         assert len(cards) == 1, (name, len(a), cards)
 
 
@@ -42,6 +40,11 @@ def test_runs_on_two_cells():
     lines = proc.stdout.splitlines()
     assert lines[0].split()[:3] == ["form", "n", "span"]
     assert [line.split()[:2] for line in lines[1:3]] == [["2x+y", "8"], ["x+y", "8"]]
+    # the auto-pick column names the kernel the planner runs
+    for line, (name, a) in zip(lines[1:3], kernel_grid.cells()):
+        pick = line.split()[-2]
+        assert pick in kernel_grid.KERNELS
+        assert pick == intsets._plan(LinearForm(kernel_grid.FORMS[name]).coefficients, a, "auto")
     assert lines[3].startswith("worst auto/fastest: ")
     assert lines[4] == "fitted _KERNEL_NS:"
     assert [line.split(":")[0].strip() for line in lines[5:]] == [f"'{k}'" for k in kernel_grid.KERNELS]

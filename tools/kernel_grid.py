@@ -2,9 +2,10 @@
 
 A cell is a form (2x+y, x+y, x-y or x+y+z) and a random n-element subset
 of [0, n/density).  In each cell the script times image_cardinality under
-pairs, merge, the big-int and the word-array bitset fold (each forced by
-pricing the other bitset representation out) and auto, and checks that
-they all count the same image.  A kernel whose first work count is beyond
+auto and each kernel (pairs, merge, the big-int and the word-array bitset
+fold) run through intsets._cardinality, the dispatch that image_cardinality
+calls once it has planned its kernel, and checks that they all count the
+same image.  A kernel whose first work count is beyond
 LIMITS is not run: it would take well over 0.1 s, and a cell where no
 kernel runs is skipped.  It prints one row per cell (times in
 microseconds, the fastest kernel, auto's pick and auto's time over the
@@ -58,41 +59,30 @@ def priced(kernel: str, ns: tuple[float, ...]):
         intsets._KERNEL_NS[kernel] = saved
 
 
-def work(terms: list[list[int]], kernel: str) -> tuple[float, ...] | None:
-    """The kernel's work counts on terms, read off intsets._predicted_ns by
+def work(form: LinearForm, a: FiniteIntSet, kernel: str) -> tuple[float, ...] | None:
+    """The kernel's work counts on f(A), read off intsets._predicted_ns by
     pricing one unit at a time; None if the grid does not run it there."""
     counts = []
     for j in range(len(intsets._KERNEL_NS[kernel])):
         unit = tuple(float(i == j) for i in range(len(intsets._KERNEL_NS[kernel])))
         with priced(kernel, unit):
-            counts.append(intsets._predicted_ns(terms).get(kernel))
+            counts.append(intsets._predicted_ns(form.coefficients, len(a), a[-1] - a[0]).get(kernel))
     return tuple(counts) if counts[0] is not None and counts[0] <= LIMITS[kernel] else None
 
 
-@contextlib.contextmanager
-def forced(kernel: str):
-    """Yield the strategy that runs the kernel: its own name, or bitset with the other representation priced out."""
-    other = {"big-int": "word", "word": "big-int"}.get(kernel)
-    if other is None:
-        yield kernel
-        return
-    with priced(other, (1e30,) * len(intsets._KERNEL_NS[other])):
-        yield "bitset"
-
-
 def timed(form: LinearForm, a: FiniteIntSet, kernel: str) -> tuple[float, int]:
-    """(best seconds per call, cardinality) of image_cardinality under the kernel."""
-    with forced(kernel) as strategy:
+    """(best seconds per call, cardinality) of the kernel, or of image_cardinality under auto."""
+    count = intsets.image_cardinality if kernel == "auto" else intsets._cardinality
+    start = time.perf_counter()
+    card = count(form, a, kernel)
+    first = time.perf_counter() - start
+    reps = max(1, int(0.01 / max(first, 1e-7)))
+    best = first
+    for _ in range(2 if first > 0.05 else 3):
         start = time.perf_counter()
-        card = intsets.image_cardinality(form, a, strategy)
-        first = time.perf_counter() - start
-        reps = max(1, int(0.01 / max(first, 1e-7)))
-        best = first
-        for _ in range(2 if first > 0.05 else 3):
-            start = time.perf_counter()
-            for _ in range(reps):
-                intsets.image_cardinality(form, a, strategy)
-            best = min(best, (time.perf_counter() - start) / reps)
+        for _ in range(reps):
+            count(form, a, kernel)
+        best = min(best, (time.perf_counter() - start) / reps)
     return best, card
 
 
@@ -120,9 +110,8 @@ def main(argv: list[str] | None = None) -> None:
     for name, a in cells()[:args.cells]:
         form = LinearForm(FORMS[name])
         times, cards = {}, set()
-        terms = intsets._terms(form, a)
         for kernel in KERNELS:
-            if (w := work(terms, kernel)) is not None:
+            if (w := work(form, a, kernel)) is not None:
                 times[kernel], card = timed(form, a, kernel)
                 samples[kernel].append((w, times[kernel]))
                 cards.add(card)
@@ -131,9 +120,7 @@ def main(argv: list[str] | None = None) -> None:
         auto, card = timed(form, a, "auto")
         if cards | {card} != {card}:
             raise RuntimeError(f"kernels disagree on {name}, n={len(a)}: {sorted(cards | {card})}")
-        pick = intsets._choose_strategy(terms, "auto")
-        if pick == "bitset":  # the representation _bitset_fold's switch runs
-            pick = "word" if (ns := intsets._predicted_ns(terms))["word"] < ns["big-int"] else "big-int"
+        pick = intsets._plan(form.coefficients, a, "auto")
         fastest = min(times, key=times.get)
         worst = max(worst, auto / times[fastest])
         print(f"{name:6} {len(a):5} {a[-1] - a[0] + 1:9}"
