@@ -292,23 +292,25 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
         "locals": args.locals,
     }
     shortfall_note = ""
-    if args.set_out:
-        open(args.set_out, "a").close()  # an unwritable path fails before the construction; truncates nothing
     direct = args.source == "file"
-    if direct:
-        if not args.locals:
-            raise UsageError("--source file needs --locals PATH")
-        locs = [local_solution(form_f, form_g, r) for r in read_input(args.locals, "locals", load_locals)]
-    else:
+    if direct and not args.locals:
+        raise UsageError("--source file needs --locals PATH")
+    if not direct:
         if not form_f.is_binary:
             raise UsageError("this command needs a binary form u,v")
-        u, v = form_f.coefficients
         if form_g.coefficients not in ((1, 1), (1, -1)):
             raise UsageError(f"--source {args.source} builds locals against x+y or x-y only")
         if args.count > CONSTRUCT_COUNT_CAP:
             raise UsageError(f"--count is capped at {CONSTRUCT_COUNT_CAP}, got {args.count}")
+    # After the flag checks, so that a usage error leaves no file; before the
+    # locals are read, so that an unwritable path fails before the construction.
+    if args.set_out:
+        open(args.set_out, "a").close()  # truncates nothing
+    if direct:
+        locs = [local_solution(form_f, form_g, r) for r in read_input(args.locals, "locals", load_locals)]
+    else:
         source = qr_local_solutions if args.source == "qr" else kth_power_local_solutions
-        locs = source(u, v, args.count)
+        locs = source(*form_f.coefficients, args.count)
         if len(locs) < args.count:
             shortfall_note = f"prime search found only {len(locs)} of {args.count} local solutions; "
     if not locs:

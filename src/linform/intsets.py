@@ -3,12 +3,11 @@
 The image of a linear form f(x1,...,xn) = u1*x1 + ... + un*xn on a set A
 is {f(a1,...,an) : ai in A}, computed here by folding sumsets of the
 dilations ui*A.  Each call plans its kernel once (_plan), from the form's
-coefficients, |A| and the span of A, and runs exactly that kernel: pairs
-enumerates every tuple into a Python hash set, merge sorts and merges
-numpy offsets, and the bitset strategy ORs shifted bit masks, on a big
-int or on a word array.  pairs and merge run when named; bitset runs its
-cheaper representation and auto the kernel with the least predicted time
-(_predicted_ns).  Whether a form folds unordered pairs is read off its
+coefficients, |A| and the span of A, and runs exactly that kernel, the
+one with the least predicted time (_predicted_ns): pairs enumerates
+every tuple into a Python hash set, merge sorts and merges numpy
+offsets, and big-int and word OR shifted bit masks, on a big int or on a
+word array.  Whether a form folds unordered pairs is read off its
 coefficients too (_pair_fold).
 
 The merge kernel folds on offsets from the sum of the terms' first
@@ -49,10 +48,8 @@ import numpy as np
 
 from . import _bits
 
-STRATEGIES = ("auto", "pairs", "merge", "bitset")
-
-# Widest window (in bits) the bitmask kernel will allocate, 16 MiB; an
-# explicit strategy="bitset" on a wider image raises ValueError.
+# Widest window (in bits, 16 MiB) at which the bitmask kernels are priced;
+# _plan never picks them on a wider image.
 BITSET_WIDTH_CAP = 1 << 27
 
 # Nanoseconds per unit of each kernel's work, in _predicted_ns's order, fitted
@@ -193,17 +190,16 @@ def normalize_form(form: LinearForm) -> LinearForm:
     return normalized
 
 
-def image(form: LinearForm, a: FiniteIntSet | Iterable[int], strategy: str = "auto") -> FiniteIntSet:
+def image(form: LinearForm, a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
     """The image f(A) = {sum ui*ai : ai in A}, sorted and deduplicated."""
     a = _as_set(a)
-    return _image(form, a, _plan(form.coefficients, a, strategy))
+    return _image(form, a, _plan(form.coefficients, a))
 
 
-def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int],
-                      strategy: str = "auto") -> int:
-    """|f(A)| without materializing the image when the bitmask kernel applies."""
+def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int]) -> int:
+    """|f(A)| without materializing the image when a bitmask kernel runs."""
     a = _as_set(a)
-    return _cardinality(form, a, _plan(form.coefficients, a, strategy))
+    return _cardinality(form, a, _plan(form.coefficients, a))
 
 
 def _as_set(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
@@ -228,24 +224,10 @@ def _pair_fold(coefficients: tuple[int, ...]) -> str | None:
     return None
 
 
-def _plan(coefficients: tuple[int, ...], a: FiniteIntSet, strategy: str) -> str:
-    """The kernel that runs under the strategy: pairs, merge, big-int or word.
-
-    pairs and merge run as named, unpriced; bitset runs the cheaper of its
-    two representations, auto the cheapest of all four kernels.
-    """
-    if strategy == "pairs" or strategy == "merge":
-        return strategy
-    if strategy != "auto" and strategy != "bitset":
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    d = a.elements[-1] - a.elements[0]
-    ns = _predicted_ns(coefficients, len(a), d)
-    if strategy == "auto":
-        return min(ns, key=ns.get)
-    if "word" not in ns:
-        raise ValueError(f"strategy 'bitset' allows windows up to {BITSET_WIDTH_CAP} bits, "
-                         f"this image spans {sum(map(abs, coefficients)) * d + 1}")
-    return "word" if ns["word"] < ns["big-int"] else "big-int"
+def _plan(coefficients: tuple[int, ...], a: FiniteIntSet) -> str:
+    """The kernel with the least predicted time: pairs, merge, big-int or word."""
+    ns = _predicted_ns(coefficients, len(a), a.elements[-1] - a.elements[0])
+    return min(ns, key=ns.get)
 
 
 def _predicted_ns(coefficients: tuple[int, ...], n: int, d: int) -> dict[str, float]:

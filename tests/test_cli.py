@@ -427,6 +427,14 @@ class TestConstructCommand:
         code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", *source, "--set-out", str(set_path))
         assert_one_error_line(code, out, err, "error: [Errno 2] No such file or directory: ")
 
+    @pytest.mark.parametrize("argv", [("--source", "qr", "--count", "100000"), ("--source", "file")],
+                             ids=["count-over-cap", "file-without-locals"])
+    def test_usage_error_creates_no_set_out(self, capsys, tmp_path, argv):
+        set_path = tmp_path / "x.txt"
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", *argv, "--set-out", str(set_path))
+        assert_one_error_line(code, out, err, "error: ")
+        assert not set_path.exists()
+
     def test_failed_construction_keeps_an_existing_set_out(self, capsys, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
             raise ValueError("construction failed")
@@ -512,11 +520,12 @@ class TestSharedParser:
 
 
 class TestNegativeControl:
-    def test_corrupted_locals_fail_by_name(self):
+    def test_corrupted_locals_fail_by_name(self, monkeypatch):
         corrupted = packaged_locals()
         corrupted[0] = ResidueSet(13, [0, 1, 6, 7, 9, 12])  # 11 -> 12
+        monkeypatch.setattr(verify, "packaged_locals", lambda: corrupted)
         with pytest.raises(CheckFailure, match="expected"):
-            check_crt_construction(locals_override=corrupted)
+            check_crt_construction()
 
 
 class TestEnvironment:

@@ -120,15 +120,10 @@ class TestImage:
         with pytest.raises(ValueError):
             image(SUM, FiniteIntSet([]))
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            image(SUM, [0, 1], strategy="quantum")
-
-    def test_bitset_beyond_width_cap_is_rejected(self):
-        elems = [0, 10**27]
+    def test_kernel_is_not_an_argument(self):
         for call in (image, image_cardinality):
-            with pytest.raises(ValueError, match="strategy 'bitset' allows windows up to 134217728 bits"):
-                call(SUM, elems, strategy="bitset")
+            with pytest.raises(TypeError):
+                call(SUM, [0, 1], "merge")
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(5)
@@ -138,42 +133,38 @@ class TestImage:
             got = image(LinearForm(coeffs), elems)
             assert list(got) == brute_image(coeffs, elems)
 
-    def test_strategies_agree_on_200_random_instances(self):
-        # pairs enumerates on Python ints and merge folds on numpy, at every
-        # tuple count.
+    def test_kernels_agree_on_200_random_instances(self):
+        # pairs enumerates on Python ints, merge folds on numpy and the
+        # bitset kernels on a big int or words, at every tuple count.
         rng = random.Random(11)
         for _ in range(200):
-            elems = rng.sample(range(-500, 500), rng.randint(1, 64))
-            coeffs = (rng.choice([c for c in range(-10, 11) if c]),
-                      rng.choice([c for c in range(-10, 11) if c]))
-            f = LinearForm(coeffs)
-            results = {s: image(f, elems, strategy=s).elements for s in ("pairs", "merge", "bitset")}
-            assert results["pairs"] == results["merge"] == results["bitset"]
-            # image() trusts the fold to give sorted, distinct Python ints;
+            a = FiniteIntSet(rng.sample(range(-500, 500), rng.randint(1, 64)))
+            f = LinearForm((rng.choice([c for c in range(-10, 11) if c]),
+                            rng.choice([c for c in range(-10, 11) if c])))
+            results = {k: intsets._image(f, a, k).elements for k in KERNEL_FUNCTIONS}
+            assert len(set(results.values())) == 1, (f, results)
+            # _image trusts the fold to give sorted, distinct Python ints;
             # the checking constructor must agree with it.
             for elements in results.values():
                 assert elements == FiniteIntSet(elements).elements
                 assert all(type(x) is int for x in elements)
-            cards = {image_cardinality(f, elems, strategy=s) for s in ("pairs", "merge", "bitset")}
+            cards = {intsets._cardinality(f, a, k) for k in KERNEL_FUNCTIONS}
             assert cards == {len(results["pairs"])}
 
-    def test_each_strategy_runs_exactly_its_own_kernel(self, monkeypatch):
-        # bitset runs the representation that _plan prices cheaper: big ints
-        # on 4 elements, the word array on 64 over a span near 10**5.
+    def test_each_label_runs_exactly_its_own_kernel(self, monkeypatch):
         calls = {name: spy(monkeypatch, name) for name in KERNEL_FUNCTIONS.values()}
         rng = random.Random(67)
-        for n, top, bitset in ((4, 10**4, "big-int"), (64, 10**5, "word")):  # 16 and 4,096 tuples
-            elems = rng.sample(range(top), n)
-            expected = brute_image((2, -1), elems)
-            assert intsets._plan((2, -1), FiniteIntSet(elems), "bitset") == bitset
-            for s, label in (("pairs", "pairs"), ("merge", "merge"), ("bitset", bitset)):
-                kernel = KERNEL_FUNCTIONS[label]
+        f = LinearForm((2, -1))
+        for n, top in ((4, 10**4), (64, 10**5)):  # 16 and 4,096 tuples
+            a = FiniteIntSet(rng.sample(range(top), n))
+            expected = brute_image((2, -1), a.elements)
+            for label, kernel in KERNEL_FUNCTIONS.items():
                 for c in calls.values():
                     del c[:]
-                assert list(image(LinearForm((2, -1)), elems, strategy=s)) == expected
-                assert image_cardinality(LinearForm((2, -1)), elems, strategy=s) == len(expected)
+                assert list(intsets._image(f, a, label)) == expected
+                assert intsets._cardinality(f, a, label) == len(expected)
                 assert {name: len(c) for name, c in calls.items()} == {
-                    name: 2 if name == kernel else 0 for name in calls}, (n, s)
+                    name: 2 if name == kernel else 0 for name in calls}, (n, label)
 
     def test_auto_picks_the_kernel_by_tuples_and_window(self, monkeypatch):
         # Stubs stand in for the kernels, so that the 4,000,000-tuple folds
@@ -200,7 +191,7 @@ class TestImage:
         labels = {name: label for label, name in KERNEL_FUNCTIONS.items()}
         for n, d, kernel in cases:
             a = FiniteIntSet([0, d] + rng.sample(range(1, d), n - 2))
-            assert intsets._plan(SUM.coefficients, a, "auto") == labels[kernel], (n, d)
+            assert intsets._plan(SUM.coefficients, a) == labels[kernel], (n, d)
             del calls[:]
             image(SUM, a)
             image_cardinality(SUM, a)
@@ -208,7 +199,7 @@ class TestImage:
 
     @pytest.mark.usefixtures("time_limit")
     def test_sort_kernel_matches_brute_force_and_python_kernels(self, monkeypatch):
-        # Windows too wide for the bitset kernel but within int64; spies
+        # Windows too wide for the bitset kernels but within int64; spies
         # confirm that auto and merge reach the sort kernel and pairs the
         # Python one.
         sort_folds = spy(monkeypatch, "_sort_fold")
@@ -228,14 +219,9 @@ class TestImage:
         ]
         assert width((4, -3), cases[-1][1]) == 2**63
         for coeffs, elems in cases:
-            f = LinearForm(coeffs)
-            expected = brute_image(coeffs, elems)
-            for s in ("auto", "pairs", "merge"):
-                assert list(image(f, elems, strategy=s)) == expected
-                assert image_cardinality(f, elems, strategy=s) == len(expected)
-            assert image(f, elems, strategy="pairs") == image(f, elems, strategy="merge")
-        assert len(sort_folds) == 5 * len(cases)
-        assert len(python_folds) == 3 * len(cases)
+            assert_image_exact(coeffs, elems)
+        assert len(sort_folds) == 4 * len(cases)
+        assert len(python_folds) == 2 * len(cases)
 
     @pytest.mark.usefixtures("time_limit")
     def test_window_one_past_int64_folds_on_limbs(self, monkeypatch):
@@ -243,12 +229,8 @@ class TestImage:
         rng = random.Random(29)
         elems = [0, 2**62] + rng.sample(range(1, 2**62), 30)
         assert width((1, 1), elems) == 2**63 + 1
-        expected = brute_image((1, 1), elems)
-        for s in ("auto", "pairs", "merge"):
-            assert list(image(SUM, elems, strategy=s)) == expected
-            assert image_cardinality(SUM, elems, strategy=s) == len(expected)
-        assert image(SUM, elems, strategy="pairs") == image(SUM, elems, strategy="merge")
-        assert len(limb_folds) == 5  # auto and merge, then merge against pairs
+        assert_image_exact((1, 1), elems)
+        assert len(limb_folds) == 4  # auto and merge
         assert all(terms[0].shape[0] == 2 for terms, _ in limb_folds)  # two 62-bit limbs
 
     @pytest.mark.usefixtures("time_limit")
@@ -259,21 +241,21 @@ class TestImage:
         sort_folds = spy(monkeypatch, "_sort_fold")
         python_folds = spy(monkeypatch, "_python_fold")
         rng = random.Random(31)
-        elems = rng.sample(range(300), 60)
+        a = FiniteIntSet(rng.sample(range(300), 60))
         forms = ((1, 1), (2, -1), (1, 1, 1), (-3, 1, 2))
-        expected = {coeffs: brute_image(coeffs, elems) for coeffs in forms}
+        expected = {coeffs: brute_image(coeffs, a.elements) for coeffs in forms}
         for coeffs in forms:
-            assert len(expected[coeffs]) < len(elems) ** len(coeffs) // 4
-            for s in ("pairs", "merge"):
-                assert list(image(LinearForm(coeffs), elems, strategy=s)) == expected[coeffs]
-                assert image_cardinality(LinearForm(coeffs), elems, strategy=s) == len(expected[coeffs])
+            assert len(expected[coeffs]) < len(a) ** len(coeffs) // 4
+            for label in ("pairs", "merge"):
+                assert list(intsets._image(LinearForm(coeffs), a, label)) == expected[coeffs]
+                assert intsets._cardinality(LinearForm(coeffs), a, label) == len(expected[coeffs])
         assert len(sort_folds) == 2 * len(forms)
         assert len(python_folds) == 2 * len(forms)
 
     @pytest.mark.usefixtures("time_limit")
-    def test_strategies_agree_on_wide_windows(self, monkeypatch):
-        # Windows wide enough that the auto-selected bitset kernel runs on
-        # uint64 words; a spy confirms every case reaches that path.
+    def test_kernels_agree_on_wide_windows(self, monkeypatch):
+        # Windows of up to 2**20 per term, whose words span several 64-bit
+        # edges; a spy confirms that the word label reaches the word kernel.
         word_folds = spy(monkeypatch, "_word_fold")
         rng = random.Random(17)
         top = 1 << 20
@@ -288,13 +270,13 @@ class TestImage:
             ((1, -1), edges + [top - e for e in edges] + rng.sample(range(129, top - 128), 30)),
         ]
         for coeffs, elems in cases:
-            f = LinearForm(coeffs)
-            results = {s: image(f, elems, strategy=s).elements for s in ("pairs", "merge", "bitset")}
-            assert results["pairs"] == results["merge"] == results["bitset"] == image(f, elems).elements
+            f, a = LinearForm(coeffs), FiniteIntSet(elems)
+            results = {k: intsets._image(f, a, k).elements for k in KERNEL_FUNCTIONS}
+            assert set(results.values()) == {image(f, a).elements}, coeffs
             assert list(results["pairs"]) == brute_image(coeffs, elems)
-            cards = {image_cardinality(f, elems, strategy=s) for s in ("auto", "pairs", "merge", "bitset")}
+            cards = {intsets._cardinality(f, a, k) for k in KERNEL_FUNCTIONS} | {image_cardinality(f, a)}
             assert cards == {len(results["pairs"])}
-        assert len(word_folds) == 2 * len(cases)
+        assert len(word_folds) == 2 * len(cases)  # auto runs merge on every case
 
     def test_word_kernel_matches_big_int_kernel(self, monkeypatch):
         rng = random.Random(19)
@@ -330,23 +312,23 @@ class TestImage:
             u = rng.choice([c for c in range(-8, 9) if c])
             v = rng.choice([c for c in range(-8, 9) if c])
             expected = brute_image((u, v), elems)
-            for s in intsets.STRATEGIES:
-                assert list(image(LinearForm((u, v)), elems, strategy=s)) == expected, (u, v, s)
+            assert list(image(LinearForm((u, v)), elems)) == expected, (u, v)
+            for label in KERNEL_FUNCTIONS:
+                assert list(intsets._image(LinearForm((u, v)), elems, label)) == expected, (u, v, label)
 
     @pytest.mark.parametrize("elems", [[0], [5], [-(10**30)], [0, 1], [-3, 4], [-4, 4], [0, 2**70]],
                              ids=["zero", "five", "far", "0-1", "-3-4", "symmetric", "wide"])
     def test_pair_folds_read_off_the_coefficients_on_one_and_two_elements(self, elems):
         # Only equal-magnitude coefficients fold unordered pairs, so (2, 1) on
         # {0}, whose two terms are equal, does not, and (1, 1) on {-4, 4},
-        # whose terms also mirror, folds as a pair.  Every strategy and every
-        # kernel (the bitset ones where the window fits) counts exactly.
+        # whose terms also mirror, folds as a pair.  The planned kernel and
+        # every kernel (the bitset ones where the window fits) count exactly.
         a = FiniteIntSet(elems)
         for coeffs in ((1, 1), (1, -1), (-2, 2), (2, 1), (1, 1, 1)):
             f, expected = LinearForm(coeffs), brute_image(coeffs, elems)
             fits = width(coeffs, elems) <= intsets.BITSET_WIDTH_CAP
-            for s in intsets.STRATEGIES if fits else ("auto", "pairs", "merge"):
-                assert list(image(f, a, strategy=s)) == expected, (coeffs, s)
-                assert image_cardinality(f, a, strategy=s) == len(expected), (coeffs, s)
+            assert list(image(f, a)) == expected, coeffs
+            assert image_cardinality(f, a) == len(expected), coeffs
             for kernel in KERNEL_FUNCTIONS if fits else ("pairs", "merge"):
                 assert list(intsets._image(f, a, kernel)) == expected, (coeffs, kernel)
                 assert intsets._cardinality(f, a, kernel) == len(expected), (coeffs, kernel)
@@ -372,22 +354,22 @@ def spy(monkeypatch, name):
 
 
 def assert_image_exact(coeffs, elems, expected=None):
-    """image and image_cardinality under auto, pairs and merge against brute force.
+    """The image and its cardinality, planned and on pairs and merge, against brute force.
 
     pairs runs the Python kernel and merge the sort kernel, so their
     agreement is a check of one against the other.
     """
-    f = LinearForm(coeffs)
+    f, a = LinearForm(coeffs), FiniteIntSet(elems)
     expected = brute_image(coeffs, elems) if expected is None else expected
-    results = {}
-    for s in ("auto", "pairs", "merge"):
-        got = results[s] = image(f, elems, strategy=s).elements
-        assert list(got) == expected, (coeffs, s)
-        # image() trusts the fold to give sorted, distinct Python ints.
+    for label in ("auto", "pairs", "merge"):
+        planned = label == "auto"
+        got = (image(f, a) if planned else intsets._image(f, a, label)).elements
+        assert list(got) == expected, (coeffs, label)
+        # _image trusts the fold to give sorted, distinct Python ints.
         assert got == FiniteIntSet(got).elements
         assert all(type(x) is int for x in got)
-        assert image_cardinality(f, elems, strategy=s) == len(expected), (coeffs, s)
-    assert results["pairs"] == results["merge"], coeffs
+        card = image_cardinality(f, a) if planned else intsets._cardinality(f, a, label)
+        assert card == len(expected), (coeffs, label)
 
 
 @pytest.mark.usefixtures("time_limit")
@@ -568,7 +550,7 @@ class TestPairFolds:
             n = len(elems)
             for coeffs in PAIR_COEFFS:
                 del distinct[:]
-                image_cardinality(LinearForm(coeffs), elems, strategy="merge")
+                intsets._cardinality(LinearForm(coeffs), FiniteIntSet(elems), "merge")
                 held = sum(limbs.shape[1] for limbs, *_ in distinct)
                 assert held <= n * (n + 1) // 2, (name, coeffs)
                 # x - y keeps the pairs with a positive value and x + y the
@@ -581,12 +563,12 @@ class TestPairFolds:
         elems = random.Random(79).sample(range(10**9), 30)
         for coeffs in ((2, 1), (1, 2), (3, -2)):
             del distinct[:]
-            image_cardinality(LinearForm(coeffs), elems, strategy="merge")
+            intsets._cardinality(LinearForm(coeffs), FiniteIntSet(elems), "merge")
             assert sum(limbs.shape[1] for limbs, *_ in distinct) == 30 * 30
 
 
 def word_pair_sets():
-    """(name, elements) whose pair folds the bitset strategy runs on the word kernel.
+    """(name, elements) whose pair folds the word kernel runs across word edges.
 
     Offsets 0, 63, 64, 65 from each end, on spans = 0 and 63 mod 64; a set
     with A = -A, for which x + y is also a mirrored pair; one far from 0.
@@ -617,13 +599,12 @@ class TestWordPairFolds:
             for coeffs in WORD_PAIR_COEFFS:
                 f = LinearForm(coeffs)
                 terms = intsets._terms(f, a)
-                assert intsets._plan(coeffs, a, "bitset") == "word"
                 del word_folds[:]
                 mask = intsets._word_fold(terms, intsets._pair_fold(coeffs))
                 assert mask == intsets._big_int_fold(terms), (name, coeffs)
-                expected = image(f, a, strategy="pairs").elements
-                assert image(f, a, strategy="bitset").elements == expected, (name, coeffs)
-                assert image_cardinality(f, a, strategy="bitset") == len(expected), (name, coeffs)
+                expected = intsets._image(f, a, "pairs").elements
+                assert intsets._image(f, a, "word").elements == expected, (name, coeffs)
+                assert intsets._cardinality(f, a, "word") == len(expected), (name, coeffs)
                 assert len(word_folds) == 3
 
     def test_sumsets_of_a_set_with_itself_and_its_reflection(self, monkeypatch):
@@ -633,9 +614,9 @@ class TestWordPairFolds:
         for name, elems in word_pair_sets():
             a = FiniteIntSet(elems)
             for f in (SUM, DIFFERENCE):
-                expected = image(f, a, strategy="pairs")
-                assert image(f, a, strategy="bitset") == expected, (name, f)
-                reflected = image(f, a.reflect(), strategy="bitset")
+                expected = intsets._image(f, a, "pairs")
+                assert intsets._image(f, a, "word") == expected, (name, f)
+                reflected = intsets._image(f, a.reflect(), "word")
                 assert reflected == (expected.reflect() if f == SUM else expected), (name, f)
         assert len(word_folds) == 4 * len(word_pair_sets())
 
@@ -708,7 +689,7 @@ class TestAutoPicks:
         packaged = rectify(crt_product(packaged_locals()), 1)
         for a in (rectify(crt_product(qr), 1), packaged):
             for coeffs in ((2, 1), (1, 1), (1, -1)):
-                assert intsets._plan(coeffs, a, "auto") == "word", (len(a), coeffs)
+                assert intsets._plan(coeffs, a) == "word", (len(a), coeffs)
 
     @pytest.mark.parametrize(("f", "g", "elems", "picks"), [
         ((1, 1), (1, -1), MSTD.elements, ("big-int", "big-int")),  # 64 elements
@@ -718,7 +699,7 @@ class TestAutoPicks:
     ])
     def test_amplified_sets(self, f, g, elems, picks):
         _, big = amplify(LinearForm(f), LinearForm(g), elems)
-        assert tuple(intsets._plan(c, big, "auto") for c in (f, g)) == picks
+        assert tuple(intsets._plan(c, big) for c in (f, g)) == picks
 
 
 class TestAffineCanonical:

@@ -16,6 +16,49 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 import kernel_grid  # noqa: E402
 
+# auto's pick on each cell of the grid, one row per (n, density), in FORMS
+# order: 2x+y, x+y, x-y, x+y+z.  A refit of intsets._KERNEL_NS that moves a
+# pick regenerates this table, and CHANGES.md says which picks moved.
+GRID_PICKS = {
+    (8, 1): ("pairs", "pairs", "pairs", "big-int"),
+    (8, 0.1): ("pairs", "pairs", "pairs", "big-int"),
+    (8, 0.01): ("pairs", "pairs", "pairs", "big-int"),
+    (8, 0.001): ("pairs", "pairs", "pairs", "big-int"),
+    (8, 0.0005): ("pairs", "pairs", "pairs", "merge"),
+    (32, 1): ("big-int", "big-int", "big-int", "big-int"),
+    (32, 0.1): ("big-int", "big-int", "big-int", "big-int"),
+    (32, 0.01): ("big-int", "big-int", "big-int", "big-int"),
+    (32, 0.001): ("merge", "merge", "merge", "big-int"),
+    (32, 0.0005): ("merge", "merge", "merge", "word"),
+    (128, 1): ("big-int", "big-int", "big-int", "big-int"),
+    (128, 0.1): ("big-int", "big-int", "big-int", "big-int"),
+    (128, 0.01): ("big-int", "big-int", "big-int", "big-int"),
+    (128, 0.001): ("merge", "merge", "merge", "word"),
+    (128, 0.0005): ("merge", "merge", "merge", "word"),
+    (512, 1): ("big-int", "big-int", "big-int", "big-int"),
+    (512, 0.1): ("big-int", "big-int", "big-int", "big-int"),
+    (512, 0.01): ("word", "word", "word", "word"),
+    (512, 0.001): ("word", "word", "word", "word"),
+    (512, 0.0005): ("merge", "merge", "merge", "word"),
+    (2048, 1): ("big-int", "big-int", "big-int", "big-int"),
+    (2048, 0.1): ("word", "big-int", "big-int", "big-int"),
+    (2048, 0.01): ("word", "word", "word", "word"),
+    (2048, 0.001): ("word", "word", "word", "word"),
+    (2048, 0.0005): ("word", "word", "word", "word"),
+    (4096, 1): ("big-int", "big-int", "big-int", "big-int"),
+    (4096, 0.1): ("word", "word", "word", "word"),
+    (4096, 0.01): ("word", "word", "word", "word"),
+    (4096, 0.001): ("word", "word", "word", "word"),
+    (4096, 0.0005): ("word", "word", "word", "word"),
+}
+
+
+def test_auto_picks_on_the_grid_are_pinned():
+    rows = [(n, density) for n in kernel_grid.SIZES for density in kernel_grid.DENSITIES]
+    assert list(GRID_PICKS) == rows and tuple(kernel_grid.FORMS) == ("2x+y", "x+y", "x-y", "x+y+z")
+    picks = [intsets._plan(kernel_grid.FORMS[name], a) for name, a in kernel_grid.cells()]
+    assert picks == [pick for row in rows for pick in GRID_PICKS[row]]
+
 
 @pytest.mark.usefixtures("time_limit")
 def test_every_kernel_counts_the_same_image_on_the_grid_to_512_elements():
@@ -44,7 +87,7 @@ def test_runs_on_two_cells():
     for line, (name, a) in zip(lines[1:3], kernel_grid.cells()):
         pick = line.split()[-2]
         assert pick in kernel_grid.KERNELS
-        assert pick == intsets._plan(LinearForm(kernel_grid.FORMS[name]).coefficients, a, "auto")
+        assert pick == intsets._plan(kernel_grid.FORMS[name], a)
     assert lines[3].startswith("worst auto/fastest: ")
     assert lines[4] == "fitted _KERNEL_NS:"
     assert [line.split(":")[0].strip() for line in lines[5:]] == [f"'{k}'" for k in kernel_grid.KERNELS]

@@ -1,11 +1,12 @@
 """Time each image kernel on a grid of sets and fit auto's cost model.
 
 A cell is a form (2x+y, x+y, x-y or x+y+z) and a random n-element subset
-of [0, n/density).  In each cell the script times image_cardinality under
-auto and each kernel (pairs, merge, the big-int and the word-array bitset
-fold) run through intsets._cardinality, the dispatch that image_cardinality
-calls once it has planned its kernel, and checks that they all count the
-same image.  A kernel whose first work count is beyond
+of [0, n/density).  In each cell the script times image_cardinality, which
+runs the kernel that intsets._plan picks ("auto"), and each kernel by its
+label (pairs, merge, and the big-int and the word-array bitset folds) run
+through intsets._cardinality, the dispatch that image_cardinality calls
+once it has planned its kernel, and checks that they all count the same
+image.  A kernel whose first work count is beyond
 LIMITS is not run: it would take well over 0.1 s, and a cell where no
 kernel runs is skipped.  It prints one row per cell (times in
 microseconds, the fastest kernel, auto's pick and auto's time over the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import random
 import time
 
@@ -71,17 +73,18 @@ def work(form: LinearForm, a: FiniteIntSet, kernel: str) -> tuple[float, ...] | 
 
 
 def timed(form: LinearForm, a: FiniteIntSet, kernel: str) -> tuple[float, int]:
-    """(best seconds per call, cardinality) of the kernel, or of image_cardinality under auto."""
-    count = intsets.image_cardinality if kernel == "auto" else intsets._cardinality
+    """(best seconds per call, cardinality) of the kernel, or of image_cardinality if kernel is "auto"."""
+    count = (functools.partial(intsets.image_cardinality, form, a) if kernel == "auto"
+             else functools.partial(intsets._cardinality, form, a, kernel))
     start = time.perf_counter()
-    card = count(form, a, kernel)
+    card = count()
     first = time.perf_counter() - start
     reps = max(1, int(0.01 / max(first, 1e-7)))
     best = first
     for _ in range(2 if first > 0.05 else 3):
         start = time.perf_counter()
         for _ in range(reps):
-            count(form, a, kernel)
+            count()
         best = min(best, (time.perf_counter() - start) / reps)
     return best, card
 
@@ -120,7 +123,7 @@ def main(argv: list[str] | None = None) -> None:
         auto, card = timed(form, a, "auto")
         if cards | {card} != {card}:
             raise RuntimeError(f"kernels disagree on {name}, n={len(a)}: {sorted(cards | {card})}")
-        pick = intsets._plan(form.coefficients, a, "auto")
+        pick = intsets._plan(form.coefficients, a)
         fastest = min(times, key=times.get)
         worst = max(worst, auto / times[fastest])
         print(f"{name:6} {len(a):5} {a[-1] - a[0] + 1:9}"
