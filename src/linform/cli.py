@@ -302,10 +302,13 @@ def cmd_construct(args: argparse.Namespace) -> CommandResult:
             raise UsageError(f"--source {args.source} builds locals against x+y or x-y only")
         if args.count > CONSTRUCT_COUNT_CAP:
             raise UsageError(f"--count is capped at {CONSTRUCT_COUNT_CAP}, got {args.count}")
-    # After the flag checks, so that a usage error leaves no file; before the
-    # locals are read, so that an unwritable path fails before the construction.
+    # Before the locals are read, so that an unwritable path fails before the
+    # construction; a new file is removed again, so that no error leaves one.
     if args.set_out:
+        fresh = not Path(args.set_out).exists()  # also for a dangling symlink
         open(args.set_out, "a").close()  # truncates nothing
+        if fresh:  # the created file, not a symlink to it
+            Path(args.set_out).resolve().unlink()
     if direct:
         locs = [local_solution(form_f, form_g, r) for r in read_input(args.locals, "locals", load_locals)]
     else:

@@ -33,7 +33,8 @@ element and 139 us per call, the big int at 2.5 ns per word and 11 us
 per call, so narrow or small images stay on big ints.  Both use only
 shifts and ORs, so they give the same mask bit for bit.  Like merge, the
 word array folds each unordered pair of c*(x + y) and c*(x - y) once;
-the big int folds every ordered pair.
+the big int folds every ordered pair.  After every 8th shift, the word
+array ORs only into words not yet all ones, which changes no bit.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ BITSET_WIDTH_CAP = 1 << 27
 #   x+y, n=128, span 254,567:  pairs 1,994  merge 153  big-int 2,443  word 1,481  -> merge
 #   2x+y, n=32, span 2,561:  pairs 109  merge 34  big-int 26  word 169  -> big-int
 #   x+y+z, n=4096, span 4,096:  big-int 3,688  word 7,931  -> big-int
+# The word price is the cost without _word_fold's skip, an upper bound on
+# images that fill their window; it is not refitted, so the picks stay pinned.
 _KERNEL_NS = {
     "pairs": (77.1,),                     # tuple
     "merge": (16.5, 18_800.0),            # tuple after the pair fold; call
@@ -431,8 +434,10 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     The narrowest term is folded first, so that the accumulator stays as
     short as it can.  An offset t = 64*q + s is applied by ORing the
     s-bit-shifted copy of the accumulator into the output from word q on.
-    Each of the at most 64 shifted copies is built once per stage.  Only
-    shifts and ORs are used, so the result is bit for bit _big_int_fold's.
+    Each of the at most 64 shifted copies is built once per stage, every
+    8th first; the elements of the others OR only into runs of words not yet
+    all ones (_open_runs).  ORs commute, and ORing into an all-ones word
+    changes nothing, so the mask is bit for bit _big_int_fold's.
 
     A pair fold, offsets O, O (c*(x + y)), or a mirrored one, O,
     span - reversed(O) (c*(x - y)), folds each unordered pair once: offset
@@ -446,21 +451,33 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     q, s = np.divmod(offsets.pop(0), 64)
     acc = np.zeros(int(q[-1]) + 1, np.uint64)
     np.bitwise_or.at(acc, q, np.uint64(1) << s.astype(np.uint64))
+    first = max(span - 63, 0) // 64 if fold == "mirrored" else 0  # no copy starts below; scanned, they join the runs and small x-y ORs whole
     while offsets:  # popped, so each offset array is freed once split
         q, s = np.divmod(offsets.pop(0), 64)
         n = len(acc)
         out = np.zeros(n + int(q[-1]) + 1, np.uint64)
-        for shift in np.flatnonzero(np.bincount(s, minlength=64)).tolist():
+        shifts = np.flatnonzero(np.bincount(s, minlength=64)).tolist()
+        sampled, runs = shifts[::8], None
+        for i, shift in enumerate(sampled + [t for t in shifts if t not in sampled]):
+            if i == len(sampled):  # join runs closer than one element's price in words
+                runs = _open_runs(out, first, _KERNEL_NS["word"][1] / _KERNEL_NS["word"][0])
+                runs = None if runs == [(first, len(out))] else runs  # open everywhere: OR whole ranges
             shifted = np.zeros(n + 1, np.uint64)
             np.left_shift(acc, np.uint64(shift), out=shifted[:n])
             if shift:
                 shifted[1:] |= acc >> np.uint64(64 - shift)
             js = q[s == shift]
-            if fold is None:  # a view per element costs other forms about 5%
+            los = 0 if fold is None else js if fold == "pair" else (span - shift - 64 * js) // 64
+            if runs is not None:  # about 5 us a shift more than ORing whole ranges
+                for a, b in runs:  # element j ORs out[begin:end] from shifted[begin - j:]
+                    begin, end = np.maximum(js + los, a), np.minimum(js + n + 1, b)
+                    meet = begin < end
+                    for j, st, en in zip(js[meet].tolist(), begin[meet].tolist(), end[meet].tolist()):
+                        out[st:en] |= shifted[st - j:en - j]
+            elif fold is None:  # a view per element costs other forms about 5%
                 for j in js.tolist():
                     out[j:j + n + 1] |= shifted
             else:
-                los = js if fold == "pair" else (span - shift - 64 * js) // 64
                 for j, lo in zip(js.tolist(), los.tolist()):
                     out[j + lo:j + n + 1] |= shifted[lo:]
         acc = out
@@ -469,6 +486,15 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     if fold == "mirrored":  # bit p of the 8*len(data)-bit reversal is bit 8*len(data) - 1 - p of mask
         mask |= int.from_bytes(_BYTE_REVERSED[data[::-1]], "little") >> (8 * len(data) - 1 - 2 * span)
     return mask
+
+
+def _open_runs(words: np.ndarray, first: int, gap: float) -> list[tuple[int, int]]:
+    """The runs [start, stop) of the words from first on that are not all ones, joined over gaps under gap."""
+    open_ = np.concatenate(([False], words[first:] != ~np.uint64(0), [False]))
+    edges = np.flatnonzero(open_[1:] != open_[:-1]) + first  # start, stop, start, ...
+    inner = edges[1:-1].reshape(-1, 2)  # a run's stop and the next run's start
+    edges = np.concatenate((edges[:1], inner[inner[:, 1] - inner[:, 0] >= gap].ravel(), edges[-1:])).tolist()
+    return list(zip(edges[0::2], edges[1::2]))
 
 
 def _limbs(term: list[int], k: int) -> np.ndarray:

@@ -427,13 +427,22 @@ class TestConstructCommand:
         code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", *source, "--set-out", str(set_path))
         assert_one_error_line(code, out, err, "error: [Errno 2] No such file or directory: ")
 
-    @pytest.mark.parametrize("argv", [("--source", "qr", "--count", "100000"), ("--source", "file")],
-                             ids=["count-over-cap", "file-without-locals"])
+    @pytest.mark.parametrize("argv", [("--source", "qr", "--count", "100000"), ("--source", "file"),
+                                      ("--source", "file", "--locals", "absent.json")],
+                             ids=["count-over-cap", "file-without-locals", "absent-locals"])
     def test_usage_error_creates_no_set_out(self, capsys, tmp_path, argv):
         set_path = tmp_path / "x.txt"
         code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", *argv, "--set-out", str(set_path))
         assert_one_error_line(code, out, err, "error: ")
         assert not set_path.exists()
+
+    def test_usage_error_creates_no_target_of_a_dangling_set_out(self, capsys, tmp_path):
+        set_path = tmp_path / "x.txt"
+        set_path.symlink_to(tmp_path / "target.txt")
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", "--source", "file",
+                             "--locals", "absent.json", "--set-out", str(set_path))
+        assert_one_error_line(code, out, err, "error: ")
+        assert set_path.is_symlink() and not set_path.exists()
 
     def test_failed_construction_keeps_an_existing_set_out(self, capsys, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
@@ -445,6 +454,16 @@ class TestConstructCommand:
                              "--set-out", str(set_path))
         assert_one_error_line(code, out, err, "error: construction failed")
         assert set_path.read_text() == "1\n2\n"
+
+    def test_failed_construction_leaves_no_new_set_out(self, capsys, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("construction failed")
+        monkeypatch.setattr(cli, "build_separating_set", failing)
+        set_path = tmp_path / "a.txt"
+        code, out, err = run(capsys, "construct", "-f", "2,1", "-g", "1,1", "--source", "qr", "--count", "1",
+                             "--set-out", str(set_path))
+        assert_one_error_line(code, out, err, "error: construction failed")
+        assert not set_path.exists()
 
 
 class TestVerifyCommand:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -621,6 +622,66 @@ class TestWordPairFolds:
         assert len(word_folds) == 4 * len(word_pair_sets())
 
 
+@functools.cache
+def qr_set():
+    """The 39,312-element rectified CRT set of the quadratic residues mod 13, 29, 37 and 53."""
+    return rectify(crt_product([ResidueSet(p, {x * x % p for x in range(1, p)}) for p in (13, 29, 37, 53)]), 1)
+
+
+class TestWordSkip:
+    """After every 8th shift, the word kernel ORs only into open runs, words not yet all ones."""
+
+    ONES = 2**64 - 1
+
+    @pytest.mark.parametrize(("words", "first", "gap", "runs"), [
+        ([ONES] * 5, 0, 3, []),
+        ([0, ONES, ONES, ONES, ONES, 5], 0, 3, [(0, 1), (5, 6)]),  # holes at both ends
+        ([0, ONES, ONES, 7, ONES], 0, 3, [(0, 4)]),  # a full gap of 2 < 3 is joined
+        ([0, ONES, ONES, 7, ONES], 0, 2, [(0, 1), (3, 4)]),
+        ([0, 0, ONES, 7, 0], 2, 9, [(3, 5)]),  # words below first are not looked at
+    ])
+    def test_open_runs(self, words, first, gap, runs):
+        assert intsets._open_runs(np.array(words, np.uint64), first, gap) == runs
+
+    @staticmethod
+    def spy_runs(monkeypatch):
+        """Wrap intsets._open_runs; returns the list of (output length, runs) per call."""
+        calls, real = [], intsets._open_runs
+        monkeypatch.setattr(intsets, "_open_runs",
+                            lambda words, *args: calls.append((len(words), real(words, *args))) or calls[-1][1])
+        return calls
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_dense_sums_and_differences_skip_their_full_middle(self, monkeypatch):
+        # x+y and x-y of the QR set miss only sums near the ends of the window,
+        # so after every 8th shift the open runs are short: 9.6% and 4.3% of
+        # the output words.
+        calls = self.spy_runs(monkeypatch)
+        for coeffs in ((1, 1), (1, -1)):
+            terms = intsets._terms(LinearForm(coeffs), qr_set())
+            del calls[:]
+            assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms)
+            (length, runs), = calls
+            assert 0 < sum(stop - start for start, stop in runs) < length / 8, coeffs
+
+    def test_differences_look_only_from_the_first_word_a_copy_reaches(self, monkeypatch):
+        # x-y of [0, 4096) fills all but its top word.  No copy reaches the words
+        # below (span - 63) // 64 = 63; joined to the top word, they would make
+        # the fold OR whole ranges.
+        calls = self.spy_runs(monkeypatch)
+        terms = intsets._terms(LinearForm((1, -1)), FiniteIntSet(range(4096)))
+        assert intsets._word_fold(terms, "mirrored") == intsets._big_int_fold(terms)
+        assert calls == [(128, [(127, 128)])]
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_images_with_holes_everywhere_fold_whole(self, monkeypatch):
+        calls = self.spy_runs(monkeypatch)
+        terms = intsets._terms(LinearForm((2, 1)), qr_set())
+        assert intsets._word_fold(terms, None) == intsets._big_int_fold(terms)
+        (length, runs), = calls
+        assert runs == [(0, length)]
+
+
 class TestNormalization:
     def test_already_normalized(self):
         assert normalize_form(LinearForm((2, 1))) == LinearForm((2, 1))
@@ -685,9 +746,8 @@ class TestAutoPicks:
     """auto's kernel on fixed sets, from the cost model fitted on tools/kernel_grid.py's grid."""
 
     def test_dense_construction_sets_stay_on_the_word_kernel(self):
-        qr = [ResidueSet(p, {x * x % p for x in range(1, p)}) for p in (13, 29, 37, 53)]
         packaged = rectify(crt_product(packaged_locals()), 1)
-        for a in (rectify(crt_product(qr), 1), packaged):
+        for a in (qr_set(), packaged):
             for coeffs in ((2, 1), (1, 1), (1, -1)):
                 assert intsets._plan(coeffs, a) == "word", (len(a), coeffs)
 
