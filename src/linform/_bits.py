@@ -1,8 +1,9 @@
 """Bitmask helpers shared by the image kernels.
 
 A set of integers in a known window is stored as one big Python int with
-bit i set when (base + i) is present.  Shift-and-or on these masks is the
-fast path for sumsets; CPython does the word-level work in C.
+bit i set when (base + i) is present, and a set of classes mod m as an
+m-bit int with bit c set when c is present.  Shift-and-or on these masks
+is the fast path for sumsets; CPython does the word-level work in C.
 """
 
 from __future__ import annotations
@@ -30,3 +31,20 @@ def decode(mask: int, base: int) -> list[int]:
             for b in _BYTE_BITS[byte]:
                 out.append(offset + b)
     return out
+
+
+def cyclic_fold(terms: Iterable[Iterable[int]], m: int) -> int:
+    """The sums of one class in [0, m) from each term, mod m, as an m-bit mask.
+
+    Each later term shifts the accumulated mask by its classes and folds
+    the bits at m and above back onto [0, m).
+    """
+    full = (1 << m) - 1
+    terms = iter(terms)
+    acc = mask_of(next(terms), 0)
+    for term in terms:
+        shifted = 0
+        for t in term:
+            shifted |= acc << t
+        acc = (shifted & full) | (shifted >> m)
+    return acc

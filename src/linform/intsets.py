@@ -34,12 +34,18 @@ per call, so narrow or small images stay on big ints.  Both use only
 shifts and ORs, so they give the same mask bit for bit.  Like merge, the
 word array folds each unordered pair of c*(x + y) and c*(x - y) once;
 the big int folds every ordered pair.  After every 8th shift, the word
-array ORs only into words not yet all ones, which changes no bit.
+array ORs only into words below their ceiling, the AND of the periodic
+lifts of f(A mod m) over the prime powers m <= 64 at which that image
+misses a class (all ones if there is none).  f(A) mod m lies in
+f(A mod m) for every m, so every bit an OR sets lies in the ceiling, and
+ORing into a word equal to it changes no bit.  A stage with at most 4
+tuples per bit of its span fills few words and ORs whole ranges.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -60,7 +66,8 @@ BITSET_WIDTH_CAP = 1 << 27
 #   2x+y, n=32, span 2,561:  pairs 109  merge 34  big-int 26  word 169  -> big-int
 #   x+y+z, n=4096, span 4,096:  big-int 3,688  word 7,931  -> big-int
 # The word price is the cost without _word_fold's skip, an upper bound on
-# images that fill their window; it is not refitted, so the picks stay pinned.
+# images that fill their ceiling (all ones, or the lift of f(A mod m) where
+# that misses a class); it is not refitted, so the picks stay pinned.
 _KERNEL_NS = {
     "pairs": (77.1,),                     # tuple
     "merge": (16.5, 18_800.0),            # tuple after the pair fold; call
@@ -77,6 +84,18 @@ _SORT_CHUNK = 1 << 22
 _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _HASH_MUL = 0x5851F42D4C957F2D  # hashes wide limb columns; any value is exact
+
+# The largest power of each prime up to 64 that is at most 64 (a lower power's
+# lift contains it).  A class that f(A mod m) misses for one of them leaves a
+# hole in every 64-bit word of the mask, so without a ceiling (_word_fold) no
+# word of that image would close.
+_CEILING_MODULI = (64, 27, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+# Offsets of terms 0 and 1 that _stage_ceilings reads first: at random, 64
+# offsets meet at least 63% of the classes mod m <= 64, so two such prefixes
+# settle most m by their class counts alone.
+_RESIDUE_PREFIX = 64
+# Most classes (32 KiB of uint64) that _stage_ceilings reduces at once.
+_RESIDUE_VALUES = 1 << 12
 
 # Byte b with its bits reversed, at index b: reverses a word fold's mask bytewise.
 _BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
@@ -435,9 +454,13 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     short as it can.  An offset t = 64*q + s is applied by ORing the
     s-bit-shifted copy of the accumulator into the output from word q on.
     Each of the at most 64 shifted copies is built once per stage, every
-    8th first; the elements of the others OR only into runs of words not yet
-    all ones (_open_runs).  ORs commute, and ORing into an all-ones word
-    changes nothing, so the mask is bit for bit _big_int_fold's.
+    8th first; the elements of the others OR only into runs of words below
+    their ceiling (_open_runs), the AND of the lifts of the stage's sums
+    mod m for the m <= 64 at which they miss a class (_stage_ceilings).
+    Every bit a stage sets is a sum of one offset per term so far, whose
+    class mod m is among those sums, so it lies in the ceiling: ORs
+    commute, and ORing into a word equal to its ceiling changes nothing,
+    so the mask is bit for bit _big_int_fold's.
 
     A pair fold, offsets O, O (c*(x + y)), or a mirrored one, O,
     span - reversed(O) (c*(x - y)), folds each unordered pair once: offset
@@ -447,6 +470,7 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     span, so its bit reversal is ORed in.
     """
     offsets = [_limbs(term, 1)[0] for term in sorted(terms, key=lambda t: t[-1] - t[0])]
+    ceilings = _stage_ceilings(offsets)
     span = int(offsets[0][-1])
     q, s = np.divmod(offsets.pop(0), 64)
     acc = np.zeros(int(q[-1]) + 1, np.uint64)
@@ -457,10 +481,11 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
         n = len(acc)
         out = np.zeros(n + int(q[-1]) + 1, np.uint64)
         shifts = np.flatnonzero(np.bincount(s, minlength=64)).tolist()
-        sampled, runs = shifts[::8], None
+        sampled, runs, images = shifts[::8], None, ceilings.pop(0)
         for i, shift in enumerate(sampled + [t for t in shifts if t not in sampled]):
-            if i == len(sampled):  # join runs closer than one element's price in words
-                runs = _open_runs(out, first, _KERNEL_NS["word"][1] / _KERNEL_NS["word"][0])
+            if i == len(sampled) and images is not None:  # join runs closer than one element's price in words
+                runs = _open_runs(out, first, _KERNEL_NS["word"][1] / _KERNEL_NS["word"][0],
+                                  _ceiling(len(out), images))
                 runs = None if runs == [(first, len(out))] else runs  # open everywhere: OR whole ranges
             shifted = np.zeros(n + 1, np.uint64)
             np.left_shift(acc, np.uint64(shift), out=shifted[:n])
@@ -488,13 +513,61 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     return mask
 
 
-def _open_runs(words: np.ndarray, first: int, gap: float) -> list[tuple[int, int]]:
-    """The runs [start, stop) of the words from first on that are not all ones, joined over gaps under gap."""
-    open_ = np.concatenate(([False], words[first:] != ~np.uint64(0), [False]))
+def _open_runs(words: np.ndarray, first: int, gap: float, ceiling: np.ndarray) -> list[tuple[int, int]]:
+    """The runs [start, stop) of the words from first on that differ from their ceiling, joined over gaps under gap."""
+    open_ = np.concatenate(([False], words[first:] != ceiling[first:], [False]))
     edges = np.flatnonzero(open_[1:] != open_[:-1]) + first  # start, stop, start, ...
     inner = edges[1:-1].reshape(-1, 2)  # a run's stop and the next run's start
     edges = np.concatenate((edges[:1], inner[inner[:, 1] - inner[:, 0] >= gap].ravel(), edges[-1:])).tolist()
     return list(zip(edges[0::2], edges[1::2]))
+
+
+def _stage_ceilings(offsets: list[np.ndarray]) -> list[list[tuple[int, int]] | None]:
+    """Per stage k >= 1 of a fold of the offsets, the images (m, mask), m in
+    _CEILING_MODULI up to the narrowest term's span, of the sums of one
+    offset per term 0..k mod m that miss a class (bit c set when c is such
+    a sum); None if the stage forms at most 4 tuples per bit of its span,
+    where a word of random sums keeps a hole with probability about 0.7.
+    A prefix's sums lie among the whole terms', so an m at which the first
+    _RESIDUE_PREFIX offsets of terms 0 and 1 reach every class (as they do
+    if their class counts add up to more than m) is dropped unread; the
+    others read every offset, in blocks.
+    """
+    def classes(block, moduli):  # bit c of entry i set when an offset is c mod moduli[i]
+        residues = block.view(np.uint64) % np.array(moduli, np.uint64)[:, None]
+        return np.bitwise_or.reduce(np.uint64(1) << residues, axis=1).tolist()
+
+    n, spans = len(offsets[0]), itertools.accumulate(int(o[-1]) for o in offsets)
+    searched = [n ** k > 4 * span for k, span in enumerate(spans, 1)][1:]
+    moduli = [m for m in _CEILING_MODULI if m <= offsets[0][-1]]  # a wider m restates the window
+    if not moduli or not any(searched):
+        return [[] if search else None for search in searched]
+    heads = [classes(o[:_RESIDUE_PREFIX], moduli) for o in offsets[:2]]
+    kept = [m for m, p, q in zip(moduli, *heads) if p.bit_count() + q.bit_count() <= m
+            and _bits.cyclic_fold([_bits.decode(p, 0), _bits.decode(q, 0)], m) != (1 << m) - 1]
+    terms = []  # terms[i][j]: the classes of term i mod kept[j]
+    for o in offsets if kept else ():
+        masks, block = [0] * len(kept), _RESIDUE_VALUES // len(kept)
+        for i in range(0, len(o), block):
+            masks = [a | b for a, b in zip(masks, classes(o[i:i + block], kept))]
+        terms.append([_bits.decode(mask, 0) for mask in masks])
+    stages = [[(m, _bits.cyclic_fold([t[j] for t in terms[:k]], m)) for j, m in enumerate(kept)]
+              for k in range(2, len(offsets) + 1)]
+    return [[(m, mask) for m, mask in stage if mask != (1 << m) - 1] if search else None
+            for stage, search in zip(stages, searched)]
+
+
+def _ceiling(length: int, images: list[tuple[int, int]]) -> np.ndarray:
+    """length words of the AND of the images' lifts: bit p set when p mod m is in each image (m, mask)."""
+    ceiling = np.broadcast_to(~np.uint64(0), length)
+    for m, mask in images:
+        bits = math.lcm(m, 64)  # one period, a whole number of words
+        period = mask * ((1 << bits) - 1) // ((1 << m) - 1)  # mask repeated every m bits
+        words = np.frombuffer(period.to_bytes(bits // 8, "little"), "<u8")
+        lift = np.tile(words, -(-length // len(words)))[:length]
+        lift &= ceiling
+        ceiling = lift
+    return ceiling
 
 
 def _limbs(term: list[int], k: int) -> np.ndarray:

@@ -135,21 +135,13 @@ def modular_image_cardinality(form: LinearForm, residues: ResidueSet) -> int:
 def _image_mask(form: LinearForm, m: int, classes: Collection[int]) -> int:
     """The image of distinct classes in [0, m) as an m-bit mask, bit c set when c is in f(R).
 
-    Each later term shifts the accumulated mask by its classes and folds
-    the bits at m and above back onto [0, m); large dense sets take the
-    FFT fold instead (see the module docstring).
+    The shift-or fold of _bits.cyclic_fold on the dilated classes; large
+    dense sets take the FFT fold instead (see the module docstring).
     """
     if len(classes) ** 2 >= _FFT_CROSSOVER * m and m <= _FFT_MODULUS_CAP:
         return _fft_image_mask(form, m, classes)
-    full = (1 << m) - 1
-    terms = [classes if c % m == 1 else {c * r % m for r in classes} for c in form.coefficients]
-    acc = _bits.mask_of(terms[0], 0)
-    for term in terms[1:]:
-        shifted = 0
-        for t in term:
-            shifted |= acc << t
-        acc = (shifted & full) | (shifted >> m)
-    return acc
+    return _bits.cyclic_fold((classes if c % m == 1 else {c * r % m for r in classes}
+                              for c in form.coefficients), m)
 
 
 def _fft_image_mask(form: LinearForm, m: int, classes: Collection[int]) -> int:

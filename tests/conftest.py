@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 # Seconds a test using the time_limit fixture may run.  The slowest such test
-# takes under 2 s on a 2-CPU Xeon.
+# takes under 5 s on a 2-CPU Xeon.
 TIME_LIMIT_S = 30
 
 

@@ -629,7 +629,8 @@ def qr_set():
 
 
 class TestWordSkip:
-    """After every 8th shift, the word kernel ORs only into open runs, words not yet all ones."""
+    """After every 8th shift, the word kernel ORs only into open runs, words
+    below their ceiling (all ones but where f(A mod m) misses a class, m <= 64)."""
 
     ONES = 2**64 - 1
 
@@ -641,7 +642,25 @@ class TestWordSkip:
         ([0, 0, ONES, 7, 0], 2, 9, [(3, 5)]),  # words below first are not looked at
     ])
     def test_open_runs(self, words, first, gap, runs):
-        assert intsets._open_runs(np.array(words, np.uint64), first, gap) == runs
+        assert intsets._open_runs(np.array(words, np.uint64), first, gap, intsets._ceiling(len(words), [])) == runs
+
+    @pytest.mark.parametrize(("words", "ceiling", "first", "gap", "runs"), [
+        ([5, 7, 0, 5], [5, 7, 1, 5], 0, 1, [(2, 3)]),  # words equal to their ceiling are closed
+        ([ONES, 3, 3, 6], [ONES, 3, 7, 7], 0, 1, [(2, 4)]),
+        ([1, 3, 1, 3, 1], [1, 7, 1, 7, 1], 0, 2, [(1, 4)]),  # a closed gap of 1 < 2 is joined
+        ([0, 3, 1, 3], [1, 7, 1, 3], 1, 9, [(1, 2)]),  # words below first are not looked at
+    ])
+    def test_open_runs_against_a_ceiling(self, words, ceiling, first, gap, runs):
+        assert intsets._open_runs(np.array(words, np.uint64), first, gap, np.array(ceiling, np.uint64)) == runs
+
+    @pytest.mark.parametrize(("images", "words"), [
+        ([], [ONES] * 3),
+        ([(64, 1 << 63 | 5)], [1 << 63 | 5] * 3),
+        ([(3, 0b001)], [0x9249249249249249, 0x4924924924924924, 0x2492492492492492]),  # bit p for p = 0 mod 3
+        ([(3, 0b011), (64, ONES - 1)], [0xB6DB6DB6DB6DB6DA, 0xDB6DB6DB6DB6DB6C, 0x6DB6DB6DB6DB6DB6]),
+    ])
+    def test_ceiling_is_the_and_of_periodic_lifts(self, images, words):
+        assert intsets._ceiling(3, images).tolist() == words
 
     @staticmethod
     def spy_runs(monkeypatch):
@@ -674,12 +693,107 @@ class TestWordSkip:
         assert calls == [(128, [(127, 128)])]
 
     @pytest.mark.usefixtures("time_limit")
-    def test_images_with_holes_everywhere_fold_whole(self, monkeypatch):
+    def test_images_with_holes_everywhere_close_against_their_ceiling(self, monkeypatch):
+        # 2x+y and 2x-y of the QR set miss a class mod 13, 29, 37 or 53, so no
+        # output word is ever all ones; against the lift of those classes, all
+        # but a few words close after every 8th shift.
         calls = self.spy_runs(monkeypatch)
-        terms = intsets._terms(LinearForm((2, 1)), qr_set())
-        assert intsets._word_fold(terms, None) == intsets._big_int_fold(terms)
-        (length, runs), = calls
-        assert runs == [(0, length)]
+        for coeffs in ((2, 1), (2, -1)):
+            terms = intsets._terms(LinearForm(coeffs), qr_set())
+            del calls[:]
+            assert intsets._word_fold(terms, None) == intsets._big_int_fold(terms)
+            (length, runs), = calls
+            assert 0 < sum(stop - start for start, stop in runs) < length / 8, coeffs
+
+
+def ceiling_sets(count):
+    """count sets whose word folds close against ceilings: random dense sets,
+    and CRT lifts of intervals, squares and random classes at coprime moduli
+    up to 64 (product at most 4,000), some far from 0."""
+    rng = random.Random(101)
+    sets = []
+    for i in range(count):
+        if i % 3 == 0:
+            span = rng.randint(100, 3000)
+            sets.append(rng.sample(range(span), rng.randint(span // 8, span // 2)))
+            continue
+        local, product = [], 1
+        for group in rng.sample([(4, 8, 16, 32, 64), (3, 9, 27), (5, 25), (7, 49), (11, 13, 17, 19, 23)], 3):
+            m = rng.choice(group)
+            if product * m > 4000:
+                continue
+            kind = rng.choice(("interval", "squares", "random"))
+            classes = (range(rng.randint(1, m // 2 + 1)) if kind == "interval" else
+                       {x * x % m for x in range(m)} if kind == "squares" else rng.sample(range(m), rng.randint(1, m // 2 + 1)))
+            local.append(ResidueSet(m, classes))
+            product *= m
+        sets.append(rectify(crt_product(local), rng.choice((0, 1, -10**40))).elements)
+    return sets
+
+
+CEILING_FORMS = [(1, 1), (1, -1), (-1, -1), (2, 1), (2, -1), (-3, 1), (1, 1, 1), (1, -2, 1), (2, -1, -1)]
+
+
+def fold_terms(coeffs, elems):
+    """The form's terms in _word_fold's order, narrowest first, and their int64 offsets."""
+    terms = sorted(intsets._terms(LinearForm(coeffs), FiniteIntSet(elems)), key=lambda t: t[-1] - t[0])
+    return terms, [intsets._limbs(t, 1)[0] for t in terms]
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestWordCeiling:
+    """The word fold closes a word once it equals its ceiling, the AND of the
+    lifts of f(A mod m) for m <= 64; every sum lies in it, so no bit is lost."""
+
+    @staticmethod
+    def join_no_runs(monkeypatch):
+        """Price an element at one word, so that _open_runs joins no runs and
+        every closed word is skipped: a ceiling below f(A) then loses bits even
+        on outputs shorter than the usual join gap of about 5,000 words."""
+        monkeypatch.setitem(intsets._KERNEL_NS, "word", (1.0, 1.0, intsets._KERNEL_NS["word"][2]))
+
+    @pytest.mark.parametrize("join", ["priced", "none"])
+    def test_word_fold_matches_big_int_on_random_sets_and_crt_lifts(self, monkeypatch, join):
+        if join == "none":
+            self.join_no_runs(monkeypatch)
+        closing = 0
+        for i, elems in enumerate(ceiling_sets(300)):
+            coeffs = CEILING_FORMS[i % len(CEILING_FORMS)]
+            terms, offsets = fold_terms(coeffs, elems)
+            assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms), (i, coeffs)
+            closing += any(intsets._stage_ceilings(offsets))  # a searched stage below all ones
+        assert closing >= 40
+
+    def test_big_int_mask_lies_in_every_stage_ceiling(self):
+        checked = 0
+        for i, elems in enumerate(ceiling_sets(150)):
+            terms, offsets = fold_terms(CEILING_FORMS[i % len(CEILING_FORMS)], elems)
+            for k, images in enumerate(intsets._stage_ceilings(offsets), 2):
+                mask = intsets._big_int_fold(terms[:k])
+                ceiling = intsets._ceiling(mask.bit_length() // 64 + 1, images or [])
+                assert mask & ~int.from_bytes(ceiling.astype("<u8").tobytes(), "little") == 0, (i, k)
+                checked += bool(images)
+        assert checked >= 20
+
+    def test_a_prefix_in_one_class_does_not_stand_for_the_whole_set(self, monkeypatch):
+        self.join_no_runs(monkeypatch)
+        # The first offsets all lie in 7Z, so mod 49 their sums miss 42 classes;
+        # six elements after them reach the other classes mod 7, and their sums
+        # fall in words that 7Z alone would fill: the ceiling must read them.
+        elems = [7 * i for i in range(300)] + list(range(2101, 2107))
+        for coeffs in ((2, 1), (1, 1), (1, 1, 1)):
+            _, offsets = fold_terms(coeffs, elems)
+            assert {int(x) % 7 for x in offsets[0][:intsets._RESIDUE_PREFIX]} == {0}
+            f, a = LinearForm(coeffs), FiniteIntSet(elems)
+            assert intsets._cardinality(f, a, "word") == intsets._cardinality(f, a, "big-int"), coeffs
+
+    def test_a_lift_far_from_zero_counts_as_at_zero(self):
+        # A narrow span on a huge base: the residues are the offsets', not the
+        # elements'.  TestWordSkip checks the unshifted counts against big ints.
+        shifted = FiniteIntSet(10**40 + x for x in qr_set())
+        for coeffs in ((2, 1), (2, -1), (1, -1)):
+            f = LinearForm(coeffs)
+            assert intsets._cardinality(f, shifted, "word") == intsets._cardinality(f, qr_set(), "word"), coeffs
 
 
 class TestNormalization:
