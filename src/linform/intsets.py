@@ -11,18 +11,25 @@ word array.  Whether a form folds unordered pairs is read off its
 coefficients too (_pair_fold).
 
 The merge kernel folds on offsets from the sum of the terms' first
-elements.  It forms each stage's outer sum in blocks of at most
-_SORT_CHUNK values, keeps the distinct values of each block, then merges
-the blocks the same way; a block whose columns hash apart is already
-distinct.  For c*(x + y) and c*(x - y) it forms each unordered pair
-once: the pairs i <= j reach every value of A + A, and A - A = -D, {0},
-D for its positive values D.  A window of at most 2**63 integers holds
-each offset in one int64.  A wider one first divides every offset by
-their gcd g, which is exact since x -> g*x is injective, so a dilated
-set usually lands back on one int64; if the reduced window still spans
-more than 2**63 integers, each offset is held as k limbs of _LIMB_BITS =
-62 bits, least significant first: two such limbs and a carry sum below
-2**63, so the limb-wise outer sum cannot overflow (see _limb_fold).
+elements.  It forms each stage's sums in blocks of at most _SORT_CHUNK
+values, keeps the distinct values of each block, then merges the blocks
+the same way; a block whose columns hash apart is already distinct.  A
+run of equal terms, c*(x1 + ... + xr) or the y, z of 2x + y + z, forms
+each multiset of indices once: every partial sum carries J, the least
+last index over its representations, and the next equal term adds only
+its elements from index J on.  So c*(x + y) keeps the pairs i <= j, and
+x + y + z on a set with distinct pair sums forms C(n+2, 3) sums in its
+last stage, not n*C(n+1, 2) (on sets too small for J to pay, n**3 <
+_J_TUPLES, its last stage adds every element).  A block forms only the sums it keeps, as a
+staircase of rectangles and small masked squares.  For c*(x - y) it
+forms each positive difference once: A - A = -D, {0}, D for its
+positive values D.  A window of at most 2**63 integers holds each offset
+in one int64.  A wider one first divides every offset by their gcd g,
+which is exact since x -> g*x is injective, so a dilated set usually
+lands back on one int64; if the reduced window still spans more than
+2**63 integers, each offset is held as k limbs of _LIMB_BITS = 62 bits,
+least significant first: two such limbs and a carry sum below 2**63, so
+the limb-wise outer sum cannot overflow (see _limb_fold).
 
 The bitmask kernel keeps the accumulated sumset in one of two exact
 representations, the one with the lower predicted time: a Python int,
@@ -38,7 +45,9 @@ array ORs only into words below their ceiling, the AND of the periodic
 lifts of f(A mod m) over the prime powers m <= 64 at which that image
 misses a class (all ones if there is none).  f(A) mod m lies in
 f(A mod m) for every m, so every bit an OR sets lies in the ceiling, and
-ORing into a word equal to it changes no bit.  A stage with at most 4
+ORing into a word equal to it changes no bit.  A stage shorter than the
+gap at which runs of open words join (about 5,100 words) is one run
+anyway, so it closes words against all ones.  A stage with at most 4
 tuples per bit of its span fills few words and ORs whole ranges.
 """
 
@@ -78,6 +87,12 @@ _KERNEL_NS = {
 # Most int64 values (32 MiB) the merge kernel's outer sum holds at once,
 # counting every limb.
 _SORT_CHUNK = 1 << 22
+# Values in the masked square of a staircase step (_staircase), about what one
+# more step's numpy calls cost.
+_STAIR_AREA = 1 << 12
+# Fewest sums the next stage of a run may form, with every index, for J to be
+# kept (_limb_fold): below it, keeping J costs more numpy calls than it saves.
+_J_TUPLES = 1 << 16
 
 # Bits per limb of offsets too wide for one int64: two limbs and a carry sum
 # below 2**63.
@@ -94,7 +109,7 @@ _CEILING_MODULI = (64, 27, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 5
 # offsets meet at least 63% of the classes mod m <= 64, so two such prefixes
 # settle most m by their class counts alone.
 _RESIDUE_PREFIX = 64
-# Most classes (32 KiB of uint64) that _stage_ceilings reduces at once.
+# Most offsets (32 KiB of uint64) that _stage_ceilings reduces at once.
 _RESIDUE_VALUES = 1 << 12
 
 # Byte b with its bits reversed, at index b: reverses a word fold's mask bytewise.
@@ -257,7 +272,10 @@ def _predicted_ns(coefficients: tuple[int, ...], n: int, d: int) -> dict[str, fl
 
     Term c*A spans |c|*d.  pairs and merge form one sum per distinct partial
     sum and element of the next term, merge one per unordered pair of
-    c*(x + y) and c*(x - y).  The big int shifts a window-wide mask per
+    c*(x + y) and c*(x - y).  merge forms each multiset of a run of equal
+    terms once, so for runs of 3 or more (x + y + z: about a third of the
+    tuples) its price here is an upper bound; it is not refitted, so that
+    the picks stay pinned.  The big int shifts a window-wide mask per
     element of each later term.  The word array, narrowest term first, ORs
     the mask so far per element, per pair as merge does.
     """
@@ -316,54 +334,137 @@ def _sort_fold(terms: list[list[int]], fold: str | None) -> tuple[np.ndarray, in
     first, which keeps distinct offsets distinct; if the reduced window
     (W - 1)/g + 1 is above 2**63, k = ceil(bitlen((W - 1)/g) / 62).
 
-    A pair fold, terms B, B (c*(x + y)), keeps the pairs i <= j: (j, i)
-    gives the value of (i, j).  A mirrored one, terms B, -B (c*(x - y)), B
-    sorted, gives b_i - b_(n-1-j) at (i, j), positive iff i + j >= n; those
-    pairs give the positive values D only, and the image is -D, {0}, D.
+    Equal terms, those of equal coefficients, are moved next to each other
+    and converted once, so that _limb_fold folds each run of them on
+    multisets.  A mirrored fold, terms B, -B (c*(x - y)), B sorted, gives
+    b_i - b_(n-1-j) at (i, j), positive iff i + j >= n; those pairs give
+    the positive values D only, and the image is -D, {0}, D.
     """
-    n, first = len(terms[0]), None  # row i keeps the columns j >= first[i]
-    if fold is not None:
-        first = n - np.arange(n) if fold == "mirrored" else np.arange(n)
-    span = sum(t[-1] - t[0] for t in terms)
-    g = math.gcd(*(x - t[0] for t in terms for x in t)) if span >= 1 << 63 else 1
+    # Each distinct term once, with the length of its run, in the order terms first appear.
+    runs = [(t, len(list(group))) for t, group in itertools.groupby(sorted(terms, key=terms.index))]
+    span = sum((t[-1] - t[0]) * r for t, r in runs)
+    g = math.gcd(*(x - t[0] for t, _ in runs for x in t)) if span >= 1 << 63 else 1
     if g > 1:
-        terms = [[(x - t[0]) // g for x in t] for t in terms]
+        runs = [([(x - t[0]) // g for x in t], r) for t, r in runs]
         span //= g
     k = 1 if span < 1 << 63 else -(-span.bit_length() // _LIMB_BITS)
-    return _limb_fold([_limbs(t, k) for t in terms], first), g
+    return _limb_fold([offs for t, r in runs for offs in [_limbs(t, k)] * r], fold == "mirrored"), g
 
 
-def _limb_fold(terms: list[np.ndarray], first: np.ndarray | None = None) -> np.ndarray:
+def _limb_fold(terms: list[np.ndarray], mirrored: bool) -> np.ndarray:
     """Fold offsets held as (k, n) int64 limb arrays; returns the distinct sums.
 
     Each stage adds the accumulator's limbs to the next term's limb by
-    limb, in blocks of rows (row i keeping the columns j >= first[i] if
-    first is given), then carries from the low limbs to the high ones.
-    Before the carry every limb is a sum of two limbs below 2**62; a carry
-    adds at most 1 to the next limb, so nothing overflows.  Afterwards
-    every limb is below 2**62, since every partial sum is below
-    2**(62*k): equal values have equal columns.  One limb holds 63 bits
-    and never carries; its sums come out sorted, wider ones unordered.
+    limb, row i of the accumulator keeping the term's columns j >= J[i]
+    (all of them where there is no J), then carries from the low limbs to
+    the high ones.  Before the carry every limb is a sum of two limbs below
+    2**62; a carry adds at most 1 to the next limb, so nothing overflows.
+    Afterwards every limb is below 2**62, since every partial sum is below
+    2**(62*k): equal values have equal columns.  One limb holds 63 bits and
+    never carries; its sums come out sorted, wider ones unordered.
+
+    A run of equal terms T, ..., T (c*(x1 + ... + xr)) forms each multiset
+    of indices into T once.  Each column folded from part of the run
+    carries J, the least last index into T over the representations of its
+    value; the next T adds to it only its elements j >= J, and the sum's
+    J is j (the run's first T adds every element, and T itself has
+    J = arange(n)).  Intermediate stages keep the least J of each distinct
+    value; the last one needs none.  Every value is still reached: for
+    sorted indices i1 <= ... <= it, the prefix value of i1, ..., i(t-1) is
+    reached, by induction, with J <= i(t-1) <= it, so T's element it is
+    added to it.  x + y is the run T, T and keeps the pairs i <= j.  A
+    mirrored fold keeps the columns j >= n - i of row i of B; on B
+    reversed, row i keeps j >= i + 1.  Equal terms come as one array
+    (_sort_fold), so a run is read off identity.  A stage whose run goes on
+    keeps J only if the next stage would form at least _J_TUPLES sums with
+    every index; without J, that stage adds every element, as for any term.
     """
-    acc = terms[0]
-    k = len(acc)
-    for offs in terms[1:]:
-        rows = max(_SORT_CHUNK // (k * offs.shape[1]), 1)
-        blocks = []
-        for i in range(0, acc.shape[1], rows):
-            block = (acc[:, i:i + rows, None] + offs[:, None, :]).reshape(k, -1)
-            if first is not None:  # one row indexes as 1-D, which needs no index array
-                keep = (np.arange(offs.shape[1]) >= first[i:i + rows, None]).ravel()
-                block = block[0][keep][None] if k == 1 else block.compress(keep, axis=1)
-            blocks.append(_distinct_columns(_carry(block)))
-        if len(blocks) == 1:
-            acc = blocks[0]
-        else:
-            # Drop the blocks first; a stable sort merges sorted runs fast.
-            acc = np.concatenate(blocks, axis=1)
-            del blocks
-            acc = _distinct_columns(acc, "stable")
+    acc, n = terms[0], terms[0].shape[1]
+    js = np.arange(n) if len(terms) > 1 and terms[1] is acc else None
+    if mirrored:
+        acc, js = acc[:, ::-1], np.arange(1, n + 1)
+    for t in range(1, len(terms)):
+        n = terms[t].shape[1]
+        tracked = t + 1 < len(terms) and terms[t + 1] is terms[t] and acc.shape[1] * n * n >= _J_TUPLES
+        acc, js = _limb_stage(acc, js, terms[t], tracked)
     return acc
+
+
+def _limb_stage(acc: np.ndarray, js: np.ndarray | None, offs: np.ndarray,
+                tracked: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """One stage of _limb_fold: the distinct sums, with their least J, ordered by it, if tracked.
+
+    The columns of acc come ordered by J, so a block of its rows keeps a
+    staircase (_staircase).  A block holds at most _SORT_CHUNK values:
+    whole rows of offs, or pieces of one row if a row is wider.
+    """
+    k, m = acc.shape
+    n = offs.shape[1]
+    width = min(n, max(_SORT_CHUNK // k, 1))
+    rows = max(_SORT_CHUNK // (k * width), 1)
+    blocks = []
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        end = m if js is None else int(np.searchsorted(js, hi))  # the rows that keep a column below hi
+        for i in range(0, end, rows):
+            j = min(i + rows, end)
+            left = None if js is None else np.maximum(js[i:j], lo)
+            block, block_js = _staircase(acc[:, i:j], left, offs, lo, hi, tracked)
+            blocks.append(_distinct_columns(_carry(block), block_js))
+    if not blocks:  # x - y on one element: no positive difference
+        return acc[:, :0], None
+    if len(blocks) == 1:
+        return blocks[0] if tracked else (blocks[0], None)
+    if tracked:
+        limbs, js = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+        del blocks
+        return _distinct_columns(limbs, js)
+    # Drop the blocks first; a stable sort merges sorted runs fast.
+    limbs = np.concatenate(blocks, axis=1)
+    del blocks
+    return _distinct_columns(limbs, None, "stable"), None
+
+
+def _staircase(acc: np.ndarray, left: np.ndarray | None, offs: np.ndarray, lo: int, hi: int,
+               tracked: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sums of column i of acc and the columns left[i] <= j < hi of offs, with each one's j if tracked.
+
+    left is nondecreasing, so a step of rows keeps every column from its
+    last row's left on, a rectangle added in place; only the square of
+    columns between its first and last row's left is formed whole and
+    masked.  Steps are sized so that squares hold about _STAIR_AREA values,
+    and a rectangle smaller than that is masked with its square, which
+    costs less than adding it apart.  Without left, every row keeps the
+    columns from lo on: one rectangle.
+    """
+    k, m = acc.shape
+    if left is None:
+        block = (acc[:, :, None] + offs[:, None, lo:hi]).reshape(k, -1)
+        return block, np.tile(np.arange(lo, hi), m) if tracked else None
+    block = np.empty((k, hi * m - int(left.sum())), np.int64)
+    js = np.empty(block.shape[1], np.int64) if tracked else None
+    spread = int(left[-1] - left[0])
+    step = m if spread == 0 else max(math.isqrt(_STAIR_AREA * m // spread), 1)
+    pos = 0
+    for x in range(0, m, step):
+        rows, a, b = acc[:, x:x + step, None], int(left[x]), int(left[min(x + step, m) - 1])
+        h = rows.shape[1]
+        if h * (hi - b) < _STAIR_AREA:
+            b = hi
+        if b < hi:
+            size = h * (hi - b)
+            np.add(rows, offs[:, None, b:hi], out=block[:, pos:pos + size].reshape(k, h, hi - b))
+            if tracked:
+                js[pos:pos + size].reshape(h, hi - b)[:] = np.arange(b, hi)
+            pos += size
+        if a < b:
+            keep = (np.arange(a, b) >= left[x:x + h, None]).ravel()
+            size = np.count_nonzero(keep)
+            np.compress(keep, (rows + offs[:, None, a:b]).reshape(k, -1), axis=1, out=block[:, pos:pos + size])
+            if tracked:
+                js[pos:pos + size] = np.tile(np.arange(a, b), h)[keep]
+            pos += size
+    return block, js
 
 
 def _carry(limbs: np.ndarray) -> np.ndarray:
@@ -373,18 +474,21 @@ def _carry(limbs: np.ndarray) -> np.ndarray:
     return limbs
 
 
-def _distinct_columns(limbs: np.ndarray, kind: str = "quicksort") -> np.ndarray:
-    """The distinct columns of a canonical limb array.
+def _distinct_columns(limbs: np.ndarray, js: np.ndarray | None = None,
+                      kind: str = "quicksort") -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of a canonical limb array; given each column's J, also each value's least J.
 
     One limb is sorted in place, far faster here than np.unique.  Wider
-    columns are grouped in one pass by a hash of all their limbs, built
-    in place: one sort of hash << b | index (2**b > column count), far
-    faster than an argsort, groups them by hash mod 2**(64 - b), so each
-    value lies in one run.  If every run is one column, limbs is returned
-    as it is.  A run whose columns all agree is one value; only the runs
-    that still mix values are lexsorted.
+    columns, and columns with a J, are grouped in one pass by a hash of all
+    their limbs, built in place: one sort of hash << b | index (2**b >
+    column count), far faster than an argsort, groups them by hash mod
+    2**(64 - b), so each value lies in one run.  If every run is one column
+    and there is no J, limbs is returned as it is.  A run whose columns all
+    agree is one value; only the runs that still mix values are lexsorted.
+    With js, the distinct columns come back ordered by their least J, the
+    minimum over the value's run, together with it.
     """
-    if len(limbs) == 1:
+    if len(limbs) == 1 and js is None:
         limbs[0].sort(kind=kind)
         keep = np.ones(limbs.shape[1], bool)
         np.not_equal(limbs[0, 1:], limbs[0, :-1], out=keep[1:])
@@ -400,11 +504,25 @@ def _distinct_columns(limbs: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     packed |= np.arange(limbs.shape[1], dtype=np.uint64)
     packed.sort()
     new = np.concatenate(([True], packed[1:] >> b != packed[:-1] >> b))
-    if new.all():
-        return limbs
-    limbs = limbs.take(np.bitwise_and(packed, (1 << b) - 1, out=packed).view(np.int64), axis=1)
-    del packed  # before the copies below
-    clash = ~new[1:] & (limbs[:, 1:] != limbs[:, :-1]).any(axis=0)
+    if new.all():  # every column its own value
+        if js is None:
+            return limbs
+        order = np.argsort(js)
+        return limbs[:, order], js[order]
+    order = np.bitwise_and(packed, (1 << b) - 1, out=packed).view(np.int64)
+    limbs = limbs.take(order, axis=1)
+    js = None if js is None else js[order]
+    del packed, order  # before the copies below
+    differ = (limbs[:, 1:] != limbs[:, :-1]).any(axis=0)
+    clash = ~new[1:] & differ
+    if js is not None:
+        if clash.any():
+            limbs, js = _lexsorted_distinct(limbs, js)
+        else:
+            starts = np.flatnonzero(np.concatenate(([True], differ)))
+            limbs, js = limbs[:, starts], np.minimum.reduceat(js, starts)
+        order = np.argsort(js)
+        return limbs[:, order], js[order]
     if not clash.any():
         return limbs.compress(new, axis=1)
     run = np.cumsum(new) - 1
@@ -413,9 +531,13 @@ def _distinct_columns(limbs: np.ndarray, kind: str = "quicksort") -> np.ndarray:
                            _lexsorted_distinct(limbs.compress(tied, axis=1))], axis=1)
 
 
-def _lexsorted_distinct(limbs: np.ndarray) -> np.ndarray:
-    limbs = limbs[:, np.lexsort(limbs)]
-    return limbs.compress(np.concatenate(([True], (limbs[:, 1:] != limbs[:, :-1]).any(axis=0))), axis=1)
+def _lexsorted_distinct(limbs: np.ndarray,
+                        js: np.ndarray | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The distinct columns, lexsorted; given each column's J, also each value's least J."""
+    order = np.lexsort(limbs if js is None else (js, *limbs))
+    limbs = limbs[:, order]
+    new = np.concatenate(([True], (limbs[:, 1:] != limbs[:, :-1]).any(axis=0)))
+    return limbs.compress(new, axis=1) if js is None else (limbs.compress(new, axis=1), js[order][new])
 
 
 def _decode(limbs: np.ndarray) -> list[int]:
@@ -470,7 +592,8 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     span, so its bit reversal is ORed in.
     """
     offsets = [_limbs(term, 1)[0] for term in sorted(terms, key=lambda t: t[-1] - t[0])]
-    ceilings = _stage_ceilings(offsets)
+    gap = _KERNEL_NS["word"][1] / _KERNEL_NS["word"][0]  # words one element's price buys
+    ceilings = _stage_ceilings(offsets, gap)
     span = int(offsets[0][-1])
     q, s = np.divmod(offsets.pop(0), 64)
     acc = np.zeros(int(q[-1]) + 1, np.uint64)
@@ -484,8 +607,7 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
         sampled, runs, images = shifts[::8], None, ceilings.pop(0)
         for i, shift in enumerate(sampled + [t for t in shifts if t not in sampled]):
             if i == len(sampled) and images is not None:  # join runs closer than one element's price in words
-                runs = _open_runs(out, first, _KERNEL_NS["word"][1] / _KERNEL_NS["word"][0],
-                                  _ceiling(len(out), images))
+                runs = _open_runs(out, first, gap, _ceiling(len(out), images))
                 runs = None if runs == [(first, len(out))] else runs  # open everywhere: OR whole ranges
             shifted = np.zeros(n + 1, np.uint64)
             np.left_shift(acc, np.uint64(shift), out=shifted[:n])
@@ -522,39 +644,44 @@ def _open_runs(words: np.ndarray, first: int, gap: float, ceiling: np.ndarray) -
     return list(zip(edges[0::2], edges[1::2]))
 
 
-def _stage_ceilings(offsets: list[np.ndarray]) -> list[list[tuple[int, int]] | None]:
+def _stage_ceilings(offsets: list[np.ndarray], gap: float = 0.0) -> list[list[tuple[int, int]] | None]:
     """Per stage k >= 1 of a fold of the offsets, the images (m, mask), m in
     _CEILING_MODULI up to the narrowest term's span, of the sums of one
     offset per term 0..k mod m that miss a class (bit c set when c is such
     a sum); None if the stage forms at most 4 tuples per bit of its span,
     where a word of random sums keeps a hole with probability about 0.7.
-    A prefix's sums lie among the whole terms', so an m at which the first
-    _RESIDUE_PREFIX offsets of terms 0 and 1 reach every class (as they do
-    if their class counts add up to more than m) is dropped unread; the
-    others read every offset, in blocks.
+    A stage spanning fewer than gap words gets no images, the all-ones
+    ceiling: _open_runs joins runs across gaps under gap words, so a ceiling
+    there could only trim the ends of its one run.  A prefix's sums lie
+    among the whole terms', so an m at which the first _RESIDUE_PREFIX
+    offsets of terms 0 and 1 reach every class (as they do if their class
+    counts add up to more than m) is dropped unread; the others read every
+    offset, in blocks, reduced by one scalar modulus at a time (numpy
+    divides by a scalar far faster than by an array).
     """
     def classes(block, moduli):  # bit c of entry i set when an offset is c mod moduli[i]
-        residues = block.view(np.uint64) % np.array(moduli, np.uint64)[:, None]
-        return np.bitwise_or.reduce(np.uint64(1) << residues, axis=1).tolist()
+        block = block.view(np.uint64)
+        return [int(np.bitwise_or.reduce(np.uint64(1) << (block - block // m * m))) for m in map(np.uint64, moduli)]
 
-    n, spans = len(offsets[0]), itertools.accumulate(int(o[-1]) for o in offsets)
-    searched = [n ** k > 4 * span for k, span in enumerate(spans, 1)][1:]
+    n, spans = len(offsets[0]), list(itertools.accumulate(int(o[-1]) for o in offsets))[1:]
+    searched = [n ** k > 4 * span for k, span in enumerate(spans, 2)]
+    ceiled = [search and span >= 64 * gap for search, span in zip(searched, spans)]
     moduli = [m for m in _CEILING_MODULI if m <= offsets[0][-1]]  # a wider m restates the window
-    if not moduli or not any(searched):
+    if not moduli or not any(ceiled):
         return [[] if search else None for search in searched]
     heads = [classes(o[:_RESIDUE_PREFIX], moduli) for o in offsets[:2]]
     kept = [m for m, p, q in zip(moduli, *heads) if p.bit_count() + q.bit_count() <= m
             and _bits.cyclic_fold([_bits.decode(p, 0), _bits.decode(q, 0)], m) != (1 << m) - 1]
     terms = []  # terms[i][j]: the classes of term i mod kept[j]
     for o in offsets if kept else ():
-        masks, block = [0] * len(kept), _RESIDUE_VALUES // len(kept)
-        for i in range(0, len(o), block):
-            masks = [a | b for a, b in zip(masks, classes(o[i:i + block], kept))]
+        masks = [0] * len(kept)
+        for i in range(0, len(o), _RESIDUE_VALUES):
+            masks = [a | b for a, b in zip(masks, classes(o[i:i + _RESIDUE_VALUES], kept))]
         terms.append([_bits.decode(mask, 0) for mask in masks])
     stages = [[(m, _bits.cyclic_fold([t[j] for t in terms[:k]], m)) for j, m in enumerate(kept)]
               for k in range(2, len(offsets) + 1)]
-    return [[(m, mask) for m, mask in stage if mask != (1 << m) - 1] if search else None
-            for stage, search in zip(stages, searched)]
+    return [[(m, mask) for m, mask in stage if mask != (1 << m) - 1] if ceil else [] if search else None
+            for stage, search, ceil in zip(stages, searched, ceiled)]
 
 
 def _ceiling(length: int, images: list[tuple[int, int]]) -> np.ndarray:

@@ -568,6 +568,102 @@ class TestPairFolds:
             assert sum(limbs.shape[1] for limbs, *_ in distinct) == 30 * 30
 
 
+RUN_COEFFS = [(1, 1, 1), (1, 1, 1, 1), (2, 1, 1), (1, 1, -1), (-2, -2, -2), (1, -1, 1, -1)]
+
+
+def prefix(elems, n):
+    """The first n - 1 elements and the last, which keeps a set's window kind (its last element defeats the gcd)."""
+    return elems[:n - 1] + elems[-1:] if len(elems) > n else elems
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestMultisetFolds:
+    """A run of equal terms folds each multiset of its indices once, against brute force and pairs.
+
+    Every test but the last keeps J on runs of any size (_J_TUPLES = 0), so
+    that small sets exercise it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def keep_j_on_every_run(self, monkeypatch, request):
+        if request.node.name != "test_small_runs_add_every_element":
+            monkeypatch.setattr(intsets, "_J_TUPLES", 0)
+
+    @pytest.mark.parametrize("chunk", [None, 64, 256], ids=["one-block", "chunk64", "chunk256"])
+    def test_matches_brute_force_and_pairs_in_blocks_under_the_cap(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(intsets, "_SORT_CHUNK", chunk)
+        limb_folds = spy(monkeypatch, "_limb_fold")
+        carried = spy(monkeypatch, "_carry")
+        for name, elems in pair_fold_sets():
+            for coeffs in RUN_COEFFS:
+                assert_image_exact(coeffs, prefix(elems, 18 if len(coeffs) == 3 else 8))
+        assert {terms[0].shape[0] for terms, _ in limb_folds} == {1, 2, 3}
+        # every block, one _carry call each, holds at most _SORT_CHUNK values
+        assert carried and max(limbs.size for limbs, in carried) <= intsets._SORT_CHUNK
+
+    @pytest.mark.parametrize("step", [1, 4], ids=["int64", "two-limb"])
+    def test_sums_of_three_on_a_sidon_set_form_each_multiset_once(self, monkeypatch, step):
+        # Powers of 2 have distinct pair sums, so each pair sum's least J is
+        # its own larger index j, and the last stage forms sum_j (j+1)(n-j)
+        # = C(n+2, 3) sums: one per multiset {i, j, l}.
+        elems, n = [2 ** (step * i) for i in range(30)], 30
+        distinct = spy(monkeypatch, "_distinct_columns")
+        limb_folds = spy(monkeypatch, "_limb_fold")
+        count = intsets._cardinality(LinearForm((1, 1, 1)), FiniteIntSet(elems), "merge")
+        assert count == len(brute_image((1, 1, 1), elems))
+        assert limb_folds[0][0][0].shape[0] == (1 if step == 1 else 2)
+        pair_stage = [args for args in distinct if args[1] is not None]
+        last_stage = [args for args in distinct if args[1] is None]
+        assert sum(args[0].shape[1] for args in pair_stage) == n * (n + 1) // 2
+        assert sum(args[0].shape[1] for args in last_stage) == math.comb(n + 2, 3)
+
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["one-block", "chunk64"])
+    def test_each_pair_sum_carries_its_least_last_index(self, monkeypatch, chunk):
+        # On a dense set most pair sums have several representations i <= j;
+        # the stage before the third term keeps the least j of each, ordered.
+        if chunk is not None:
+            monkeypatch.setattr(intsets, "_SORT_CHUNK", chunk)
+        elems = sorted(random.Random(97).sample(range(1, 80), 30) + [0])
+        results, real = [], intsets._distinct_columns
+        monkeypatch.setattr(intsets, "_distinct_columns",
+                            lambda limbs, *args: results.append(real(limbs, *args)) or results[-1])
+        intsets._cardinality(LinearForm((1, 1, 1)), FiniteIntSet(elems), "merge")
+        limbs, js = [r for r in results if isinstance(r, tuple)][-1]  # the stage's last merge
+        least = {}
+        for j, y in enumerate(elems):
+            for x in elems[:j + 1]:
+                least.setdefault(x + y, j)
+        assert dict(zip(limbs[0].tolist(), js.tolist())) == least
+        assert (np.diff(js) >= 0).all()
+
+    def test_equal_terms_fold_as_one_run_wherever_they_stand(self, monkeypatch):
+        distinct = spy(monkeypatch, "_distinct_columns")
+        elems = random.Random(89).sample(range(10**9), 20)
+        held = {}
+        for coeffs in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
+            del distinct[:]
+            intsets._cardinality(LinearForm(coeffs), FiniteIntSet(elems), "merge")
+            held[coeffs] = sum(args[0].shape[1] for args in distinct)
+        # x+y+2z and x+2y+z fold A, A, 2A: 210 pairs, then 210 * 20 sums.
+        # 2x+y+z folds 2A, A, A: 400 sums 2a + b, then the c at or after b.
+        assert held[(1, 1, 2)] == held[(1, 2, 1)] == 210 + 210 * 20
+        assert held[(2, 1, 1)] == 400 + 20 * 210
+
+    def test_small_runs_add_every_element(self, monkeypatch):
+        # x+y+z on 20 elements: with every index its last stage would form
+        # 20**3 < _J_TUPLES sums, so the pair stage keeps no J and the last
+        # stage adds every element; on 48 elements (48**3 >= _J_TUPLES) it keeps J.
+        distinct = spy(monkeypatch, "_distinct_columns")
+        f = LinearForm((1, 1, 1))
+        for n, last in ((20, 210 * 20), (48, math.comb(50, 3))):
+            a = FiniteIntSet(2**i for i in range(n))  # distinct pair sums
+            del distinct[:]
+            count = intsets._cardinality(f, a, "merge")
+            assert [args[0].shape[1] for args in distinct] == [n * (n + 1) // 2, last]
+            assert count == intsets._cardinality(f, a, "pairs")
+
+
 def word_pair_sets():
     """(name, elements) whose pair folds the word kernel runs across word edges.
 
