@@ -19,8 +19,7 @@ each multiset of indices once: every partial sum carries J, the least
 last index over its representations, and the next equal term adds only
 its elements from index J on.  So c*(x + y) keeps the pairs i <= j, and
 x + y + z on a set with distinct pair sums forms C(n+2, 3) sums in its
-last stage, not n*C(n+1, 2) (on sets too small for J to pay, n**3 <
-_J_TUPLES, its last stage adds every element).  A block forms only the sums it keeps, as a
+last stage, not n*C(n+1, 2).  A block forms only the sums it keeps, as a
 staircase of rectangles and small masked squares.  For c*(x - y) it
 forms each positive difference once: A - A = -D, {0}, D for its
 positive values D.  A window of at most 2**63 integers holds each offset
@@ -85,14 +84,11 @@ _KERNEL_NS = {
 }
 
 # Most int64 values (32 MiB) the merge kernel's outer sum holds at once,
-# counting every limb.
+# counting every limb and, where a block carries it, J.
 _SORT_CHUNK = 1 << 22
 # Values in the masked square of a staircase step (_staircase), about what one
 # more step's numpy calls cost.
 _STAIR_AREA = 1 << 12
-# Fewest sums the next stage of a run may form, with every index, for J to be
-# kept (_limb_fold): below it, keeping J costs more numpy calls than it saves.
-_J_TUPLES = 1 << 16
 
 # Bits per limb of offsets too wide for one int64: two limbs and a carry sum
 # below 2**63.
@@ -375,9 +371,7 @@ def _limb_fold(terms: list[np.ndarray], mirrored: bool) -> np.ndarray:
     added to it.  x + y is the run T, T and keeps the pairs i <= j.  A
     mirrored fold keeps the columns j >= n - i of row i of B; on B
     reversed, row i keeps j >= i + 1.  Equal terms come as one array
-    (_sort_fold), so a run is read off identity.  A stage whose run goes on
-    keeps J only if the next stage would form at least _J_TUPLES sums with
-    every index; without J, that stage adds every element, as for any term.
+    (_sort_fold), so a run is read off identity.
     """
     acc, n = terms[0], terms[0].shape[1]
     js = np.arange(n) if len(terms) > 1 and terms[1] is acc else None
@@ -385,7 +379,7 @@ def _limb_fold(terms: list[np.ndarray], mirrored: bool) -> np.ndarray:
         acc, js = acc[:, ::-1], np.arange(1, n + 1)
     for t in range(1, len(terms)):
         n = terms[t].shape[1]
-        tracked = t + 1 < len(terms) and terms[t + 1] is terms[t] and acc.shape[1] * n * n >= _J_TUPLES
+        tracked = t + 1 < len(terms) and terms[t + 1] is terms[t]
         acc, js = _limb_stage(acc, js, terms[t], tracked)
     return acc
 
@@ -395,11 +389,12 @@ def _limb_stage(acc: np.ndarray, js: np.ndarray | None, offs: np.ndarray,
     """One stage of _limb_fold: the distinct sums, with their least J, ordered by it, if tracked.
 
     The columns of acc come ordered by J, so a block of its rows keeps a
-    staircase (_staircase).  A block holds at most _SORT_CHUNK values:
-    whole rows of offs, or pieces of one row if a row is wider.
+    staircase (_staircase).  A block holds at most _SORT_CHUNK values,
+    counting J as one more limb if tracked: whole rows of offs, or pieces
+    of one row if a row is wider.
     """
-    k, m = acc.shape
-    n = offs.shape[1]
+    m, n = acc.shape[1], offs.shape[1]
+    k = acc.shape[0] + tracked
     width = min(n, max(_SORT_CHUNK // k, 1))
     rows = max(_SORT_CHUNK // (k * width), 1)
     blocks = []
@@ -458,11 +453,11 @@ def _staircase(acc: np.ndarray, left: np.ndarray | None, offs: np.ndarray, lo: i
                 js[pos:pos + size].reshape(h, hi - b)[:] = np.arange(b, hi)
             pos += size
         if a < b:
-            keep = (np.arange(a, b) >= left[x:x + h, None]).ravel()
+            keep = np.arange(a, b) >= left[x:x + h, None]
             size = np.count_nonzero(keep)
-            np.compress(keep, (rows + offs[:, None, a:b]).reshape(k, -1), axis=1, out=block[:, pos:pos + size])
+            np.compress(keep.ravel(), (rows + offs[:, None, a:b]).reshape(k, -1), axis=1, out=block[:, pos:pos + size])
             if tracked:
-                js[pos:pos + size] = np.tile(np.arange(a, b), h)[keep]
+                np.add(np.nonzero(keep)[1], a, out=js[pos:pos + size])
             pos += size
     return block, js
 
@@ -478,21 +473,27 @@ def _distinct_columns(limbs: np.ndarray, js: np.ndarray | None = None,
                       kind: str = "quicksort") -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """The distinct columns of a canonical limb array; given each column's J, also each value's least J.
 
-    One limb is sorted in place, far faster here than np.unique.  Wider
-    columns, and columns with a J, are grouped in one pass by a hash of all
-    their limbs, built in place: one sort of hash << b | index (2**b >
-    column count), far faster than an argsort, groups them by hash mod
-    2**(64 - b), so each value lies in one run.  If every run is one column
-    and there is no J, limbs is returned as it is.  A run whose columns all
-    agree is one value; only the runs that still mix values are lexsorted.
-    With js, the distinct columns come back ordered by their least J, the
-    minimum over the value's run, together with it.
+    One limb is sorted in place, far faster here than np.unique; with a J
+    below 2**b, value << b | J is sorted if it fits one int64, which puts
+    each value's least J first.  Wider columns, and the others with a J,
+    are grouped in one pass by a hash of all their limbs, built in place:
+    one sort of hash << b | index (2**b > column count), far faster than an
+    argsort, groups them by hash mod 2**(64 - b), so each value lies in one
+    run.  If every run is one column and there is no J, limbs is returned
+    as it is.  A run whose columns all agree is one value; only the runs
+    that still mix values are lexsorted.  With js, the distinct columns come
+    back ordered by their least J, the minimum over the value's run,
+    together with it.
     """
     if len(limbs) == 1 and js is None:
-        limbs[0].sort(kind=kind)
-        keep = np.ones(limbs.shape[1], bool)
-        np.not_equal(limbs[0, 1:], limbs[0, :-1], out=keep[1:])
-        return limbs[0][keep][None]
+        return _first_of_runs(limbs[0], kind, 0)[None]
+    if len(limbs) == 1:
+        b = int(js.max(initial=0)).bit_length()
+        if int(limbs[0].max(initial=0)) < 1 << (63 - b):
+            keys = _first_of_runs(limbs[0] << b | js, "quicksort", b)
+            js = keys & ((1 << b) - 1)
+            order = np.argsort(js)
+            return (keys >> b)[order][None], js[order]
     packed = limbs[-1].copy()
     for limb in limbs[-2::-1]:
         packed *= _HASH_MUL
@@ -529,6 +530,15 @@ def _distinct_columns(limbs: np.ndarray, js: np.ndarray | None = None,
     tied = np.isin(run, run[1:][clash], kind="table")
     return np.concatenate([limbs.compress(new & ~tied, axis=1),
                            _lexsorted_distinct(limbs.compress(tied, axis=1))], axis=1)
+
+
+def _first_of_runs(keys: np.ndarray, kind: str, shift: int) -> np.ndarray:
+    """Sorts keys in place; returns the first of each run of equal keys >> shift."""
+    keys.sort(kind=kind)
+    high = keys >> shift if shift else keys
+    keep = np.ones(len(keys), bool)
+    np.not_equal(high[1:], high[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def _lexsorted_distinct(limbs: np.ndarray,
@@ -644,7 +654,7 @@ def _open_runs(words: np.ndarray, first: int, gap: float, ceiling: np.ndarray) -
     return list(zip(edges[0::2], edges[1::2]))
 
 
-def _stage_ceilings(offsets: list[np.ndarray], gap: float = 0.0) -> list[list[tuple[int, int]] | None]:
+def _stage_ceilings(offsets: list[np.ndarray], gap: float) -> list[list[tuple[int, int]] | None]:
     """Per stage k >= 1 of a fold of the offsets, the images (m, mask), m in
     _CEILING_MODULI up to the narrowest term's span, of the sums of one
     offset per term 0..k mod m that miss a class (bit c set when c is such

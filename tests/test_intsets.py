@@ -578,29 +578,21 @@ def prefix(elems, n):
 
 @pytest.mark.usefixtures("time_limit")
 class TestMultisetFolds:
-    """A run of equal terms folds each multiset of its indices once, against brute force and pairs.
-
-    Every test but the last keeps J on runs of any size (_J_TUPLES = 0), so
-    that small sets exercise it.
-    """
-
-    @pytest.fixture(autouse=True)
-    def keep_j_on_every_run(self, monkeypatch, request):
-        if request.node.name != "test_small_runs_add_every_element":
-            monkeypatch.setattr(intsets, "_J_TUPLES", 0)
+    """A run of equal terms folds each multiset of its indices once, against brute force and pairs."""
 
     @pytest.mark.parametrize("chunk", [None, 64, 256], ids=["one-block", "chunk64", "chunk256"])
     def test_matches_brute_force_and_pairs_in_blocks_under_the_cap(self, monkeypatch, chunk):
         if chunk is not None:
             monkeypatch.setattr(intsets, "_SORT_CHUNK", chunk)
         limb_folds = spy(monkeypatch, "_limb_fold")
-        carried = spy(monkeypatch, "_carry")
+        blocks, real = [], intsets._staircase
+        monkeypatch.setattr(intsets, "_staircase", lambda *args: blocks.append(real(*args)) or blocks[-1])
         for name, elems in pair_fold_sets():
             for coeffs in RUN_COEFFS:
                 assert_image_exact(coeffs, prefix(elems, 18 if len(coeffs) == 3 else 8))
         assert {terms[0].shape[0] for terms, _ in limb_folds} == {1, 2, 3}
-        # every block, one _carry call each, holds at most _SORT_CHUNK values
-        assert carried and max(limbs.size for limbs, in carried) <= intsets._SORT_CHUNK
+        # every block, with its J where it keeps one, holds at most _SORT_CHUNK values
+        assert max(limbs.size + (0 if js is None else js.size) for limbs, js in blocks) <= intsets._SORT_CHUNK
 
     @pytest.mark.parametrize("step", [1, 4], ids=["int64", "two-limb"])
     def test_sums_of_three_on_a_sidon_set_form_each_multiset_once(self, monkeypatch, step):
@@ -637,6 +629,18 @@ class TestMultisetFolds:
         assert dict(zip(limbs[0].tolist(), js.tolist())) == least
         assert (np.diff(js) >= 0).all()
 
+    def test_one_limb_sums_with_no_room_for_j_group_by_hash(self, monkeypatch):
+        # Sums near 2**62 fill one int64, so value << b | J does not fit and
+        # the stages that keep J group one limb by hash, as they do wider ones.
+        distinct = spy(monkeypatch, "_distinct_columns")
+        elems = [0, 1] + random.Random(101).sample(range(2, 1 << 61), 16)
+        for coeffs in ((1, 1, 1), (1, 1, 1, 1)):
+            del distinct[:]
+            assert_image_exact(coeffs, elems)
+            tracked = [(limbs, js) for limbs, js, *_ in distinct if js is not None]
+            assert tracked and all(len(limbs) == 1 for limbs, _ in tracked)
+            assert any(limbs.max() >> (63 - int(js.max()).bit_length()) for limbs, js in tracked)
+
     def test_equal_terms_fold_as_one_run_wherever_they_stand(self, monkeypatch):
         distinct = spy(monkeypatch, "_distinct_columns")
         elems = random.Random(89).sample(range(10**9), 20)
@@ -649,19 +653,6 @@ class TestMultisetFolds:
         # 2x+y+z folds 2A, A, A: 400 sums 2a + b, then the c at or after b.
         assert held[(1, 1, 2)] == held[(1, 2, 1)] == 210 + 210 * 20
         assert held[(2, 1, 1)] == 400 + 20 * 210
-
-    def test_small_runs_add_every_element(self, monkeypatch):
-        # x+y+z on 20 elements: with every index its last stage would form
-        # 20**3 < _J_TUPLES sums, so the pair stage keeps no J and the last
-        # stage adds every element; on 48 elements (48**3 >= _J_TUPLES) it keeps J.
-        distinct = spy(monkeypatch, "_distinct_columns")
-        f = LinearForm((1, 1, 1))
-        for n, last in ((20, 210 * 20), (48, math.comb(50, 3))):
-            a = FiniteIntSet(2**i for i in range(n))  # distinct pair sums
-            del distinct[:]
-            count = intsets._cardinality(f, a, "merge")
-            assert [args[0].shape[1] for args in distinct] == [n * (n + 1) // 2, last]
-            assert count == intsets._cardinality(f, a, "pairs")
 
 
 def word_pair_sets():
@@ -857,14 +848,14 @@ class TestWordCeiling:
             coeffs = CEILING_FORMS[i % len(CEILING_FORMS)]
             terms, offsets = fold_terms(coeffs, elems)
             assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms), (i, coeffs)
-            closing += any(intsets._stage_ceilings(offsets))  # a searched stage below all ones
+            closing += any(intsets._stage_ceilings(offsets, 0.0))  # a searched stage below all ones
         assert closing >= 40
 
     def test_big_int_mask_lies_in_every_stage_ceiling(self):
         checked = 0
         for i, elems in enumerate(ceiling_sets(150)):
             terms, offsets = fold_terms(CEILING_FORMS[i % len(CEILING_FORMS)], elems)
-            for k, images in enumerate(intsets._stage_ceilings(offsets), 2):
+            for k, images in enumerate(intsets._stage_ceilings(offsets, 0.0), 2):
                 mask = intsets._big_int_fold(terms[:k])
                 ceiling = intsets._ceiling(mask.bit_length() // 64 + 1, images or [])
                 assert mask & ~int.from_bytes(ceiling.astype("<u8").tobytes(), "little") == 0, (i, k)
