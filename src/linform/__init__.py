@@ -7,6 +7,8 @@ Chinese-remainder machinery that combines local solutions into finite
 sets with |f(A)| < |g(A)|.
 """
 
+from types import ModuleType as _ModuleType
+
 from .intsets import (
     DIFFERENCE,
     SUM,
@@ -68,53 +70,6 @@ from .smallsets import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DIFFERENCE",
-    "SUM",
-    "FiniteIntSet",
-    "LinearForm",
-    "TripleClassification",
-    "WitnessPair",
-    "ConstructionReport",
-    "LocalSolution",
-    "ResidueSet",
-    "PowerSubgroup",
-    "CoverageReport",
-    "PrimeSearchResult",
-    "PrimeSearchSpec",
-    "affine_canonical",
-    "amplify",
-    "ap_equality_set",
-    "build_separating_set",
-    "canonical_pair",
-    "choose_power_exponent",
-    "classify_triples",
-    "conjugate_four_set_witness",
-    "coverage",
-    "crt_combine",
-    "crt_product",
-    "find_primes",
-    "five_set_witness",
-    "image",
-    "image_cardinality",
-    "is_prime",
-    "is_qth_power_residue",
-    "jacobi",
-    "kth_power_local_solutions",
-    "load_locals",
-    "local_ratio_search",
-    "local_solution",
-    "modular_image",
-    "modular_image_cardinality",
-    "normalize_form",
-    "power_subgroup",
-    "primes_between",
-    "qr_local_solutions",
-    "qr_sum_diff_full",
-    "rectify",
-    "set_from_json",
-    "set_from_text",
-    "set_to_text",
-    "three_set_witness",
-    "zero_in_f_of_qr",
-]
+# The names imported above; importing them also binds the submodules, which stay out.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

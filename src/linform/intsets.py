@@ -11,9 +11,10 @@ word array.  Whether a form folds unordered pairs is read off its
 coefficients too (_pair_fold).
 
 The merge kernel folds on offsets from the sum of the terms' first
-elements.  It forms each stage's sums in blocks of at most _SORT_CHUNK
-values, keeps the distinct values of each block, then merges the blocks
-the same way; a block whose columns hash apart is already distinct.  A
+elements.  Each stage forms its sums in blocks of whole rows keeping at
+most _SORT_CHUNK values (or one row keeping more), keeps the distinct
+values of each block, then merges the blocks the same way; a block
+whose columns hash apart is already distinct.  A
 run of equal terms, c*(x1 + ... + xr) or the y, z of 2x + y + z, forms
 each multiset of indices once: every partial sum carries J, the least
 last index over its representations, and the next equal term adds only
@@ -83,8 +84,8 @@ _KERNEL_NS = {
     "word": (0.436, 2_220.0, 139_000.0),  # word after the pair fold; element; call
 }
 
-# Most int64 values (32 MiB) the merge kernel's outer sum holds at once,
-# counting every limb and, where a block carries it, J.
+# Most int64 values (32 MiB) a block of merge's outer sum holds, counting
+# every limb and, where it carries one, J, unless the block is one longer row.
 _SORT_CHUNK = 1 << 22
 # Values in the masked square of a staircase step (_staircase), about what one
 # more step's numpy calls cost.
@@ -378,7 +379,6 @@ def _limb_fold(terms: list[np.ndarray], mirrored: bool) -> np.ndarray:
     if mirrored:
         acc, js = acc[:, ::-1], np.arange(1, n + 1)
     for t in range(1, len(terms)):
-        n = terms[t].shape[1]
         tracked = t + 1 < len(terms) and terms[t + 1] is terms[t]
         acc, js = _limb_stage(acc, js, terms[t], tracked)
     return acc
@@ -386,57 +386,53 @@ def _limb_fold(terms: list[np.ndarray], mirrored: bool) -> np.ndarray:
 
 def _limb_stage(acc: np.ndarray, js: np.ndarray | None, offs: np.ndarray,
                 tracked: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """One stage of _limb_fold: the distinct sums, with their least J, ordered by it, if tracked.
+    """One stage of _limb_fold: the distinct sums, and if tracked their least J, ordered by it.
 
     The columns of acc come ordered by J, so a block of its rows keeps a
-    staircase (_staircase).  A block holds at most _SORT_CHUNK values,
-    counting J as one more limb if tracked: whole rows of offs, or pieces
-    of one row if a row is wider.
+    staircase (_staircase).  A block is whole rows, cut where the sums
+    they keep, counting J as one more limb if tracked, would pass
+    _SORT_CHUNK values; a row that keeps more is a block on its own.  The
+    blocks' distinct columns are grouped once more, all together.
     """
-    m, n = acc.shape[1], offs.shape[1]
-    k = acc.shape[0] + tracked
-    width = min(n, max(_SORT_CHUNK // k, 1))
-    rows = max(_SORT_CHUNK // (k * width), 1)
-    blocks = []
-    for lo in range(0, n, width):
-        hi = min(lo + width, n)
-        end = m if js is None else int(np.searchsorted(js, hi))  # the rows that keep a column below hi
-        for i in range(0, end, rows):
-            j = min(i + rows, end)
-            left = None if js is None else np.maximum(js[i:j], lo)
-            block, block_js = _staircase(acc[:, i:j], left, offs, lo, hi, tracked)
-            blocks.append(_distinct_columns(_carry(block), block_js))
-    if not blocks:  # x - y on one element: no positive difference
+    n, cap = offs.shape[1], _SORT_CHUNK // (acc.shape[0] + tracked)
+    rows = acc.shape[1] if js is None else int(np.searchsorted(js, n))  # x - y: the last row keeps none
+    if rows == 0:  # x - y on one element: no positive difference
         return acc[:, :0], None
+    cuts = [0, rows]  # one block if every row kept whole fits, else cut by the sums kept up to each row
+    if rows * n > cap:
+        ends, cuts = np.cumsum(np.full(rows, n) if js is None else n - js[:rows]), [0]
+        while cuts[-1] < rows:
+            i = cuts[-1]
+            cuts.append(max(int(np.searchsorted(ends, cap + (ends[i - 1] if i else 0), "right")), i + 1))
+    blocks = []
+    for i, j in zip(cuts, cuts[1:]):
+        block, block_js = _staircase(acc[:, i:j], None if js is None else js[i:j], offs, tracked)
+        blocks.append(_distinct_columns(_carry(block), block_js))
     if len(blocks) == 1:
-        return blocks[0] if tracked else (blocks[0], None)
-    if tracked:
-        limbs, js = (np.concatenate(part, axis=-1) for part in zip(*blocks))
-        del blocks
-        return _distinct_columns(limbs, js)
-    # Drop the blocks first; a stable sort merges sorted runs fast.
-    limbs = np.concatenate(blocks, axis=1)
+        return blocks[0]
+    limbs = np.concatenate([limbs for limbs, _ in blocks], axis=1)
+    js = np.concatenate([js for _, js in blocks]) if tracked else None
     del blocks
-    return _distinct_columns(limbs, None, "stable"), None
+    return _distinct_columns(limbs, js)
 
 
-def _staircase(acc: np.ndarray, left: np.ndarray | None, offs: np.ndarray, lo: int, hi: int,
+def _staircase(acc: np.ndarray, left: np.ndarray | None, offs: np.ndarray,
                tracked: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The sums of column i of acc and the columns left[i] <= j < hi of offs, with each one's j if tracked.
+    """The sums of column i of acc and the columns j >= left[i] of offs, with each one's j if tracked.
 
     left is nondecreasing, so a step of rows keeps every column from its
     last row's left on, a rectangle added in place; only the square of
     columns between its first and last row's left is formed whole and
     masked.  Steps are sized so that squares hold about _STAIR_AREA values,
     and a rectangle smaller than that is masked with its square, which
-    costs less than adding it apart.  Without left, every row keeps the
-    columns from lo on: one rectangle.
+    costs less than adding it apart.  Without left, every row keeps every
+    column: one rectangle.
     """
-    k, m = acc.shape
+    (k, m), n = acc.shape, offs.shape[1]
     if left is None:
-        block = (acc[:, :, None] + offs[:, None, lo:hi]).reshape(k, -1)
-        return block, np.tile(np.arange(lo, hi), m) if tracked else None
-    block = np.empty((k, hi * m - int(left.sum())), np.int64)
+        block = (acc[:, :, None] + offs[:, None, :]).reshape(k, -1)
+        return block, np.tile(np.arange(n), m) if tracked else None
+    block = np.empty((k, n * m - int(left.sum())), np.int64)
     js = np.empty(block.shape[1], np.int64) if tracked else None
     spread = int(left[-1] - left[0])
     step = m if spread == 0 else max(math.isqrt(_STAIR_AREA * m // spread), 1)
@@ -444,13 +440,13 @@ def _staircase(acc: np.ndarray, left: np.ndarray | None, offs: np.ndarray, lo: i
     for x in range(0, m, step):
         rows, a, b = acc[:, x:x + step, None], int(left[x]), int(left[min(x + step, m) - 1])
         h = rows.shape[1]
-        if h * (hi - b) < _STAIR_AREA:
-            b = hi
-        if b < hi:
-            size = h * (hi - b)
-            np.add(rows, offs[:, None, b:hi], out=block[:, pos:pos + size].reshape(k, h, hi - b))
+        if h * (n - b) < _STAIR_AREA:
+            b = n
+        if b < n:
+            size = h * (n - b)
+            np.add(rows, offs[:, None, b:], out=block[:, pos:pos + size].reshape(k, h, n - b))
             if tracked:
-                js[pos:pos + size].reshape(h, hi - b)[:] = np.arange(b, hi)
+                js[pos:pos + size].reshape(h, n - b)[:] = np.arange(b, n)
             pos += size
         if a < b:
             keep = np.arange(a, b) >= left[x:x + h, None]
@@ -469,31 +465,25 @@ def _carry(limbs: np.ndarray) -> np.ndarray:
     return limbs
 
 
-def _distinct_columns(limbs: np.ndarray, js: np.ndarray | None = None,
-                      kind: str = "quicksort") -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The distinct columns of a canonical limb array; given each column's J, also each value's least J.
+def _distinct_columns(limbs: np.ndarray, js: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct columns of a canonical limb array, and given each column's J, each value's least J.
 
-    One limb is sorted in place, far faster here than np.unique; with a J
-    below 2**b, value << b | J is sorted if it fits one int64, which puts
-    each value's least J first.  Wider columns, and the others with a J,
-    are grouped in one pass by a hash of all their limbs, built in place:
-    one sort of hash << b | index (2**b > column count), far faster than an
-    argsort, groups them by hash mod 2**(64 - b), so each value lies in one
-    run.  If every run is one column and there is no J, limbs is returned
-    as it is.  A run whose columns all agree is one value; only the runs
-    that still mix values are lexsorted.  With js, the distinct columns come
-    back ordered by their least J, the minimum over the value's run,
-    together with it.
+    One limb without J is sorted in place, far faster here than np.unique.
+    Other columns are grouped in one pass by a hash of all their limbs,
+    built in place: one sort of hash << b | index (2**b > column count),
+    far faster than an argsort, groups them by hash mod 2**(64 - b), so
+    each value lies in one run.  If every run is one column and there is
+    no J, limbs is returned as it is.  A run whose columns all agree is one
+    value, with the run's least J; only the runs that still mix values are
+    lexsorted.  With js, the distinct columns come back ordered by their
+    least J, together with it; without, with None.
     """
     if len(limbs) == 1 and js is None:
-        return _first_of_runs(limbs[0], kind, 0)[None]
-    if len(limbs) == 1:
-        b = int(js.max(initial=0)).bit_length()
-        if int(limbs[0].max(initial=0)) < 1 << (63 - b):
-            keys = _first_of_runs(limbs[0] << b | js, "quicksort", b)
-            js = keys & ((1 << b) - 1)
-            order = np.argsort(js)
-            return (keys >> b)[order][None], js[order]
+        keys = limbs[0]
+        keys.sort()
+        new = np.ones(len(keys), bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        return keys[new][None], None
     packed = limbs[-1].copy()
     for limb in limbs[-2::-1]:
         packed *= _HASH_MUL
@@ -505,49 +495,33 @@ def _distinct_columns(limbs: np.ndarray, js: np.ndarray | None = None,
     packed |= np.arange(limbs.shape[1], dtype=np.uint64)
     packed.sort()
     new = np.concatenate(([True], packed[1:] >> b != packed[:-1] >> b))
-    if new.all():  # every column its own value
-        if js is None:
-            return limbs
-        order = np.argsort(js)
-        return limbs[:, order], js[order]
-    order = np.bitwise_and(packed, (1 << b) - 1, out=packed).view(np.int64)
-    limbs = limbs.take(order, axis=1)
-    js = None if js is None else js[order]
-    del packed, order  # before the copies below
-    differ = (limbs[:, 1:] != limbs[:, :-1]).any(axis=0)
-    clash = ~new[1:] & differ
-    if js is not None:
+    if not new.all():  # some run holds more than one column
+        order = np.bitwise_and(packed, (1 << b) - 1, out=packed).view(np.int64)
+        limbs, js = limbs.take(order, axis=1), None if js is None else js[order]
+        del packed, order  # before the copies below
+        clash = ~new[1:] & (limbs[:, 1:] != limbs[:, :-1]).any(axis=0)
+        mixed = None
         if clash.any():
-            limbs, js = _lexsorted_distinct(limbs, js)
-        else:
-            starts = np.flatnonzero(np.concatenate(([True], differ)))
-            limbs, js = limbs[:, starts], np.minimum.reduceat(js, starts)
-        order = np.argsort(js)
-        return limbs[:, order], js[order]
-    if not clash.any():
-        return limbs.compress(new, axis=1)
-    run = np.cumsum(new) - 1
-    tied = np.isin(run, run[1:][clash], kind="table")
-    return np.concatenate([limbs.compress(new & ~tied, axis=1),
-                           _lexsorted_distinct(limbs.compress(tied, axis=1))], axis=1)
+            run = np.cumsum(new) - 1
+            tied = np.isin(run, run[1:][clash], kind="table")
+            mixed = _lexsorted_distinct(limbs.compress(tied, axis=1), None if js is None else js[tied])
+            limbs, js, new = limbs.compress(~tied, axis=1), None if js is None else js[~tied], new[~tied]
+        starts = np.flatnonzero(new)
+        limbs, js = limbs[:, starts], None if js is None else np.minimum.reduceat(js, starts)
+        if mixed is not None:  # after the runs of one value
+            limbs, js = np.concatenate((limbs, mixed[0]), axis=1), None if js is None else np.concatenate((js, mixed[1]))
+    if js is None:
+        return limbs, None
+    order = np.argsort(js)
+    return limbs[:, order], js[order]
 
 
-def _first_of_runs(keys: np.ndarray, kind: str, shift: int) -> np.ndarray:
-    """Sorts keys in place; returns the first of each run of equal keys >> shift."""
-    keys.sort(kind=kind)
-    high = keys >> shift if shift else keys
-    keep = np.ones(len(keys), bool)
-    np.not_equal(high[1:], high[:-1], out=keep[1:])
-    return keys[keep]
-
-
-def _lexsorted_distinct(limbs: np.ndarray,
-                        js: np.ndarray | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The distinct columns, lexsorted; given each column's J, also each value's least J."""
+def _lexsorted_distinct(limbs: np.ndarray, js: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct columns, lexsorted, and given each column's J, each value's least J (else None)."""
     order = np.lexsort(limbs if js is None else (js, *limbs))
     limbs = limbs[:, order]
     new = np.concatenate(([True], (limbs[:, 1:] != limbs[:, :-1]).any(axis=0)))
-    return limbs.compress(new, axis=1) if js is None else (limbs.compress(new, axis=1), js[order][new])
+    return limbs.compress(new, axis=1), None if js is None else js[order][new]
 
 
 def _decode(limbs: np.ndarray) -> list[int]:

@@ -449,9 +449,10 @@ class TestWideSortFold:
         assert all(terms[0].shape[0] == 1 for terms, _ in limb_folds)
 
     def test_limb_blocks_merge(self, monkeypatch):
-        # A cap of 256 limb values holds two rows of 60 two-limb offsets per
-        # block; the set is dense near 0, so the blocks share most values.
-        monkeypatch.setattr(intsets, "_SORT_CHUNK", 256)
+        # A cap of 128 limb values holds one row of 60 two-limb offsets per
+        # block, or two of the shorter rows that x + y keeps; the set is dense
+        # near 0, so the blocks share most values.
+        monkeypatch.setattr(intsets, "_SORT_CHUNK", 128)
         carried = spy(monkeypatch, "_carry")
         distinct = spy(monkeypatch, "_distinct_columns")
         rng = random.Random(59)
@@ -460,7 +461,7 @@ class TestWideSortFold:
             del carried[:], distinct[:]
             assert_image_exact(coeffs, elems)
             assert len(carried) >= 4 * 30
-            assert all(limbs.shape[0] == 2 and limbs.size <= 256 for limbs, in carried)
+            assert all(limbs.shape[0] == 2 and limbs.size <= 128 for limbs, in carried)
             assert len(distinct) > len(carried)  # the merges
 
     def test_random_wide_sets_match_python_fold(self, monkeypatch):
@@ -559,6 +560,18 @@ class TestPairFolds:
                 mirrored = coeffs[0] != coeffs[1]
                 assert held == (n * (n - 1) // 2 if mirrored else n * (n + 1) // 2), (name, coeffs)
 
+    def test_differences_under_the_cap_fold_in_one_block(self, monkeypatch):
+        # x - y on 2,050 int64 elements keeps 2,101,225 positive differences,
+        # under _SORT_CHUNK: one staircase, one grouping and no merge.
+        terms = intsets._terms(DIFFERENCE, FiniteIntSet(random.Random(107).sample(range(10**9), 2050)))
+        stairs, distinct = spy(monkeypatch, "_staircase"), spy(monkeypatch, "_distinct_columns")
+        limbs, g = intsets._sort_fold(terms, "mirrored")
+        assert len(stairs) == len(distinct) == 1 and g == 1
+        assert stairs[0][0].shape[1] == 2049 and distinct[0][0].shape[1] == 2050 * 2049 // 2
+        fold = intsets._python_fold(terms)
+        assert (limbs[0] + sum(t[0] for t in terms)).tolist() == [x for x in fold if x > 0]
+        assert 2 * limbs.shape[1] + 1 == len(fold)
+
     def test_other_forms_hold_every_tuple(self, monkeypatch):
         distinct = spy(monkeypatch, "_distinct_columns")
         elems = random.Random(79).sample(range(10**9), 30)
@@ -586,13 +599,18 @@ class TestMultisetFolds:
             monkeypatch.setattr(intsets, "_SORT_CHUNK", chunk)
         limb_folds = spy(monkeypatch, "_limb_fold")
         blocks, real = [], intsets._staircase
-        monkeypatch.setattr(intsets, "_staircase", lambda *args: blocks.append(real(*args)) or blocks[-1])
+        monkeypatch.setattr(intsets, "_staircase",
+                            lambda acc, *args: blocks.append((acc.shape[1], *real(acc, *args))) or blocks[-1][1:])
         for name, elems in pair_fold_sets():
             for coeffs in RUN_COEFFS:
                 assert_image_exact(coeffs, prefix(elems, 18 if len(coeffs) == 3 else 8))
         assert {terms[0].shape[0] for terms, _ in limb_folds} == {1, 2, 3}
-        # every block, with its J where it keeps one, holds at most _SORT_CHUNK values
-        assert max(limbs.size + (0 if js is None else js.size) for limbs, js in blocks) <= intsets._SORT_CHUNK
+        # every block of more than one row, with its J where it keeps one,
+        # holds at most _SORT_CHUNK values; a longer row is a block on its
+        # own (three limbs and J on 18 columns: 72 values)
+        sizes = [(rows, limbs.size + (0 if js is None else js.size)) for rows, limbs, js in blocks]
+        assert all(size <= intsets._SORT_CHUNK for rows, size in sizes if rows > 1)
+        assert max(size for _, size in sizes) <= max(intsets._SORT_CHUNK, 4 * 18)
 
     @pytest.mark.parametrize("step", [1, 4], ids=["int64", "two-limb"])
     def test_sums_of_three_on_a_sidon_set_form_each_multiset_once(self, monkeypatch, step):
@@ -621,7 +639,7 @@ class TestMultisetFolds:
         monkeypatch.setattr(intsets, "_distinct_columns",
                             lambda limbs, *args: results.append(real(limbs, *args)) or results[-1])
         intsets._cardinality(LinearForm((1, 1, 1)), FiniteIntSet(elems), "merge")
-        limbs, js = [r for r in results if isinstance(r, tuple)][-1]  # the stage's last merge
+        limbs, js = [r for r in results if r[1] is not None][-1]  # the stage's last merge
         least = {}
         for j, y in enumerate(elems):
             for x in elems[:j + 1]:
@@ -629,9 +647,51 @@ class TestMultisetFolds:
         assert dict(zip(limbs[0].tolist(), js.tolist())) == least
         assert (np.diff(js) >= 0).all()
 
+    def test_clashing_runs_keep_each_values_least_last_index(self, monkeypatch):
+        # A zero multiplier hashes two-limb pair sums by their low limb, which
+        # few values share, so their runs clash; the lexsort keeps each
+        # value's least j too, ordered.  The J itself is checked: here a
+        # larger one still reaches every sum of three.
+        monkeypatch.setattr(intsets, "_HASH_MUL", 0)
+        lexsorts = spy(monkeypatch, "_lexsorted_distinct")
+        results, real = [], intsets._distinct_columns
+        monkeypatch.setattr(intsets, "_distinct_columns", lambda *args: results.append(real(*args)) or results[-1])
+        elems = sorted(2**62 * b + i % 2 for i, b in enumerate(random.Random(103).sample(range(40), 16)))
+        intsets._cardinality(LinearForm((1, 1, 1)), FiniteIntSet(elems), "merge")
+        limbs, js = [r for r in results if r[1] is not None][-1]
+        assert any(js is not None for _, js in lexsorts) and limbs.shape[0] == 2
+        least = {}
+        for j, y in enumerate(elems):
+            for x in elems[:j + 1]:
+                least.setdefault(x + y - 2 * elems[0], j)
+        assert dict(zip((hi << 62 | lo for lo, hi in zip(*limbs.tolist())), js.tolist())) == least
+        assert (np.diff(js) >= 0).all()
+
+    @given(kind=st.sampled_from(["one-limb", "gcd", "two-limb", "three-limb"]),
+           base=st.lists(st.integers(0, 60), min_size=1, max_size=10, unique=True),
+           coeffs=st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 1), (-3, -3), (1, -1), (-2, 2)]),
+           chunk=st.sampled_from([16, 64, 256]), hash_mul=st.sampled_from([intsets._HASH_MUL, 0]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_sets_match_python_fold_in_any_blocks(self, kind, base, coeffs, chunk, hash_mul):
+        # Small bases put many sums on one value; the two- and three-limb
+        # sets share low limbs, and their odd elements defeat the gcd.  A
+        # zero multiplier hashes wide columns by their low limb alone, so
+        # their runs clash and are lexsorted, J and all.
+        elems = {"one-limb": base, "gcd": [10**40 * b - 10**35 for b in base],
+                 "two-limb": [2**62 * b + i % 2 - 10**30 for i, b in enumerate(base)],
+                 "three-limb": [2**124 * b + i % 2 for i, b in enumerate(base)]}[kind]
+        f, a = LinearForm(coeffs), FiniteIntSet(elems)
+        expected = intsets._python_fold(intsets._terms(f, a))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intsets, "_SORT_CHUNK", chunk)
+            patch.setattr(intsets, "_HASH_MUL", hash_mul)
+            assert list(intsets._image(f, a, "merge")) == expected
+            assert intsets._cardinality(f, a, "merge") == len(expected)
+
     def test_one_limb_sums_with_no_room_for_j_group_by_hash(self, monkeypatch):
-        # Sums near 2**62 fill one int64, so value << b | J does not fit and
-        # the stages that keep J group one limb by hash, as they do wider ones.
+        # Sums near 2**62 fill one int64, leaving no room to pack J beside
+        # them; the stages that keep J group one limb by hash, as they do
+        # wider ones.
         distinct = spy(monkeypatch, "_distinct_columns")
         elems = [0, 1] + random.Random(101).sample(range(2, 1 << 61), 16)
         for coeffs in ((1, 1, 1), (1, 1, 1, 1)):

@@ -232,3 +232,23 @@ def test_every_cli_option_is_read():
     dests = option_dests(cli.build_parser())
     assert {"json", "form", "form_f", "u", "t", "only"} <= dests  # nested witness options included
     assert sorted(dests - args_reads((PACKAGE / "cli.py").read_text())) == []
+
+
+# The package's public names, which __init__.py derives from its imports.
+PUBLIC = """
+    DIFFERENCE SUM FiniteIntSet LinearForm affine_canonical amplify canonical_pair image image_cardinality
+    normalize_form set_from_json set_from_text set_to_text ConstructionReport LocalSolution ResidueSet
+    build_separating_set crt_product load_locals local_ratio_search local_solution modular_image
+    modular_image_cardinality rectify PrimeSearchResult PrimeSearchSpec crt_combine find_primes is_prime
+    is_qth_power_residue jacobi primes_between CoverageReport PowerSubgroup choose_power_exponent coverage
+    kth_power_local_solutions power_subgroup qr_local_solutions qr_sum_diff_full zero_in_f_of_qr
+    TripleClassification WitnessPair ap_equality_set classify_triples conjugate_four_set_witness
+    five_set_witness three_set_witness
+""".split()
+
+
+def test_star_import_binds_the_public_names_only():
+    namespace: dict = {}
+    exec("from linform import *", namespace)
+    assert len(PUBLIC) == 48
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(PUBLIC)
