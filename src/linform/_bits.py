@@ -39,12 +39,16 @@ def cyclic_fold(terms: Iterable[Iterable[int]], m: int) -> int:
     Each later term shifts the accumulated mask by its classes and folds
     the bits at m and above back onto [0, m).
     """
-    full = (1 << m) - 1
     terms = iter(terms)
     acc = mask_of(next(terms), 0)
     for term in terms:
-        shifted = 0
-        for t in term:
-            shifted |= acc << t
-        acc = (shifted & full) | (shifted >> m)
+        acc = cyclic_shift(acc, term, m)
     return acc
+
+
+def cyclic_shift(mask: int, shifts: Iterable[int], m: int) -> int:
+    """The union of the m-bit mask rotated by each shift in [0, m): {c + t mod m : c in mask, t in shifts}."""
+    shifted = 0
+    for t in shifts:
+        shifted |= mask << t
+    return (shifted & ((1 << m) - 1)) | (shifted >> m)

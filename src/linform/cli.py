@@ -57,10 +57,10 @@ from . import verify as verify_mod
 
 # Input caps, each with its measured cost at the cap (Python 3.11, numpy 2.4,
 # 2-CPU Xeon, form 2x+y).  local-search builds Z/mZ and an m-bit mask per
-# image; at m = 4096 and the default budget a search took 6.2 s.
+# image; at m = 4096 and the default budget a search took 1.3-1.4 s.
 LOCAL_SEARCH_MODULUS_CAP = 4096
 # Each local-search move computes one or two images mod m; at this budget a
-# search took 32 s at m = 4096 and 1.6 s at m = 13.
+# search took 6.2-7.3 s at m = 4096 and 0.4 s at m = 13.
 LOCAL_SEARCH_BUDGET_CAP = 100_000
 # image and compare bound |f(A)| by min(|A|^n, window width) before folding;
 # 2x+y on 5,000 generic elements (25,000,000 values) took 1.4 s and 607 MB

@@ -22,7 +22,10 @@ or more from an integer; its docstring bounds the error below 0.001 for
 m <= 2^33, so the rounding is exact.  The prime locals of residues are
 verified on the same kernel, 1_H convolved with each coset of the power
 subgroup H by the coset lemma there: one rfft and one irfft per
-quadratic-residue prime.
+quadratic-residue prime.  local_ratio_search keeps the mask of c*R for
+each coefficient c between its moves: its shift-or folds start from a
+kept mask, and an add ORs two rotations of kept masks into f(R) instead
+of folding at all.
 """
 
 from __future__ import annotations
@@ -132,16 +135,27 @@ def modular_image_cardinality(form: LinearForm, residues: ResidueSet) -> int:
     return _image_mask(form, residues.modulus, residues.classes).bit_count()
 
 
-def _image_mask(form: LinearForm, m: int, classes: Collection[int]) -> int:
+def _image_mask(form: LinearForm, m: int, classes: Collection[int], masks: dict[int, int] | None = None) -> int:
     """The image of distinct classes in [0, m) as an m-bit mask, bit c set when c is in f(R).
 
-    The shift-or fold of _bits.cyclic_fold on the dilated classes; large
-    dense sets take the FFT fold instead (see the module docstring).
+    Large dense sets take the FFT fold (see the module docstring), the
+    others the shift-or fold: each later term rotates the mask of the
+    terms before it by each of its classes.  masks, when given, maps
+    every coefficient c mod m to the mask of c*R, as local_ratio_search
+    keeps them: the fold then starts from the kept mask of the first term
+    and iterates over the classes of the others, so the caller orders the
+    terms.
     """
     if len(classes) ** 2 >= _FFT_CROSSOVER * m and m <= _FFT_MODULUS_CAP:
         return _fft_image_mask(form, m, classes)
-    return _bits.cyclic_fold((classes if c % m == 1 else {c * r % m for r in classes}
-                              for c in form.coefficients), m)
+    if masks is None:
+        return _bits.cyclic_fold((classes if c % m == 1 else {c * r % m for r in classes}
+                                  for c in form.coefficients), m)
+    first, *rest = form.coefficients
+    acc = masks[first % m]
+    for c in rest:
+        acc = _bits.cyclic_shift(acc, classes if c % m == 1 else {c * r % m for r in classes}, m)
+    return acc
 
 
 def _fft_image_mask(form: LinearForm, m: int, classes: Collection[int]) -> int:
@@ -512,6 +526,23 @@ def local_ratio_search(
     move budget lasts.  Deterministic for a fixed seed.  May return the
     full ring (ratio 1) when nothing better is found; budget 0 returns it
     without searching, and a negative budget raises ValueError.
+
+    Kept between moves: R as a sorted list, and for every coefficient c
+    of either form the m-bit mask of c*R mod m, with, when c is not a
+    unit mod m (so classes of R can share c*r), the count of R's classes
+    at each c*r.  A move updates them one class at a time, and a rejected
+    move is undone.  Images fold the kept masks (_image_mask: shift-or,
+    or the FFT for large dense sets).  An add keeps g(R) full, since g(R)
+    only grows with R, so it needs no g image.  For a binary f = ux+vy it
+    needs no fold either: with R' = R + {r},
+
+        f(R') = f(R) | (u*r + v*R') | (u*R' + v*r),
+
+    since a pair (x, y) of R' lies in R x R, or has x = r, or has y = r.
+    The RNG draws, the images and the tie-break (the lexicographically
+    least sorted class list among sets of least |f(R)|) depend on the
+    classes alone, so the result equals that of a search rebuilding both
+    images from the classes on every move (tests/test_modular.py runs one).
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -519,70 +550,111 @@ def local_ratio_search(
         raise ValueError(f"budget must be >= 0, got {budget}")
     rng = random.Random(seed)
     m = modulus
+    full = (1 << m) - 1
+    # Fold order for _image_mask: the term of largest gcd with m is kept as a mask, 1*R is iterated last.
+    form_f, form_g = (LinearForm(sorted(form.coefficients, key=lambda c: (-math.gcd(c, m), c % m == 1)))
+                      for form in (form_f, form_g))
+    current: list[int] = []  # R, sorted
+    masks = {c % m: 0 for c in (*form_f.coefficients, *form_g.coefficients)}  # c*R
+    shared = {c: [0] * m for c in masks if math.gcd(c, m) > 1}  # |{r in R : c*r = x}| at each x
+    units = [c for c in masks if c not in shared]
 
-    def feasible(classes: Collection[int]) -> bool:
-        return _image_mask(form_g, m, classes).bit_count() == m
+    def step(r: int, sign: int) -> None:
+        """Add r to R (sign 1) or drop it (sign -1), with every kept mask and count."""
+        if sign > 0:
+            bisect.insort(current, r)
+        else:
+            del current[bisect.bisect_left(current, r)]
+        for c in units:
+            masks[c] ^= 1 << c * r % m
+        for c, count in shared.items():
+            x = c * r % m
+            count[x] += sign
+            if count[x] == (sign > 0):  # 0 -> 1 on an add, 1 -> 0 on a drop
+                masks[c] ^= 1 << x
 
-    def f_count(classes: Collection[int]) -> int:
-        return _image_mask(form_f, m, classes).bit_count()
+    def added(f_mask: int, r: int) -> int:
+        """f(R) for R just grown by r, from f_mask = f(R - {r})."""
+        if len(form_f.coefficients) != 2:
+            return _image_mask(form_f, m, current, masks)
+        u, v = (c % m for c in form_f.coefficients)
+        shifted = masks[v] << u * r % m | masks[u] << v * r % m
+        return f_mask | (shifted & full) | (shifted >> m)
 
-    if not feasible(range(m)):
+    def reset() -> None:
+        """R = Z/mZ, so c*R is the multiples of d = gcd(c, m), each the image of d classes."""
+        current[:] = range(m)
+        for c in masks:
+            d = math.gcd(c, m)
+            masks[c] = full if d == 1 else _bits.mask_of(range(0, m, d), 0)
+            if c in shared:
+                shared[c][:] = [0 if x % d else d for x in range(m)]
+
+    reset()
+    if _image_mask(form_g, m, current, masks) != full:
         raise ValueError("infeasible: g does not cover the full ring even on all of Z/mZ")
-
-    best_classes = frozenset(range(m))
-    best_count = f_count(best_classes)
+    best_classes, best_count = current[:], _image_mask(form_f, m, current, masks).bit_count()
     moves = 0
 
-    def consider(classes: frozenset[int], count: int) -> None:
+    def consider(count: int) -> None:
         nonlocal best_classes, best_count
-        if count < best_count or (count == best_count and sorted(classes) < sorted(best_classes)):
-            best_classes, best_count = classes, count
+        if count < best_count or (count == best_count and current < best_classes):
+            best_classes, best_count = current[:], count
 
     while moves < budget:
         # Greedy seed: randomized shrink from the full ring, keeping g full.
-        current = set(range(m))
+        reset()
         order = list(range(m))
         rng.shuffle(order)
         for r in order:
             if len(current) <= 1:
                 break
-            current.discard(r)
-            if not feasible(current):
-                current.add(r)
-        current_f = f_count(current)
-        consider(frozenset(current), current_f)
+            step(r, -1)
+            if _image_mask(form_g, m, current, masks) != full:
+                step(r, 1)
+        f_mask = _image_mask(form_f, m, current, masks)
+        f_count = f_mask.bit_count()
+        consider(f_count)
 
-        missing = [c for c in range(m) if c not in current]  # sorted complement of current
+        present = set(current)
+        missing = [c for c in range(m) if c not in present]  # sorted complement of R
         stale = 0
         while moves < budget and stale < 3 * m:
             moves += 1
             kind = rng.randrange(3)
-            trial = set(current)
-            if kind == 0 and len(trial) > 1:
-                trial.discard(rng.choice(sorted(trial)))
-            elif kind == 1 and len(trial) < m:
-                trial.add(rng.choice(missing))
-            elif kind == 2 and 0 < len(trial) < m:
-                trial.discard(rng.choice(sorted(trial)))
-                trial.add(rng.choice(missing))
+            if kind == 0 and len(current) > 1:
+                out, new = rng.choice(current), None
+            elif kind == 1 and len(current) < m:
+                out, new = None, rng.choice(missing)
+            elif kind == 2 and len(current) < m:
+                out, new = rng.choice(current), rng.choice(missing)
             else:
                 continue
-            if not feasible(trial):
-                stale += 1
-                continue
-            count = f_count(trial)
+            if out is not None:
+                step(out, -1)
+            if new is not None:
+                step(new, 1)
+            if out is None:
+                trial = added(f_mask, new)
+            elif _image_mask(form_g, m, current, masks) != full:
+                trial = None
+            else:
+                trial = _image_mask(form_f, m, current, masks)
             # Accept non-worsening moves so plateaus can be crossed.
-            if count <= current_f:
-                if count < current_f:
+            if trial is not None and (count := trial.bit_count()) <= f_count:
+                if count < f_count:
                     stale = 0
-                for c in trial - current:
-                    missing.remove(c)
-                for c in current - trial:
-                    bisect.insort(missing, c)
-                current, current_f = trial, count
-                consider(frozenset(trial), count)
+                if new is not None:
+                    missing.remove(new)
+                if out is not None:
+                    bisect.insort(missing, out)
+                f_mask, f_count = trial, count
+                consider(count)
             else:
+                if new is not None:
+                    step(new, -1)
+                if out is not None:
+                    step(out, 1)
                 stale += 1
 
-    residues = ResidueSet(m, best_classes)
-    return LocalSolution(residues=residues, f_card=best_count, g_card=m)
+    return LocalSolution(residues=ResidueSet._from_sorted(m, best_classes), f_card=best_count, g_card=m)

@@ -211,6 +211,7 @@ def _sieved_primes(c: int, step: int, hi: int) -> Iterator[int]:
         return
     limit = min(math.isqrt(hi), _SIEVE_BASE)
     base = [(q, pow(step, -1, q)) for q in _sieved_primes(2, 1, limit) if step % q]
+    proven = _SIEVE_BASE**2  # survivors below it are prime
     while c <= hi:
         size = min(_SIEVE_BLOCK, (hi - c) // step + 1)
         alive = np.ones(size, dtype=bool)
@@ -221,7 +222,7 @@ def _sieved_primes(c: int, step: int, hi: int) -> Iterator[int]:
             alive[i::q] = False
         for i in np.flatnonzero(alive).tolist():
             n = c + i * step
-            if n < _SIEVE_BASE**2 or is_prime(n):
+            if n < proven or is_prime(n):
                 yield n
         c += size * step
 

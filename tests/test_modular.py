@@ -615,3 +615,88 @@ class TestLocalRatioSearch:
         # the implementation that scored ResidueSet objects.
         sol = local_ratio_search(F21, form_g, m, budget=2000, seed=seed)
         assert (list(sol.residues.classes), sol.f_card, sol.g_card) == (classes, f_card, m)
+
+
+def reference_ratio_search(form_f, form_g, m, budget, seed):
+    """local_ratio_search rebuilt from its classes on every move: the same RNG draws, images and tie-break.
+
+    Each move copies R, takes its images from the classes alone
+    (modular._image_mask without kept masks) and keeps or drops the copy.
+    The kept-state search must return exactly what this returns.
+    """
+    rng = random.Random(seed)
+
+    def feasible(classes):
+        return modular._image_mask(form_g, m, classes).bit_count() == m
+
+    def f_count(classes):
+        return modular._image_mask(form_f, m, classes).bit_count()
+
+    best_classes = frozenset(range(m))
+    best_count = f_count(best_classes)
+    moves = 0
+
+    def consider(classes, count):
+        nonlocal best_classes, best_count
+        if count < best_count or (count == best_count and sorted(classes) < sorted(best_classes)):
+            best_classes, best_count = classes, count
+
+    while moves < budget:
+        current = set(range(m))
+        order = list(range(m))
+        rng.shuffle(order)
+        for r in order:
+            if len(current) <= 1:
+                break
+            current.discard(r)
+            if not feasible(current):
+                current.add(r)
+        current_f = f_count(current)
+        consider(frozenset(current), current_f)
+        stale = 0
+        while moves < budget and stale < 3 * m:
+            moves += 1
+            kind = rng.randrange(3)
+            missing = sorted(set(range(m)) - current)
+            trial = set(current)
+            if kind == 0 and len(trial) > 1:
+                trial.discard(rng.choice(sorted(trial)))
+            elif kind == 1 and len(trial) < m:
+                trial.add(rng.choice(missing))
+            elif kind == 2 and 0 < len(trial) < m:
+                trial.discard(rng.choice(sorted(trial)))
+                trial.add(rng.choice(missing))
+            else:
+                continue
+            if not feasible(trial):
+                stale += 1
+                continue
+            count = f_count(trial)
+            if count <= current_f:
+                if count < current_f:
+                    stale = 0
+                current, current_f = trial, count
+                consider(frozenset(trial), count)
+            else:
+                stale += 1
+    return LocalSolution(ResidueSet(m, best_classes), best_count, m)
+
+
+def reference_cases():
+    """(f, g, m, budget, seed): every pair of the forms below at every budget, at random m <= 40 and seeds."""
+    rng = random.Random(33)
+    forms_f = [(3,), (2, 1), (3, -2), (5, 2), (1, 1, 1)]
+    forms_g = [(1, 1), (1, -1), (3, 1), (1, 1, 1)]
+    cases = [(f, g, rng.randint(2, 40), budget, rng.randrange(2**31))
+             for f in forms_f for g in forms_g for budget in (0, 1, 50, 2_000)]
+    # u = 2 is not a unit mod an even m: 2*R has repeated classes, whose counts a drop must keep.
+    cases += [((2, 1), g, m, 2_000, rng.randrange(2**31)) for g in forms_g[:2] for m in (2, 4, 10, 16, 24, 36)]
+    # The greedy seed's dense sets cross _FFT_CROSSOVER (|R| >= 318 mod 700).
+    cases += [((2, 1), (1, 1), 700, 20, 5), ((3, -2), (1, -1), 701, 1, 6)]
+    return cases
+
+
+@pytest.mark.parametrize("f, g, m, budget, seed", reference_cases(), ids=str)
+def test_search_matches_the_rebuilding_reference(f, g, m, budget, seed):
+    form_f, form_g = LinearForm(f), LinearForm(g)
+    assert local_ratio_search(form_f, form_g, m, budget, seed) == reference_ratio_search(form_f, form_g, m, budget, seed)
