@@ -139,22 +139,21 @@ def _image_mask(form: LinearForm, m: int, classes: Collection[int], masks: dict[
     """The image of distinct classes in [0, m) as an m-bit mask, bit c set when c is in f(R).
 
     Large dense sets take the FFT fold (see the module docstring), the
-    others the shift-or fold: each later term rotates the mask of the
-    terms before it by each of its classes.  masks, when given, maps
-    every coefficient c mod m to the mask of c*R, as local_ratio_search
-    keeps them: the fold then starts from the kept mask of the first term
-    and iterates over the classes of the others, so the caller orders the
-    terms.
+    others the shift-or fold: the mask of the first term, rotated by each
+    class of every later term.  masks, when given, maps every coefficient
+    c mod m to the mask of c*R, as local_ratio_search keeps them, and the
+    first term's mask is read from it.
     """
     if len(classes) ** 2 >= _FFT_CROSSOVER * m and m <= _FFT_MODULUS_CAP:
         return _fft_image_mask(form, m, classes)
-    if masks is None:
-        return _bits.cyclic_fold((classes if c % m == 1 else {c * r % m for r in classes}
-                                  for c in form.coefficients), m)
+
+    def dilated(c: int) -> Collection[int]:
+        return classes if c % m == 1 else {c * r % m for r in classes}
+
     first, *rest = form.coefficients
-    acc = masks[first % m]
+    acc = masks[first % m] if masks is not None else _bits.mask_of(dilated(first), 0)
     for c in rest:
-        acc = _bits.cyclic_shift(acc, classes if c % m == 1 else {c * r % m for r in classes}, m)
+        acc = _bits.cyclic_shift(acc, dilated(c), m)
     return acc
 
 

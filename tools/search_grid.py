@@ -2,15 +2,15 @@
 
 A cell is 2x+y against x+y or x-y at one modulus m and one move budget,
 searched from one seed.  For each cell the script prints the wall time
-of the search (the median of --repeat runs, in milliseconds), the ratio
-found, |R| and a digest of the whole LocalSolution (its classes, f_card
-and g_card).  The search is deterministic for a fixed seed, so two
-checkouts that print the same digest in every cell returned the same
-sets, and their times compare the same work.
+of the search in milliseconds, the ratio found, |R| and a digest of the
+whole LocalSolution (its classes, f_card and g_card).  The search is
+deterministic for a fixed seed, so two checkouts that print the same
+digest in every cell returned the same sets, and their times compare
+the same work.
 
-    PYTHONPATH=src python tools/search_grid.py [--repeat N] [--max-modulus M]
+    PYTHONPATH=src python tools/search_grid.py [--max-modulus M]
 
-The full grid takes about 10 s on a 2-CPU Xeon, most of it in the two
+The full grid takes about 5 s on a 2-CPU Xeon, most of it in the two
 greedy seeds of each m = 4096 cell.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import statistics
 import time
 
 from linform.intsets import LinearForm
@@ -40,7 +39,6 @@ def digest(solution) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=1, help="runs per cell; the median time is printed")
     parser.add_argument("--max-modulus", type=int, default=max(MODULI), help="skip cells above this m")
     args = parser.parse_args()
     print(f"{'g':<4} {'m':>5} {'budget':>6} {'ms':>9} {'ratio':>11} {'|R|':>5}  digest")
@@ -48,12 +46,9 @@ def main() -> None:
     for name, form_g in FORMS_G.items():
         for m in (m for m in MODULI if m <= args.max_modulus):
             for budget in BUDGETS:
-                times = []
-                for _ in range(args.repeat):
-                    start = time.perf_counter()
-                    solution = local_ratio_search(F, form_g, m, budget=budget, seed=SEED)
-                    times.append(time.perf_counter() - start)
-                ms = statistics.median(times) * 1e3
+                start = time.perf_counter()
+                solution = local_ratio_search(F, form_g, m, budget=budget, seed=SEED)
+                ms = (time.perf_counter() - start) * 1e3
                 total += ms
                 ratio = f"{solution.f_card}/{solution.g_card}"
                 print(f"{name:<4} {m:>5} {budget:>6} {ms:>9.1f} {ratio:>11} {len(solution.residues):>5}  "
