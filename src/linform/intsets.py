@@ -4,11 +4,10 @@ The image of a linear form f(x1,...,xn) = u1*x1 + ... + un*xn on a set A
 is {f(a1,...,an) : ai in A}, computed here by folding sumsets of the
 dilations ui*A.  Each call plans its kernel once (_plan), from the form's
 coefficients, |A| and the span of A, and runs exactly that kernel, the
-one with the least predicted time (_predicted_ns): pairs enumerates
-every tuple into a Python hash set, merge sorts and merges numpy
-offsets, and big-int and word OR shifted bit masks, on a big int or on a
-word array.  Whether a form folds unordered pairs is read off its
-coefficients too (_pair_fold).
+one with the least predicted time (_predicted_ns): merge sorts and
+merges numpy offsets, and big-int and word OR shifted bit masks, on a
+big int or on a word array.  Whether a form folds unordered pairs is
+read off its coefficients too (_pair_fold).
 
 The merge kernel folds on offsets from the sum of the terms' first
 elements.  Each stage forms its sums in blocks of whole rows keeping at
@@ -71,14 +70,13 @@ BITSET_WIDTH_CAP = 1 << 27
 # Nanoseconds per unit of each kernel's work, in _predicted_ns's order, fitted
 # by tools/kernel_grid.py (least squares on log time) on its 120 cells with
 # Python 3.11, numpy 2.4, 2-CPU Xeon.  Three of its rows, in us:
-#   x+y, n=128, span 254,567:  pairs 1,994  merge 153  big-int 2,443  word 1,481  -> merge
-#   2x+y, n=32, span 2,561:  pairs 109  merge 34  big-int 26  word 169  -> big-int
+#   x+y, n=128, span 254,567:  merge 153  big-int 2,443  word 1,481  -> merge
+#   2x+y, n=32, span 2,561:  merge 34  big-int 26  word 169  -> big-int
 #   x+y+z, n=4096, span 4,096:  big-int 3,688  word 7,931  -> big-int
 # The word price is the cost without _word_fold's skip, an upper bound on
 # images that fill their ceiling (all ones, or the lift of f(A mod m) where
 # that misses a class); it is not refitted, so the picks stay pinned.
 _KERNEL_NS = {
-    "pairs": (77.1,),                     # tuple
     "merge": (16.5, 18_800.0),            # tuple after the pair fold; call
     "big-int": (2.54, 11_200.0),          # word; call
     "word": (0.436, 2_220.0, 139_000.0),  # word after the pair fold; element; call
@@ -259,7 +257,7 @@ def _pair_fold(coefficients: tuple[int, ...]) -> str | None:
 
 
 def _plan(coefficients: tuple[int, ...], a: FiniteIntSet) -> str:
-    """The kernel with the least predicted time: pairs, merge, big-int or word."""
+    """The kernel with the least predicted time: merge, big-int or word."""
     ns = _predicted_ns(coefficients, len(a), a.elements[-1] - a.elements[0])
     return min(ns, key=ns.get)
 
@@ -267,14 +265,14 @@ def _plan(coefficients: tuple[int, ...], a: FiniteIntSet) -> str:
 def _predicted_ns(coefficients: tuple[int, ...], n: int, d: int) -> dict[str, float]:
     """Each kernel's predicted time on n elements of span d; big-int and word only if the window fits.
 
-    Term c*A spans |c|*d.  pairs and merge form one sum per distinct partial
-    sum and element of the next term, merge one per unordered pair of
-    c*(x + y) and c*(x - y).  merge forms each multiset of a run of equal
-    terms once, so for runs of 3 or more (x + y + z: about a third of the
-    tuples) its price here is an upper bound; it is not refitted, so that
-    the picks stay pinned.  The big int shifts a window-wide mask per
-    element of each later term.  The word array, narrowest term first, ORs
-    the mask so far per element, per pair as merge does.
+    Term c*A spans |c|*d.  merge forms one sum per distinct partial sum and
+    element of the next term, one per unordered pair of c*(x + y) and
+    c*(x - y).  It forms each multiset of a run of equal terms once, so for
+    runs of 3 or more (x + y + z: about a third of the tuples) its price
+    here is an upper bound; it is not refitted, so that the picks stay
+    pinned.  The big int shifts a window-wide mask per element of each
+    later term.  The word array, narrowest term first, ORs the mask so far
+    per element, per pair as merge does.
     """
     spans = sorted([abs(c) * d for c in coefficients])
     span, distinct = spans[0], n
@@ -286,8 +284,8 @@ def _predicted_ns(coefficients: tuple[int, ...], n: int, d: int) -> dict[str, fl
         span += s
         distinct = min(distinct * n, span + 1)
     folded = 1 if _pair_fold(coefficients) is None else 2
-    (p,), (m, m_call), (b, b_call), (w, w_row, w_call) = _KERNEL_NS.values()
-    ns = {"pairs": p * tuples, "merge": m * tuples / folded + m_call}
+    (m, m_call), (b, b_call), (w, w_row, w_call) = _KERNEL_NS.values()
+    ns = {"merge": m * tuples / folded + m_call}
     if span < BITSET_WIDTH_CAP:
         ns["big-int"] = b * rows * (span // 64 + 1) + b_call
         ns["word"] = w * words / folded + w_row * rows + w_call
@@ -297,28 +295,30 @@ def _predicted_ns(coefficients: tuple[int, ...], n: int, d: int) -> dict[str, fl
 def _image(form: LinearForm, a: FiniteIntSet, kernel: str) -> FiniteIntSet:
     """f(A) on the kernel, one of _KERNEL_NS's names."""
     terms = _terms(form, a)
-    if kernel == "pairs":
-        return FiniteIntSet._from_sorted(_python_fold(terms))
     base, fold = sum(t[0] for t in terms), _pair_fold(form.coefficients)
     if kernel == "merge":
         limbs, g = _sort_fold(terms, fold)
         values = [base + g * x for x in _decode(limbs)]
         return FiniteIntSet._from_sorted([-x for x in reversed(values)] + [0] + values
                                          if fold == "mirrored" else values)
-    mask = _word_fold(terms, fold) if kernel == "word" else _big_int_fold(terms)
-    return FiniteIntSet._from_sorted(_bits.decode(mask, base))
+    return FiniteIntSet._from_sorted(_bits.decode(_mask(terms, fold, kernel), base))
 
 
 def _cardinality(form: LinearForm, a: FiniteIntSet, kernel: str) -> int:
     """|f(A)| on the kernel, one of _KERNEL_NS's names."""
     terms = _terms(form, a)
-    if kernel == "pairs":
-        return len(_python_fold(terms))
     fold = _pair_fold(form.coefficients)
     if kernel == "merge":
         count = _sort_fold(terms, fold)[0].shape[1]
         return 2 * count + 1 if fold == "mirrored" else count
-    return (_word_fold(terms, fold) if kernel == "word" else _big_int_fold(terms)).bit_count()
+    return _mask(terms, fold, kernel).bit_count()
+
+
+def _mask(terms: list[list[int]], fold: str | None, kernel: str) -> int:
+    """The bitset fold's mask on the kernel, big-int or word; ValueError on any other label."""
+    if kernel not in ("big-int", "word"):
+        raise ValueError(f"unknown kernel {kernel!r}: the kernels are {', '.join(_KERNEL_NS)}")
+    return _word_fold(terms, fold) if kernel == "word" else _big_int_fold(terms)
 
 
 def _sort_fold(terms: list[list[int]], fold: str | None) -> tuple[np.ndarray, int]:
@@ -530,13 +530,6 @@ def _decode(limbs: np.ndarray) -> list[int]:
     for limb in limbs[-2::-1]:
         values = [v << _LIMB_BITS | x for v, x in zip(values, limb.tolist())]
     return values if len(limbs) == 1 else sorted(values)  # one-limb sums come out sorted
-
-
-def _python_fold(terms: list[list[int]]) -> list[int]:
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = sorted({x + y for x in acc for y in term})
-    return acc
 
 
 def _big_int_fold(terms: list[list[int]]) -> int:

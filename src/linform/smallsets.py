@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import intsets
 from .intsets import (
     DIFFERENCE,
     FiniteIntSet,
@@ -110,7 +109,7 @@ def classify_triples(form: LinearForm) -> TripleClassification:
                   for alpha, beta in equations if alpha * beta < 0 and abs(beta) < abs(alpha)}
     found: dict[tuple[int, ...], int] = {}
     for triple in map(FiniteIntSet._from_sorted, candidates):
-        card = intsets._cardinality(form, triple, "pairs")  # 9 tuples, unpriced: planning doubles the time
+        card = len({u * x + v * y for x in triple.elements for y in triple.elements})  # 9 sums: cheaper than planning a kernel
         key = canonical_pair(triple).elements
         if card >= 9 or found.setdefault(key, card) != card:
             raise RuntimeError(f"{triple.elements} has |f| = {card}; its class {key} has {found.get(key)}")

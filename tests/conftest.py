@@ -45,9 +45,16 @@ def time_limit():
 
 
 def brute_image(coeffs, elements):
-    """Image of a linear form by direct tuple enumeration."""
-    return sorted({sum(c * a for c, a in zip(coeffs, combo))
-                   for combo in product(sorted(elements), repeat=len(coeffs))})
+    """Image of a linear form by direct enumeration, one term at a time.
+
+    Each term adds c*a, for every element a, to each distinct sum so far:
+    the same image as enumerating every tuple, at a cost of n sums per
+    distinct partial sum rather than n**k tuples.
+    """
+    sums = {0}
+    for c in coeffs:
+        sums = {s + c * a for s in sums for a in elements}
+    return sorted(sums)
 
 
 def brute_modular_image(coeffs, modulus, classes):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import linform
+from conftest import brute_image
 from linform import cli, modular, verify
 from linform.modular import ResidueSet
 from linform.verify import CheckFailure, check_crt_construction, packaged_locals
@@ -263,6 +264,32 @@ class TestWitnessCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {message}")
+
+
+HUGE = 10**200 + 1
+HUGE_SET = [10**199 * k + j for k, j in ((1, 3), (2, 5), (7, 11))]  # three 200-digit values
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize(("argv", "counts"), [
+    (["witness", "five", "-u", str(HUGE), "-v", "7"],
+     lambda o: [(o["f_card"], (HUGE, 7), o["set"]), (o["d_card"], (1, -1), o["set"])]),
+    (["witness", "four", "-u", str(HUGE), "-v", "7"],
+     lambda o: [(o[f"{f}_of_{s}"], (HUGE, c), o[f"set_{s}"]) for f, c in (("f", 7), ("g", -7)) for s in "ab"]),
+    (["classify3", "-u", str(HUGE), "-v", "7"],
+     lambda o: [(e["cardinality"], (HUGE, 7), e["set"]) for e in o["exceptional"]]),
+    (["image", "-f", "2,1", "--inline", ",".join(map(str, HUGE_SET))],
+     lambda o: [(o["cardinality"], (2, 1), HUGE_SET)]),
+], ids=["witness-five", "witness-four", "classify3", "image"])
+def test_small_sets_of_huge_values_count_exactly(capsys, argv, counts):
+    # Sets of 3 to 5 elements of up to 600 digits, counted by the kernel auto
+    # plans (merge, on gcd-reduced offsets or limbs), against brute force.
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 0
+    checked = counts(data["outputs"])
+    assert checked
+    for card, coeffs, elems in checked:
+        assert card == len(brute_image(coeffs, elems)), (coeffs, elems)
 
 
 class TestLocalSearchCommand:

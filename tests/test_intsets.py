@@ -135,22 +135,23 @@ class TestImage:
             assert list(got) == brute_image(coeffs, elems)
 
     def test_kernels_agree_on_200_random_instances(self):
-        # pairs enumerates on Python ints, merge folds on numpy and the
-        # bitset kernels on a big int or words, at every tuple count.
+        # merge folds on numpy and the bitset kernels on a big int or words,
+        # at every tuple count, against brute force on Python ints.
         rng = random.Random(11)
         for _ in range(200):
             a = FiniteIntSet(rng.sample(range(-500, 500), rng.randint(1, 64)))
             f = LinearForm((rng.choice([c for c in range(-10, 11) if c]),
                             rng.choice([c for c in range(-10, 11) if c])))
+            expected = tuple(brute_image(f.coefficients, a.elements))
             results = {k: intsets._image(f, a, k).elements for k in KERNEL_FUNCTIONS}
-            assert len(set(results.values())) == 1, (f, results)
+            assert set(results.values()) == {expected}, (f, results)
             # _image trusts the fold to give sorted, distinct Python ints;
             # the checking constructor must agree with it.
             for elements in results.values():
                 assert elements == FiniteIntSet(elements).elements
                 assert all(type(x) is int for x in elements)
             cards = {intsets._cardinality(f, a, k) for k in KERNEL_FUNCTIONS}
-            assert cards == {len(results["pairs"])}
+            assert cards == {len(expected)}
 
     def test_each_label_runs_exactly_its_own_kernel(self, monkeypatch):
         calls = {name: spy(monkeypatch, name) for name in KERNEL_FUNCTIONS.values()}
@@ -167,12 +168,24 @@ class TestImage:
                 assert {name: len(c) for name, c in calls.items()} == {
                     name: 2 if name == kernel else 0 for name in calls}, (n, label)
 
+    @pytest.mark.parametrize("label", ["pairs", "bitset", "auto", "Merge", ""])
+    def test_unknown_kernel_labels_are_rejected(self, monkeypatch, label):
+        # A label outside _KERNEL_NS raises before any fold runs, rather than
+        # falling through to the big-int fold, which would build a mask as
+        # wide as the window (2**70 bits on the second set).
+        calls = {name: spy(monkeypatch, name) for name in KERNEL_FUNCTIONS.values()}
+        for a in (FiniteIntSet((0, 1, 5)), FiniteIntSet((0, 2**70))):
+            for run in (intsets._image, intsets._cardinality):
+                with pytest.raises(ValueError, match=f"^unknown kernel {label!r}: the kernels are merge, big-int, word$"):
+                    run(SUM, a, label)
+        assert not any(calls.values())
+
     def test_auto_picks_the_kernel_by_tuples_and_window(self, monkeypatch):
         # Stubs stand in for the kernels, so that the 4,000,000-tuple folds
         # are dispatched but not run.  The window of x + y on [0, d] spans
         # 2d + 1 integers: d = 2**26 - 1 fits BITSET_WIDTH_CAP, 2**26 does not.
         calls = []
-        stubs = {"_python_fold": [], "_sort_fold": (np.zeros((1, 0), np.int64), 1), "_big_int_fold": 0}
+        stubs = {"_sort_fold": (np.zeros((1, 0), np.int64), 1), "_big_int_fold": 0}
         for name, result in stubs.items():
             monkeypatch.setattr(intsets, name, lambda *args, name=name, result=result: calls.append(name) or result)
         fits, wide = 2**26 - 1, 2**26
@@ -180,9 +193,9 @@ class TestImage:
         rng = random.Random(71)
         cases = [
             (15, 99, "_big_int_fold"),    # cheap mask
-            (15, fits, "_python_fold"),   # 225 tuples, mask too costly
-            (20, fits, "_sort_fold"),     # 400 tuples (the pairs/merge crossover is at 273)
-            (15, wide, "_python_fold"),
+            (15, fits, "_sort_fold"),     # 225 tuples, mask too costly
+            (20, fits, "_sort_fold"),     # 400 tuples
+            (15, wide, "_sort_fold"),
             (20, wide, "_sort_fold"),
             (2000, fits, "_sort_fold"),   # 4,000,000 tuples, mask too costly
             (2001, fits, "_sort_fold"),   # the cost rule alone decides at any tuple count
@@ -200,11 +213,9 @@ class TestImage:
 
     @pytest.mark.usefixtures("time_limit")
     def test_sort_kernel_matches_brute_force_and_python_kernels(self, monkeypatch):
-        # Windows too wide for the bitset kernels but within int64; spies
-        # confirm that auto and merge reach the sort kernel and pairs the
-        # Python one.
+        # Windows too wide for the bitset kernels but within int64; a spy
+        # confirms that auto and merge reach the sort kernel.
         sort_folds = spy(monkeypatch, "_sort_fold")
-        python_folds = spy(monkeypatch, "_python_fold")
         rng = random.Random(23)
         top = 1 << 40
         exact = (2**63 - 1) // 7  # (4, -3) then spans exactly 2**63 integers
@@ -222,7 +233,6 @@ class TestImage:
         for coeffs, elems in cases:
             assert_image_exact(coeffs, elems)
         assert len(sort_folds) == 4 * len(cases)
-        assert len(python_folds) == 2 * len(cases)
 
     @pytest.mark.usefixtures("time_limit")
     def test_window_one_past_int64_folds_on_limbs(self, monkeypatch):
@@ -240,18 +250,15 @@ class TestImage:
         # accumulator row; on a dense set the blocks share most values.
         monkeypatch.setattr(intsets, "_SORT_CHUNK", 64)
         sort_folds = spy(monkeypatch, "_sort_fold")
-        python_folds = spy(monkeypatch, "_python_fold")
         rng = random.Random(31)
         a = FiniteIntSet(rng.sample(range(300), 60))
         forms = ((1, 1), (2, -1), (1, 1, 1), (-3, 1, 2))
         expected = {coeffs: brute_image(coeffs, a.elements) for coeffs in forms}
         for coeffs in forms:
             assert len(expected[coeffs]) < len(a) ** len(coeffs) // 4
-            for label in ("pairs", "merge"):
-                assert list(intsets._image(LinearForm(coeffs), a, label)) == expected[coeffs]
-                assert intsets._cardinality(LinearForm(coeffs), a, label) == len(expected[coeffs])
+            assert list(intsets._image(LinearForm(coeffs), a, "merge")) == expected[coeffs]
+            assert intsets._cardinality(LinearForm(coeffs), a, "merge") == len(expected[coeffs])
         assert len(sort_folds) == 2 * len(forms)
-        assert len(python_folds) == 2 * len(forms)
 
     @pytest.mark.usefixtures("time_limit")
     def test_kernels_agree_on_wide_windows(self, monkeypatch):
@@ -271,12 +278,11 @@ class TestImage:
             ((1, -1), edges + [top - e for e in edges] + rng.sample(range(129, top - 128), 30)),
         ]
         for coeffs, elems in cases:
-            f, a = LinearForm(coeffs), FiniteIntSet(elems)
+            f, a, expected = LinearForm(coeffs), FiniteIntSet(elems), tuple(brute_image(coeffs, elems))
             results = {k: intsets._image(f, a, k).elements for k in KERNEL_FUNCTIONS}
-            assert set(results.values()) == {image(f, a).elements}, coeffs
-            assert list(results["pairs"]) == brute_image(coeffs, elems)
+            assert set(results.values()) | {image(f, a).elements} == {expected}, coeffs
             cards = {intsets._cardinality(f, a, k) for k in KERNEL_FUNCTIONS} | {image_cardinality(f, a)}
-            assert cards == {len(results["pairs"])}
+            assert cards == {len(expected)}
         assert len(word_folds) == 2 * len(cases)  # auto runs merge on every case
 
     def test_word_kernel_matches_big_int_kernel(self, monkeypatch):
@@ -330,15 +336,14 @@ class TestImage:
             fits = width(coeffs, elems) <= intsets.BITSET_WIDTH_CAP
             assert list(image(f, a)) == expected, coeffs
             assert image_cardinality(f, a) == len(expected), coeffs
-            for kernel in KERNEL_FUNCTIONS if fits else ("pairs", "merge"):
+            for kernel in KERNEL_FUNCTIONS if fits else ("merge",):
                 assert list(intsets._image(f, a, kernel)) == expected, (coeffs, kernel)
                 assert intsets._cardinality(f, a, kernel) == len(expected), (coeffs, kernel)
         assert intsets._pair_fold((2, 1)) is None and intsets._pair_fold((-2, 2)) == "mirrored"
 
 
 # Each kernel label _plan returns, and the fold function it runs.
-KERNEL_FUNCTIONS = {"pairs": "_python_fold", "merge": "_sort_fold",
-                    "big-int": "_big_int_fold", "word": "_word_fold"}
+KERNEL_FUNCTIONS = {"merge": "_sort_fold", "big-int": "_big_int_fold", "word": "_word_fold"}
 
 
 def width(coeffs, elems):
@@ -354,15 +359,15 @@ def spy(monkeypatch, name):
     return calls
 
 
-def assert_image_exact(coeffs, elems, expected=None):
-    """The image and its cardinality, planned and on pairs and merge, against brute force.
+def assert_image_exact(coeffs, elems):
+    """The image and its cardinality, planned and on merge, against brute force.
 
-    pairs runs the Python kernel and merge the sort kernel, so their
-    agreement is a check of one against the other.
+    brute_image folds on Python ints, independently of the package, so it
+    checks the sort kernel that merge runs.
     """
     f, a = LinearForm(coeffs), FiniteIntSet(elems)
-    expected = brute_image(coeffs, elems) if expected is None else expected
-    for label in ("auto", "pairs", "merge"):
+    expected = brute_image(coeffs, elems)
+    for label in ("auto", "merge"):
         planned = label == "auto"
         got = (image(f, a) if planned else intsets._image(f, a, label)).elements
         assert list(got) == expected, (coeffs, label)
@@ -377,7 +382,7 @@ def assert_image_exact(coeffs, elems, expected=None):
 class TestWideSortFold:
     """The sort kernel on windows wider than 2**63: gcd reduction and 62-bit limbs.
 
-    Every case also runs explicit pairs, a Python enumeration, under the
+    Every case is checked against brute force, a Python fold, under the
     time limit.
     """
 
@@ -419,8 +424,8 @@ class TestWideSortFold:
         big = 7 * 2**100
         for coeffs in ((1, 1), (1, -1), (3, -2), (1, 2, -3)):  # every term one element
             assert_image_exact(coeffs, [big])
-        assert_image_exact((-5,), elems[:300])  # nothing to fold: auto runs pairs
-        assert len(limb_folds) == 4 * 2 + 2
+        assert_image_exact((-5,), elems[:300])  # nothing to fold: auto runs merge too
+        assert len(limb_folds) == 4 * 2 + 4
 
     def test_gcd_reduces_dilated_windows_to_int64(self, monkeypatch):
         limb_folds = spy(monkeypatch, "_limb_fold")
@@ -481,8 +486,7 @@ class TestWideSortFold:
             for coeffs in forms:
                 if len(coeffs) == 3:
                     elems = elems[:10]
-                terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
-                assert_image_exact(coeffs, elems, intsets._python_fold(terms))
+                assert_image_exact(coeffs, elems)
         # the gcd step sends the sets without a shifted copy to one int64 limb
         assert {terms[0].shape[0] == 1 for terms, _ in limb_folds} == {True, False}
         assert not lexsorts
@@ -533,7 +537,7 @@ PAIR_COEFFS = [(c, s * c) for c in (1, -1, 2, -2, 3) for s in (1, -1)]
 
 @pytest.mark.usefixtures("time_limit")
 class TestPairFolds:
-    """c*(x + y) and c*(x - y) fold each unordered pair once, against brute force and pairs."""
+    """c*(x + y) and c*(x - y) fold each unordered pair once, against brute force."""
 
     @pytest.mark.parametrize("chunk", [None, 64, 256], ids=["one-block", "chunk64", "chunk256"])
     def test_matches_brute_force_and_pairs(self, monkeypatch, chunk):
@@ -563,12 +567,13 @@ class TestPairFolds:
     def test_differences_under_the_cap_fold_in_one_block(self, monkeypatch):
         # x - y on 2,050 int64 elements keeps 2,101,225 positive differences,
         # under _SORT_CHUNK: one staircase, one grouping and no merge.
-        terms = intsets._terms(DIFFERENCE, FiniteIntSet(random.Random(107).sample(range(10**9), 2050)))
+        elems = random.Random(107).sample(range(10**9), 2050)
+        terms = intsets._terms(DIFFERENCE, FiniteIntSet(elems))
         stairs, distinct = spy(monkeypatch, "_staircase"), spy(monkeypatch, "_distinct_columns")
         limbs, g = intsets._sort_fold(terms, "mirrored")
         assert len(stairs) == len(distinct) == 1 and g == 1
         assert stairs[0][0].shape[1] == 2049 and distinct[0][0].shape[1] == 2050 * 2049 // 2
-        fold = intsets._python_fold(terms)
+        fold = brute_image(DIFFERENCE.coefficients, elems)
         assert (limbs[0] + sum(t[0] for t in terms)).tolist() == [x for x in fold if x > 0]
         assert 2 * limbs.shape[1] + 1 == len(fold)
 
@@ -591,7 +596,7 @@ def prefix(elems, n):
 
 @pytest.mark.usefixtures("time_limit")
 class TestMultisetFolds:
-    """A run of equal terms folds each multiset of its indices once, against brute force and pairs."""
+    """A run of equal terms folds each multiset of its indices once, against brute force."""
 
     @pytest.mark.parametrize("chunk", [None, 64, 256], ids=["one-block", "chunk64", "chunk256"])
     def test_matches_brute_force_and_pairs_in_blocks_under_the_cap(self, monkeypatch, chunk):
@@ -681,7 +686,7 @@ class TestMultisetFolds:
                  "two-limb": [2**62 * b + i % 2 - 10**30 for i, b in enumerate(base)],
                  "three-limb": [2**124 * b + i % 2 for i, b in enumerate(base)]}[kind]
         f, a = LinearForm(coeffs), FiniteIntSet(elems)
-        expected = intsets._python_fold(intsets._terms(f, a))
+        expected = brute_image(coeffs, elems)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(intsets, "_SORT_CHUNK", chunk)
             patch.setattr(intsets, "_HASH_MUL", hash_mul)
@@ -738,7 +743,7 @@ WORD_PAIR_COEFFS = [(c, s * c) for c in (1, 3, -1, -3) for s in (1, -1)]
 
 @pytest.mark.usefixtures("time_limit")
 class TestWordPairFolds:
-    """The word kernel folds c*(x + y) and c*(x - y) on unordered pairs, against pairs."""
+    """The word kernel folds c*(x + y) and c*(x - y) on unordered pairs, against brute force."""
 
     def test_images_match_pairs_and_big_int(self, monkeypatch):
         word_folds = spy(monkeypatch, "_word_fold")
@@ -750,7 +755,7 @@ class TestWordPairFolds:
                 del word_folds[:]
                 mask = intsets._word_fold(terms, intsets._pair_fold(coeffs))
                 assert mask == intsets._big_int_fold(terms), (name, coeffs)
-                expected = intsets._image(f, a, "pairs").elements
+                expected = tuple(brute_image(coeffs, elems))
                 assert intsets._image(f, a, "word").elements == expected, (name, coeffs)
                 assert intsets._cardinality(f, a, "word") == len(expected), (name, coeffs)
                 assert len(word_folds) == 3
@@ -762,7 +767,7 @@ class TestWordPairFolds:
         for name, elems in word_pair_sets():
             a = FiniteIntSet(elems)
             for f in (SUM, DIFFERENCE):
-                expected = intsets._image(f, a, "pairs")
+                expected = FiniteIntSet(brute_image(f.coefficients, elems))
                 assert intsets._image(f, a, "word") == expected, (name, f)
                 reflected = intsets._image(f, a.reflect(), "word")
                 assert reflected == (expected.reflect() if f == SUM else expected), (name, f)
@@ -1014,7 +1019,7 @@ class TestAutoPicks:
 
     @pytest.mark.parametrize(("f", "g", "elems", "picks"), [
         ((1, 1), (1, -1), MSTD.elements, ("big-int", "big-int")),  # 64 elements
-        ((5, 3), (1, 1), (-34, -9, 19), ("pairs", "pairs")),
+        ((5, 3), (1, 1), (-34, -9, 19), ("merge", "merge")),
         ((3, 1), (1, -1), (-27, -9, 8, 20, 29, 33), ("merge", "merge")),
         ((3, 1), (1, 1), (-31, -24, -23, -20, -17, -5, 9, 12, 16), ("merge", "merge")),
     ])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import brute_image
 from linform import intsets
 from linform.intsets import LinearForm, image_cardinality
 
@@ -20,11 +21,11 @@ import kernel_grid  # noqa: E402
 # order: 2x+y, x+y, x-y, x+y+z.  A refit of intsets._KERNEL_NS that moves a
 # pick regenerates this table, and CHANGES.md says which picks moved.
 GRID_PICKS = {
-    (8, 1): ("pairs", "pairs", "pairs", "big-int"),
-    (8, 0.1): ("pairs", "pairs", "pairs", "big-int"),
-    (8, 0.01): ("pairs", "pairs", "pairs", "big-int"),
-    (8, 0.001): ("pairs", "pairs", "pairs", "big-int"),
-    (8, 0.0005): ("pairs", "pairs", "pairs", "merge"),
+    (8, 1): ("big-int", "big-int", "big-int", "big-int"),
+    (8, 0.1): ("big-int", "big-int", "big-int", "big-int"),
+    (8, 0.01): ("big-int", "big-int", "big-int", "big-int"),
+    (8, 0.001): ("big-int", "big-int", "big-int", "big-int"),
+    (8, 0.0005): ("merge", "big-int", "big-int", "merge"),
     (32, 1): ("big-int", "big-int", "big-int", "big-int"),
     (32, 0.1): ("big-int", "big-int", "big-int", "big-int"),
     (32, 0.01): ("big-int", "big-int", "big-int", "big-int"),
@@ -62,8 +63,9 @@ def test_auto_picks_on_the_grid_are_pinned():
 
 @pytest.mark.usefixtures("time_limit")
 def test_every_kernel_counts_the_same_image_on_the_grid_to_512_elements():
-    # The script itself checks the larger cells, where pairs and merge take
-    # up to 0.3 s a call.
+    # The script itself checks the larger cells, where merge takes up to
+    # 0.3 s a call.  Brute force, a Python fold, checks the cells of at most
+    # 32 elements.
     for name, a in kernel_grid.cells():
         if len(a) > 512:
             continue
@@ -72,6 +74,8 @@ def test_every_kernel_counts_the_same_image_on_the_grid_to_512_elements():
         for kernel in kernel_grid.KERNELS:
             if kernel_grid.work(form, a, kernel):
                 cards.add(intsets._cardinality(form, a, kernel))
+        if len(a) <= 32:
+            cards.add(len(brute_image(form.coefficients, a.elements)))
         assert len(cards) == 1, (name, len(a), cards)
 
 

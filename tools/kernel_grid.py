@@ -3,7 +3,7 @@
 A cell is a form (2x+y, x+y, x-y or x+y+z) and a random n-element subset
 of [0, n/density).  In each cell the script times image_cardinality, which
 runs the kernel that intsets._plan picks ("auto"), and each kernel by its
-label (pairs, merge, and the big-int and the word-array bitset folds) run
+label (merge, and the big-int and the word-array bitset folds) run
 through intsets._cardinality, the dispatch that image_cardinality calls
 once it has planned its kernel, and checks that they all count the same
 image.  A kernel whose first work count is beyond
@@ -15,7 +15,7 @@ time, in the units of intsets._KERNEL_NS.
 
     PYTHONPATH=src python tools/kernel_grid.py [--cells N]
 
-The full grid of 120 cells takes about a minute on a 2-CPU Xeon.
+The full grid of 120 cells takes about half a minute on a 2-CPU Xeon.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from linform.intsets import FiniteIntSet, LinearForm
 FORMS = {"2x+y": (2, 1), "x+y": (1, 1), "x-y": (1, -1), "x+y+z": (1, 1, 1)}
 SIZES = (8, 32, 128, 512, 2048, 4096)
 DENSITIES = (1, 0.1, 0.01, 1e-3, 5e-4)
-KERNELS = ("pairs", "merge", "big-int", "word")
+KERNELS = ("merge", "big-int", "word")
 # Largest first work count (tuples or words, see work) of a kernel that the grid runs.
-LIMITS = {"pairs": 1 << 21, "merge": 1 << 24, "big-int": 1 << 26, "word": 1 << 30}
+LIMITS = {"merge": 1 << 24, "big-int": 1 << 26, "word": 1 << 30}
 
 
 def cells() -> list[tuple[str, FiniteIntSet]]:
@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> None:
     for kernel, s in samples.items():
         if s:
             c = fit(s)
-            print(f"    {kernel!r}: ({', '.join(f'{x:.3g}' for x in c)}{',' * (len(c) == 1)}),  # {len(s)} cells")
+            print(f"    {kernel!r}: ({', '.join(f'{x:.3g}' for x in c)}),  # {len(s)} cells")
 
 
 if __name__ == "__main__":
