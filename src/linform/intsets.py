@@ -39,12 +39,13 @@ element and 139 us per call, the big int at 2.5 ns per word and 11 us
 per call, so narrow or small images stay on big ints.  Both use only
 shifts and ORs, so they give the same mask bit for bit.  Like merge, the
 word array folds each unordered pair of c*(x + y) and c*(x - y) once;
-the big int folds every ordered pair.  After every 8th shift, the word
-array ORs only into words below their ceiling, the AND of the periodic
-lifts of f(A mod m) over the prime powers m <= 64 at which that image
-misses a class (all ones if there is none).  f(A) mod m lies in
-f(A mod m) for every m, so every bit an OR sets lies in the ceiling, and
-ORing into a word equal to it changes no bit.  A stage shorter than the
+the big int folds every ordered pair.  After a first pass over whole
+ranges, the word array ORs only into words below their ceiling, the AND
+of the periodic lifts of f(A mod m) over the prime powers m <= 64 at
+which that image misses a class (all ones if there is none), and reads
+them again as words close.  f(A) mod m lies in f(A mod m) for every m,
+so every bit an OR sets lies in the ceiling, and ORing into a word equal
+to it changes no bit.  A stage shorter than the
 gap at which runs of open words join (about 5,100 words) is one run
 anyway, so it closes words against all ones.  A stage with at most 4
 tuples per bit of its span fills few words and ORs whole ranges.
@@ -109,6 +110,11 @@ _RESIDUE_VALUES = 1 << 12
 
 # Byte b with its bits reversed, at index b: reverses a word fold's mask bytewise.
 _BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
+# Elements per set bit of the accumulator that a word fold's first pass ORs
+# over whole ranges: a bit of the output then misses them all with probability
+# about e**-16.  On tools/kernel_grid.py's searched word cells, 16 and 32 run
+# within 2.3% of the best of 4-64 in geometric mean; 4 and 8 up to 1.8x, 64 1.3x.
+_FIRST_PASS_FILL = 16
 
 
 @dataclass(frozen=True)
@@ -552,12 +558,17 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     The narrowest term is folded first, so that the accumulator stays as
     short as it can.  An offset t = 64*q + s is applied by ORing the
     s-bit-shifted copy of the accumulator into the output from word q on.
-    Each of the at most 64 shifted copies is built once per stage, every
-    8th first; the elements of the others OR only into runs of words below
-    their ceiling (_open_runs), the AND of the lifts of the stage's sums
-    mod m for the m <= 64 at which they miss a class (_stage_ceilings).
-    Every bit a stage sets is a sum of one offset per term so far, whose
-    class mod m is among those sums, so it lies in the ceiling: ORs
+    Each of the at most 64 shifted copies is built once per stage.  The
+    first pass ORs whole ranges until its shifts, taken 0, 32, 16, 48, 8,
+    ... so that every prefix spreads over the word, hold _FIRST_PASS_FILL
+    elements per set bit of the accumulator.  The elements of the others
+    OR only into runs of words below their ceiling (_open_runs), the AND
+    of the lifts of the stage's sums mod m for the m <= 64 at which they
+    miss a class (_stage_ceilings), read again before the 1st, 2nd, 4th,
+    ... shift after the pass while the open words times the elements left
+    reach one element's price in words; once no word is open, the stage
+    ends.  Every bit a stage sets is a sum of one offset per term so far,
+    whose class mod m is among those sums, so it lies in the ceiling: ORs
     commute, and ORing into a word equal to its ceiling changes nothing,
     so the mask is bit for bit _big_int_fold's.
 
@@ -580,11 +591,25 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
         q, s = np.divmod(offsets.pop(0), 64)
         n = len(acc)
         out = np.zeros(n + int(q[-1]) + 1, np.uint64)
-        shifts = np.flatnonzero(np.bincount(s, minlength=64)).tolist()
-        sampled, runs, images = shifts[::8], None, ceilings.pop(0)
-        for i, shift in enumerate(sampled + [t for t in shifts if t not in sampled]):
-            if i == len(sampled) and images is not None:  # join runs closer than one element's price in words
-                runs = _open_runs(out, first, gap, _ceiling(len(out), images))
+        counts = np.bincount(s, minlength=64)
+        shifts = np.flatnonzero(counts).tolist()
+        runs, open_words, images = None, math.inf, ceilings.pop(0)
+        passed = len(shifts)  # shifts of the first pass, ORed over whole ranges
+        if images is not None:
+            order = np.argsort(_BYTE_REVERSED[::4])  # 0, 32, 16, 48, 8, ...: each shift's 6 bits reversed
+            shifts = order[counts[order] > 0].tolist()
+            held = np.cumsum(counts[shifts])  # elements in the shifts up to each
+            bits = int.from_bytes(acc.tobytes(), "little").bit_count()
+            passed = int(np.searchsorted(held, _FIRST_PASS_FILL * 64 * n / bits)) + 1
+            ceiling = _ceiling(len(out), images)
+        for i, shift in enumerate(shifts):
+            after = i - passed  # shifts since the first pass
+            # Look again before the 1st, 2nd, 4th, ... of them, while the open words could cost one element's price
+            if after >= 0 and after & (after + 1) == 0 and open_words * (len(q) - held[i - 1]) >= gap:
+                runs = _open_runs(out, first, gap, ceiling)  # joined over gaps under one element's price in words
+                if not runs:  # every word closed: the other shifts would OR nothing
+                    break
+                open_words = sum(b - a for a, b in runs)
                 runs = None if runs == [(first, len(out))] else runs  # open everywhere: OR whole ranges
             shifted = np.zeros(n + 1, np.uint64)
             np.left_shift(acc, np.uint64(shift), out=shifted[:n])
@@ -604,7 +629,7 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
             else:
                 for j, lo in zip(js.tolist(), los.tolist()):
                     out[j + lo:j + n + 1] |= shifted[lo:]
-        acc = out
+        acc, ceiling = out, None  # the ceiling is freed before the next stage's or the mask's arrays are built
     data = acc.astype("<u8", copy=False).view(np.uint8)
     mask = int.from_bytes(data, "little")
     if fold == "mirrored":  # bit p of the 8*len(data)-bit reversal is bit 8*len(data) - 1 - p of mask
@@ -614,6 +639,8 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
 
 def _open_runs(words: np.ndarray, first: int, gap: float, ceiling: np.ndarray) -> list[tuple[int, int]]:
     """The runs [start, stop) of the words from first on that differ from their ceiling, joined over gaps under gap."""
+    if len(words) - first <= gap and words[first] != ceiling[first] and words[-1] != ceiling[-1]:
+        return [(first, len(words))]  # both ends open, and every gap between is shorter than gap
     open_ = np.concatenate(([False], words[first:] != ceiling[first:], [False]))
     edges = np.flatnonzero(open_[1:] != open_[:-1]) + first  # start, stop, start, ...
     inner = edges[1:-1].reshape(-1, 2)  # a run's stop and the next run's start

@@ -780,9 +780,23 @@ def qr_set():
     return rectify(crt_product([ResidueSet(p, {x * x % p for x in range(1, p)}) for p in (13, 29, 37, 53)]), 1)
 
 
+@functools.cache
+def cube_set():
+    """The 1,088-element rectified CRT set of the cubes mod 97 and 103."""
+    return rectify(crt_product([ResidueSet(p, {pow(x, 3, p) for x in range(1, p)}) for p in (97, 103)]), 1)
+
+
+@functools.cache
+def packaged_set():
+    """The 2,646-element rectified CRT set of the packaged 2x+y locals."""
+    return rectify(crt_product(packaged_locals()), 1)
+
+
 class TestWordSkip:
-    """After every 8th shift, the word kernel ORs only into open runs, words
-    below their ceiling (all ones but where f(A mod m) misses a class, m <= 64)."""
+    """The word kernel ORs its first shifts over whole ranges, as many as hold
+    16 elements per set bit of the accumulator, then ORs only into open runs,
+    words below their ceiling (all ones but where f(A mod m) misses a class,
+    m <= 64), looking again before the 1st, 2nd, 4th, ... shift after that."""
 
     ONES = 2**64 - 1
 
@@ -792,6 +806,8 @@ class TestWordSkip:
         ([0, ONES, ONES, 7, ONES], 0, 3, [(0, 4)]),  # a full gap of 2 < 3 is joined
         ([0, ONES, ONES, 7, ONES], 0, 2, [(0, 1), (3, 4)]),
         ([0, 0, ONES, 7, 0], 2, 9, [(3, 5)]),  # words below first are not looked at
+        ([0, ONES, ONES, 0], 0, 4, [(0, 4)]),  # both ends open, every gap shorter: one run
+        ([0, ONES, ONES, 0], 0, 2, [(0, 1), (3, 4)]),
     ])
     def test_open_runs(self, words, first, gap, runs):
         assert intsets._open_runs(np.array(words, np.uint64), first, gap, intsets._ceiling(len(words), [])) == runs
@@ -822,17 +838,26 @@ class TestWordSkip:
                             lambda words, *args: calls.append((len(words), real(words, *args))) or calls[-1][1])
         return calls
 
+    @staticmethod
+    def last_look(calls):
+        """The last (output length, runs) of one stage's looks, after checking
+        that each look's runs lie inside the runs of the look before."""
+        assert calls
+        for (_, before), (_, after) in zip(calls, calls[1:]):
+            assert all(any(a <= start and stop <= b for a, b in before) for start, stop in after), (before, after)
+        return calls[-1]
+
     @pytest.mark.usefixtures("time_limit")
     def test_dense_sums_and_differences_skip_their_full_middle(self, monkeypatch):
         # x+y and x-y of the QR set miss only sums near the ends of the window,
-        # so after every 8th shift the open runs are short: 9.6% and 4.3% of
-        # the output words.
+        # so the open runs shrink look by look, to 1.9% and 1.1% of the
+        # output words.
         calls = self.spy_runs(monkeypatch)
         for coeffs in ((1, 1), (1, -1)):
             terms = intsets._terms(LinearForm(coeffs), qr_set())
             del calls[:]
             assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms)
-            (length, runs), = calls
+            length, runs = self.last_look(calls)
             assert 0 < sum(stop - start for start, stop in runs) < length / 8, coeffs
 
     def test_differences_look_only_from_the_first_word_a_copy_reaches(self, monkeypatch):
@@ -842,20 +867,60 @@ class TestWordSkip:
         calls = self.spy_runs(monkeypatch)
         terms = intsets._terms(LinearForm((1, -1)), FiniteIntSet(range(4096)))
         assert intsets._word_fold(terms, "mirrored") == intsets._big_int_fold(terms)
-        assert calls == [(128, [(127, 128)])]
+        assert self.last_look(calls) == (128, [(127, 128)])
+        assert all(length == 128 and runs[0][0] >= 63 for length, runs in calls)
 
     @pytest.mark.usefixtures("time_limit")
     def test_images_with_holes_everywhere_close_against_their_ceiling(self, monkeypatch):
         # 2x+y and 2x-y of the QR set miss a class mod 13, 29, 37 or 53, so no
         # output word is ever all ones; against the lift of those classes, all
-        # but a few words close after every 8th shift.
+        # but a few words close, and the runs shrink look by look.
         calls = self.spy_runs(monkeypatch)
         for coeffs in ((2, 1), (2, -1)):
             terms = intsets._terms(LinearForm(coeffs), qr_set())
             del calls[:]
             assert intsets._word_fold(terms, None) == intsets._big_int_fold(terms)
-            (length, runs), = calls
+            length, runs = self.last_look(calls)
             assert 0 < sum(stop - start for start, stop in runs) < length / 8, coeffs
+
+    def test_a_first_pass_that_closes_every_word_ends_the_stage(self, monkeypatch):
+        # 2x+y of the multiples of 27 up to 27*3496: every sum is 0 mod 27, so
+        # the ceiling is the lift of class 0 mod 27.  A first pass of the
+        # shifts 0, 32, 16 and 48 of 2A (the 438 of its 3,497 elements 27*2j
+        # with j = 0 mod 8) reaches every multiple of 27 up to the top sum; the
+        # 23 bits above it hold none.  The one look finds no open word, so no
+        # later shift is looked at or ORed.
+        TestWordCeiling.join_no_runs(monkeypatch)  # the stage is shorter than 64 join gaps: no ceiling otherwise
+        calls = self.spy_runs(monkeypatch)
+        terms, offsets = fold_terms((2, 1), range(0, 27 * 3497, 27))
+        assert intsets._stage_ceilings(offsets, 1.0) == [[(27, 1)]]
+        assert intsets._word_fold(terms, None) == intsets._big_int_fold(terms)
+        assert calls == [(4425, [])]
+
+    def test_a_first_pass_can_take_every_shift(self, monkeypatch):
+        # 350 elements of [0, 10_000): the stage is searched (more than 4
+        # tuples per bit of its span) but holds fewer than 16 elements per set
+        # bit of the accumulator, about 457, so the first pass ORs every shift
+        # over whole ranges and never looks for closed words.
+        calls = self.spy_runs(monkeypatch)
+        elems = random.Random(7).sample(range(10_000), 350)
+        for coeffs in ((2, 1), (1, 1), (1, -1)):
+            terms, offsets = fold_terms(coeffs, elems)
+            assert intsets._stage_ceilings(offsets, 5_000.0) == [[]], coeffs
+            assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms), coeffs
+        assert calls == []
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize(("name", "coeffs", "count"), [
+        ("qr", (2, 1), 1_886_562), ("qr", (1, 1), 1_477_677), ("qr", (1, -1), 1_477_677),
+        ("cubes", (2, 1), 29_114), ("cubes", (1, 1), 19_725), ("cubes", (1, -1), 19_725),
+        ("packaged", (2, 1), 108_014), ("packaged", (1, 1), 114_575),
+    ])
+    def test_dense_construct_counts(self, name, coeffs, count):
+        # The image counts of the sets that perfbench's dense-construct workload
+        # materialises, on the word kernel whatever auto picks.
+        a = {"qr": qr_set, "cubes": cube_set, "packaged": packaged_set}[name]()
+        assert intsets._cardinality(LinearForm(coeffs), a, "word") == count
 
 
 def ceiling_sets(count):
@@ -1012,8 +1077,7 @@ class TestAutoPicks:
     """auto's kernel on fixed sets, from the cost model fitted on tools/kernel_grid.py's grid."""
 
     def test_dense_construction_sets_stay_on_the_word_kernel(self):
-        packaged = rectify(crt_product(packaged_locals()), 1)
-        for a in (qr_set(), packaged):
+        for a in (qr_set(), packaged_set()):
             for coeffs in ((2, 1), (1, 1), (1, -1)):
                 assert intsets._plan(coeffs, a) == "word", (len(a), coeffs)
 
