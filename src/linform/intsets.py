@@ -30,6 +30,16 @@ lands back on one int64; if the reduced window still spans more than
 least significant first: two such limbs and a carry sum below 2**63, so
 the limb-wise outer sum cannot overflow (see _limb_fold).
 
+A FiniteIntSet holds its elements as a tuple of Python ints, which is
+all that equality, hashing, repr and pickling see.  Beside it, built
+once on first use and never a field, it caches their offsets from its
+least element as a read-only int64 array whenever its span is below
+2**63, however large the elements are (_offsets); rectify hands the
+array over as it builds the set.  The word fold and a merge whose window
+holds at most 2**63 integers (one limb) build each term's offsets from
+it in numpy (_term_offsets).  The big-int fold, a merge on the gcd of
+its offsets and a merge on several limbs keep Python ints (_terms).
+
 The bitmask kernel keeps the accumulated sumset in one of two exact
 representations, the one with the lower predicted time: a Python int,
 shifted and ORed whole per element, or a numpy uint64 word array, into
@@ -54,11 +64,12 @@ tuples per bit of its span fills few words and ORs whole ranges.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,11 +149,32 @@ class FiniteIntSet:
         object.__setattr__(self, "elements", tuple(sorted(seen)))
 
     @classmethod
-    def _from_sorted(cls, elements: list[int]) -> "FiniteIntSet":
-        """Trusted constructor: elements already sorted, distinct Python ints."""
+    def _from_sorted(cls, elements: list[int], offsets: np.ndarray | None = None) -> "FiniteIntSet":
+        """Trusted constructor: elements already sorted, distinct Python ints;
+        offsets, if given, their int64 offsets from the first one (_offsets)."""
         a = object.__new__(cls)
         object.__setattr__(a, "elements", tuple(elements))
+        if offsets is not None:
+            offsets.flags.writeable = False
+            a.__dict__["_offsets"] = offsets
         return a
+
+    @functools.cached_property
+    def _offsets(self) -> np.ndarray | None:
+        """The elements' offsets from the least one as a read-only int64 array, None if they span 2**63 or more."""
+        lo, hi = self.elements[0], self.elements[-1]
+        if hi - lo >= 1 << 63:
+            return None
+        if -(1 << 63) <= lo and hi < 1 << 63:
+            offsets = np.fromiter(self.elements, np.int64, len(self.elements))
+            offsets -= lo
+        else:
+            offsets = np.fromiter((x - lo for x in self.elements), np.int64, len(self.elements))
+        offsets.flags.writeable = False
+        return offsets
+
+    def __getstate__(self) -> dict:
+        return {"elements": self.elements}  # not the cache: a pickle holds the elements only
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -244,14 +276,35 @@ def _as_set(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
     return a if isinstance(a, FiniteIntSet) else FiniteIntSet(a)
 
 
-def _terms(form: LinearForm, a: FiniteIntSet) -> list[list[int]]:
-    """The dilations c*A as sorted lists, one per coefficient.
+def _terms(coefficients: Sequence[int], a: FiniteIntSet) -> list[list[int]]:
+    """The dilations c*A as sorted lists of Python ints, one per coefficient.
 
     A is sorted and duplicate-free, so c*A already is too, in reverse
     order when c < 0.
     """
     return [[c * x for x in (a.elements if c > 0 else reversed(a.elements))]
-            for c in form.coefficients]
+            for c in coefficients]
+
+
+def _term_offsets(coefficients: Sequence[int], a: FiniteIntSet) -> list[np.ndarray]:
+    """Each dilation c*A's offsets from its least element, as a sorted int64 array, one per coefficient.
+
+    With O the offsets of A (_offsets) and d its span, they are c*O for
+    c > 0 and |c|*(d - O reversed) for c < 0.  OverflowError if the image's
+    window, sum |c|*d + 1 integers, is wider than 2**63.
+    """
+    span = a.elements[-1] - a.elements[0]
+    if sum(map(abs, coefficients)) * span >= 1 << 63:
+        raise OverflowError("the image's window spans more than 2**63 integers")
+    o = a._offsets
+    return [(abs(c) if span else 0) * (o if c > 0 else span - o[::-1]) for c in coefficients]
+
+
+def _ends(coefficients: Sequence[int], a: FiniteIntSet) -> tuple[int, int]:
+    """min f(A) and max f(A): c*A is least at c*min A if c > 0, else at c*max A."""
+    lo, hi = a.elements[0], a.elements[-1]
+    return (sum(c * (lo if c > 0 else hi) for c in coefficients),
+            sum(c * (hi if c > 0 else lo) for c in coefficients))
 
 
 def _pair_fold(coefficients: tuple[int, ...]) -> str | None:
@@ -300,35 +353,36 @@ def _predicted_ns(coefficients: tuple[int, ...], n: int, d: int) -> dict[str, fl
 
 def _image(form: LinearForm, a: FiniteIntSet, kernel: str) -> FiniteIntSet:
     """f(A) on the kernel, one of _KERNEL_NS's names."""
-    terms = _terms(form, a)
-    base, fold = sum(t[0] for t in terms), _pair_fold(form.coefficients)
+    coefficients = form.coefficients
+    base, fold = _ends(coefficients, a)[0], _pair_fold(coefficients)
     if kernel == "merge":
-        limbs, g = _sort_fold(terms, fold)
+        limbs, g = _sort_fold(coefficients, a, fold)
         values = [base + g * x for x in _decode(limbs)]
         return FiniteIntSet._from_sorted([-x for x in reversed(values)] + [0] + values
                                          if fold == "mirrored" else values)
-    return FiniteIntSet._from_sorted(_bits.decode(_mask(terms, fold, kernel), base))
+    return FiniteIntSet._from_sorted(_bits.decode(_mask(coefficients, a, fold, kernel), base))
 
 
 def _cardinality(form: LinearForm, a: FiniteIntSet, kernel: str) -> int:
     """|f(A)| on the kernel, one of _KERNEL_NS's names."""
-    terms = _terms(form, a)
     fold = _pair_fold(form.coefficients)
     if kernel == "merge":
-        count = _sort_fold(terms, fold)[0].shape[1]
+        count = _sort_fold(form.coefficients, a, fold)[0].shape[1]
         return 2 * count + 1 if fold == "mirrored" else count
-    return _mask(terms, fold, kernel).bit_count()
+    return _mask(form.coefficients, a, fold, kernel).bit_count()
 
 
-def _mask(terms: list[list[int]], fold: str | None, kernel: str) -> int:
+def _mask(coefficients: tuple[int, ...], a: FiniteIntSet, fold: str | None, kernel: str) -> int:
     """The bitset fold's mask on the kernel, big-int or word; ValueError on any other label."""
     if kernel not in ("big-int", "word"):
         raise ValueError(f"unknown kernel {kernel!r}: the kernels are {', '.join(_KERNEL_NS)}")
-    return _word_fold(terms, fold) if kernel == "word" else _big_int_fold(terms)
+    if kernel == "word":
+        return _word_fold(_term_offsets(coefficients, a), fold)
+    return _big_int_fold(_terms(coefficients, a))
 
 
-def _sort_fold(terms: list[list[int]], fold: str | None) -> tuple[np.ndarray, int]:
-    """The image's distinct offsets from the sum of the terms' first elements.
+def _sort_fold(coefficients: tuple[int, ...], a: FiniteIntSet, fold: str | None) -> tuple[np.ndarray, int]:
+    """The image's distinct offsets from min f(A), the sum of the terms' first elements.
 
     Returns (limbs, g): each column of the (k, count) int64 array limbs is
     one distinct offset divided by g, sum(limbs[j] << 62*j).  Every partial
@@ -341,17 +395,25 @@ def _sort_fold(terms: list[list[int]], fold: str | None) -> tuple[np.ndarray, in
     and converted once, so that _limb_fold folds each run of them on
     multisets.  A mirrored fold, terms B, -B (c*(x - y)), B sorted, gives
     b_i - b_(n-1-j) at (i, j), positive iff i + j >= n; those pairs give
-    the positive values D only, and the image is -D, {0}, D.
+    the positive values D only, and the image is -D, {0}, D.  One limb
+    reads the terms off A's int64 offsets (_term_offsets); the gcd and
+    wider limbs are taken in Python ints (_terms, _limbs).
     """
-    # Each distinct term once, with the length of its run, in the order terms first appear.
-    runs = [(t, len(list(group))) for t, group in itertools.groupby(sorted(terms, key=terms.index))]
-    span = sum((t[-1] - t[0]) * r for t, r in runs)
-    g = math.gcd(*(x - t[0] for t, _ in runs for x in t)) if span >= 1 << 63 else 1
-    if g > 1:
-        runs = [([(x - t[0]) // g for x in t], r) for t, r in runs]
-        span //= g
-    k = 1 if span < 1 << 63 else -(-span.bit_length() // _LIMB_BITS)
-    return _limb_fold([offs for t, r in runs for offs in [_limbs(t, k)] * r], fold == "mirrored"), g
+    # Each distinct coefficient once, with the length of its run, in the order they first appear.
+    runs = [(c, len(list(group))) for c, group in itertools.groupby(sorted(coefficients, key=coefficients.index))]
+    distinct = [c for c, _ in runs]
+    span = sum(abs(c) * r for c, r in runs) * (a.elements[-1] - a.elements[0])
+    if span < 1 << 63:
+        terms, g = [offsets[None] for offsets in _term_offsets(distinct, a)], 1
+    else:
+        terms = _terms(distinct, a)
+        g = math.gcd(*(x - t[0] for t in terms for x in t))
+        if g > 1:
+            terms = [[(x - t[0]) // g for x in t] for t in terms]
+            span //= g
+        k = 1 if span < 1 << 63 else -(-span.bit_length() // _LIMB_BITS)
+        terms = [_limbs(t, k) for t in terms]
+    return _limb_fold([offs for offs, (_, r) in zip(terms, runs) for _ in range(r)], fold == "mirrored"), g
 
 
 def _limb_fold(terms: list[np.ndarray], mirrored: bool) -> np.ndarray:
@@ -552,8 +614,9 @@ def _big_int_fold(terms: list[list[int]]) -> int:
     return acc
 
 
-def _word_fold(terms: list[list[int]], fold: str | None) -> int:
-    """The bitset fold on numpy uint64 words, ORed in place; returns the mask.
+def _word_fold(offsets: list[np.ndarray], fold: str | None) -> int:
+    """The bitset fold of the terms' int64 offsets (_term_offsets) on numpy
+    uint64 words, ORed in place; returns the mask.
 
     The narrowest term is folded first, so that the accumulator stays as
     short as it can.  An offset t = 64*q + s is applied by ORing the
@@ -579,7 +642,7 @@ def _word_fold(terms: list[list[int]], fold: str | None) -> int:
     o + t >= span, and only sums; a difference image is symmetric about
     span, so its bit reversal is ORed in.
     """
-    offsets = [_limbs(term, 1)[0] for term in sorted(terms, key=lambda t: t[-1] - t[0])]
+    offsets = sorted(offsets, key=lambda o: int(o[-1]))
     gap = _KERNEL_NS["word"][1] / _KERNEL_NS["word"][0]  # words one element's price buys
     ceilings = _stage_ceilings(offsets, gap)
     span = int(offsets[0][-1])
@@ -704,13 +767,13 @@ def _ceiling(length: int, images: list[tuple[int, int]]) -> np.ndarray:
 def _limbs(term: list[int], k: int) -> np.ndarray:
     """The term's offsets as a (k, len(term)) int64 array of limbs, low limb first.
 
-    One limb holds the whole offset, up to 63 bits.  Offsets are taken in
-    Python ints first: the elements may be far beyond int64 in a narrow window.
+    The top limb keeps every bit above the others, so one limb holds the
+    whole offset, up to 63 bits (a gcd-reduced window).  Offsets are taken
+    in Python ints: the terms that come here span 2**63 or more.
     """
-    if k == 1:
-        return np.fromiter((x - term[0] for x in term), np.int64, len(term))[None]
     offsets = [x - term[0] for x in term]
-    return np.array([[x >> j * _LIMB_BITS & _LIMB_MASK for x in offsets] for j in range(k)], np.int64)
+    low = [[x >> j * _LIMB_BITS & _LIMB_MASK for x in offsets] for j in range(k - 1)]
+    return np.array(low + [[x >> (k - 1) * _LIMB_BITS for x in offsets]], np.int64)
 
 
 def affine_canonical(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
@@ -758,10 +821,7 @@ def amplify(form_f: LinearForm, form_g: LinearForm,
     if form_f.arity != form_g.arity:
         raise ValueError("both forms must have the same arity")
     a = _as_set(a)
-    ends = [a[0], a[-1]]
-    for form in (form_f, form_g):
-        terms = _terms(form, a)
-        ends += [sum(t[0] for t in terms), sum(t[-1] for t in terms)]
+    ends = [a[0], a[-1], *_ends(form_f.coefficients, a), *_ends(form_g.coefficients, a)]
     big_m = 2 * max(map(abs, ends)) + 1
     return big_m, FiniteIntSet._from_sorted([x + big_m * y for y in a.elements for x in a.elements])
 

@@ -228,17 +228,19 @@ def crt_product(residue_sets: Sequence[ResidueSet]) -> ResidueSet:
     """
     if not residue_sets:
         raise ValueError("crt_product needs at least one residue set")
-    combined = residue_sets[0]
+    m, classes = residue_sets[0].modulus, residue_sets[0].classes
     for nxt in residue_sets[1:]:
-        m1, m2 = combined.modulus, nxt.modulus
+        m1, m2 = m, nxt.modulus
         if math.gcd(m1, m2) != 1:
             raise ValueError(f"moduli {m1} and {m2} are not coprime")
-        m = m1 * m2
-        inv = pow(m1, -1, m2)
+        m, inv = m1 * m2, pow(m1, -1, m2)
+        # b - a lies in (-m1, m2) and inv in [0, m2), so (b - a)*inv lies in (-m, (m2 - 1)**2]:
+        # int64 when both ends fit, else Python ints in object arrays.
+        dtype = np.int64 if m < 1 << 63 and (m2 - 1) ** 2 < 1 << 63 else object
+        a, b = np.asarray(classes, dtype)[:, None], np.array(nxt.classes, dtype)
         # a + m1*t in [0, m) is the one class that is a mod m1 and b mod m2: all distinct.
-        classes = [a + m1 * ((b - a) * inv % m2) for a in combined.classes for b in nxt.classes]
-        combined = ResidueSet._from_sorted(m, sorted(classes))
-    return combined
+        classes = np.sort((a + m1 * ((b - a) * inv % m2)).ravel())
+    return residue_sets[0] if len(residue_sets) == 1 else ResidueSet._from_sorted(m, classes.tolist())
 
 
 def _require_int_window(window_start: int) -> None:
@@ -254,11 +256,23 @@ def rectify(residues: ResidueSet, window_start: int = 0) -> FiniteIntSet:
     image cardinalities of the result obey the bounds of proved_bounds.
     The classes are distinct ints in [0, m), so for an int window_start
     the values w + (c - w) mod m are distinct ints in [w, w + m): sorted,
-    they need no further check.
+    they need no further check.  With r = w mod m, the classes from r on
+    come first, as c - r, and those below r wrap round to the top, as
+    c - r + m, so the offsets from w come sorted without a sort.  For
+    m < 2**63 they are computed as int64 and handed to the set as its
+    cached offsets; the elements are Python ints whatever the window.
     """
     _require_int_window(window_start)
-    m = residues.modulus
-    return FiniteIntSet._from_sorted(sorted(window_start + (c - window_start) % m for c in residues.classes))
+    m, w = residues.modulus, window_start
+    if m >= 1 << 63:
+        return FiniteIntSet._from_sorted(sorted(w + (c - w) % m for c in residues.classes))
+    classes, r = np.fromiter(residues.classes, np.int64, len(residues)), w % m
+    i = int(np.searchsorted(classes, r))
+    offsets = np.concatenate((classes[i:] - r, classes[:i] + (m - r)))
+    fits = -(1 << 63) <= w and w + m <= 1 << 63
+    elements = (offsets + w).tolist() if fits else [w + x for x in offsets.tolist()]
+    offsets -= offsets[0]
+    return FiniteIntSet._from_sorted(elements, offsets)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -297,8 +299,7 @@ class TestImage:
         assert len(rectified) == 6 * 14 * 18
         cases += [(coeffs, rectified) for coeffs in ((2, 1), (1, 1), (1, -1), (1, 1, 1))]
         for coeffs, elems in cases:
-            terms = intsets._terms(LinearForm(coeffs), FiniteIntSet(elems))
-            assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms), coeffs
+            assert_masks_agree(coeffs, FiniteIntSet(elems))
 
     @given(a=small_sets, f=binary_forms)
     @settings(max_examples=100, deadline=None)
@@ -452,6 +453,14 @@ class TestWideSortFold:
         assert_image_exact((1, 1), doubled)
         assert len(limb_folds) == 4
         assert all(terms[0].shape[0] == 1 for terms, _ in limb_folds)
+        # 2x+y on 5*B, B of span d with 2**61 < d < 2**63/3: the gcd 5 leaves
+        # one limb, and 2B's offsets pass 2**62, so that limb keeps its top bit.
+        d = 2**61 + 2**59
+        elems = [5 * x - 10**30 for x in [0, 1, d] + rng.sample(range(2, d), 20)]
+        del limb_folds[:]
+        assert_image_exact((2, 1), elems)
+        assert len(limb_folds) == 4
+        assert all(terms[0].shape[0] == 1 and max(int(t.max()) for t in terms) >= 2**62 for terms, _ in limb_folds)
 
     def test_limb_blocks_merge(self, monkeypatch):
         # A cap of 128 limb values holds one row of 60 two-limb offsets per
@@ -568,13 +577,13 @@ class TestPairFolds:
         # x - y on 2,050 int64 elements keeps 2,101,225 positive differences,
         # under _SORT_CHUNK: one staircase, one grouping and no merge.
         elems = random.Random(107).sample(range(10**9), 2050)
-        terms = intsets._terms(DIFFERENCE, FiniteIntSet(elems))
+        a = FiniteIntSet(elems)
         stairs, distinct = spy(monkeypatch, "_staircase"), spy(monkeypatch, "_distinct_columns")
-        limbs, g = intsets._sort_fold(terms, "mirrored")
+        limbs, g = intsets._sort_fold(DIFFERENCE.coefficients, a, "mirrored")
         assert len(stairs) == len(distinct) == 1 and g == 1
         assert stairs[0][0].shape[1] == 2049 and distinct[0][0].shape[1] == 2050 * 2049 // 2
         fold = brute_image(DIFFERENCE.coefficients, elems)
-        assert (limbs[0] + sum(t[0] for t in terms)).tolist() == [x for x in fold if x > 0]
+        assert (limbs[0] + (min(elems) - max(elems))).tolist() == [x for x in fold if x > 0]
         assert 2 * limbs.shape[1] + 1 == len(fold)
 
     def test_other_forms_hold_every_tuple(self, monkeypatch):
@@ -751,10 +760,8 @@ class TestWordPairFolds:
             a = FiniteIntSet(elems)
             for coeffs in WORD_PAIR_COEFFS:
                 f = LinearForm(coeffs)
-                terms = intsets._terms(f, a)
                 del word_folds[:]
-                mask = intsets._word_fold(terms, intsets._pair_fold(coeffs))
-                assert mask == intsets._big_int_fold(terms), (name, coeffs)
+                assert_masks_agree(coeffs, a)
                 expected = tuple(brute_image(coeffs, elems))
                 assert intsets._image(f, a, "word").elements == expected, (name, coeffs)
                 assert intsets._cardinality(f, a, "word") == len(expected), (name, coeffs)
@@ -854,9 +861,8 @@ class TestWordSkip:
         # output words.
         calls = self.spy_runs(monkeypatch)
         for coeffs in ((1, 1), (1, -1)):
-            terms = intsets._terms(LinearForm(coeffs), qr_set())
             del calls[:]
-            assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms)
+            assert_masks_agree(coeffs, qr_set())
             length, runs = self.last_look(calls)
             assert 0 < sum(stop - start for start, stop in runs) < length / 8, coeffs
 
@@ -865,8 +871,7 @@ class TestWordSkip:
         # below (span - 63) // 64 = 63; joined to the top word, they would make
         # the fold OR whole ranges.
         calls = self.spy_runs(monkeypatch)
-        terms = intsets._terms(LinearForm((1, -1)), FiniteIntSet(range(4096)))
-        assert intsets._word_fold(terms, "mirrored") == intsets._big_int_fold(terms)
+        assert_masks_agree((1, -1), FiniteIntSet(range(4096)))
         assert self.last_look(calls) == (128, [(127, 128)])
         assert all(length == 128 and runs[0][0] >= 63 for length, runs in calls)
 
@@ -877,9 +882,8 @@ class TestWordSkip:
         # but a few words close, and the runs shrink look by look.
         calls = self.spy_runs(monkeypatch)
         for coeffs in ((2, 1), (2, -1)):
-            terms = intsets._terms(LinearForm(coeffs), qr_set())
             del calls[:]
-            assert intsets._word_fold(terms, None) == intsets._big_int_fold(terms)
+            assert_masks_agree(coeffs, qr_set())
             length, runs = self.last_look(calls)
             assert 0 < sum(stop - start for start, stop in runs) < length / 8, coeffs
 
@@ -894,7 +898,7 @@ class TestWordSkip:
         calls = self.spy_runs(monkeypatch)
         terms, offsets = fold_terms((2, 1), range(0, 27 * 3497, 27))
         assert intsets._stage_ceilings(offsets, 1.0) == [[(27, 1)]]
-        assert intsets._word_fold(terms, None) == intsets._big_int_fold(terms)
+        assert intsets._word_fold(offsets, None) == intsets._big_int_fold(terms)
         assert calls == [(4425, [])]
 
     def test_a_first_pass_can_take_every_shift(self, monkeypatch):
@@ -907,7 +911,7 @@ class TestWordSkip:
         for coeffs in ((2, 1), (1, 1), (1, -1)):
             terms, offsets = fold_terms(coeffs, elems)
             assert intsets._stage_ceilings(offsets, 5_000.0) == [[]], coeffs
-            assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms), coeffs
+            assert intsets._word_fold(offsets, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms), coeffs
         assert calls == []
 
     @pytest.mark.usefixtures("time_limit")
@@ -952,9 +956,15 @@ CEILING_FORMS = [(1, 1), (1, -1), (-1, -1), (2, 1), (2, -1), (-3, 1), (1, 1, 1),
 
 
 def fold_terms(coeffs, elems):
-    """The form's terms in _word_fold's order, narrowest first, and their int64 offsets."""
-    terms = sorted(intsets._terms(LinearForm(coeffs), FiniteIntSet(elems)), key=lambda t: t[-1] - t[0])
-    return terms, [intsets._limbs(t, 1)[0] for t in terms]
+    """The form's terms in _word_fold's order, narrowest first, and their int64 offsets, taken in Python ints."""
+    terms = sorted(intsets._terms(coeffs, FiniteIntSet(elems)), key=lambda t: t[-1] - t[0])
+    return terms, [np.array([x - t[0] for x in t], np.int64) for t in terms]
+
+
+def assert_masks_agree(coeffs, a):
+    """The word and big-int folds of f(A), as image and image_cardinality run them, give one mask."""
+    fold = intsets._pair_fold(coeffs)
+    assert intsets._mask(coeffs, a, fold, "word") == intsets._mask(coeffs, a, fold, "big-int"), coeffs
 
 
 @pytest.mark.usefixtures("time_limit")
@@ -977,7 +987,7 @@ class TestWordCeiling:
         for i, elems in enumerate(ceiling_sets(300)):
             coeffs = CEILING_FORMS[i % len(CEILING_FORMS)]
             terms, offsets = fold_terms(coeffs, elems)
-            assert intsets._word_fold(terms, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms), (i, coeffs)
+            assert intsets._word_fold(offsets, intsets._pair_fold(coeffs)) == intsets._big_int_fold(terms), (i, coeffs)
             closing += any(intsets._stage_ceilings(offsets, 0.0))  # a searched stage below all ones
         assert closing >= 40
 
@@ -1051,6 +1061,39 @@ def check_trusted_constructions(monkeypatch):
         return made
 
     monkeypatch.setattr(FiniteIntSet, "_from_sorted", classmethod(checked))
+
+
+class TestOffsetsCache:
+    """A set's int64 offsets are a cache beside its one field: equality, hashing,
+    repr and pickles see the elements only."""
+
+    def test_a_warm_cache_is_invisible(self):
+        warm = rectify(crt_product([ResidueSet(p, {x * x % p for x in range(1, p)}) for p in (13, 29)]), -7)
+        cold = FiniteIntSet(list(warm.elements))
+        assert "_offsets" in vars(warm) and "_offsets" not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        for a in (warm, cold):
+            copy = pickle.loads(pickle.dumps(a))
+            assert copy == a and "_offsets" not in vars(copy)
+            assert copy._offsets.tolist() == warm._offsets.tolist() == [x - a[0] for x in a]
+        assert [f.name for f in dataclasses.fields(FiniteIntSet)] == ["elements"]
+
+    @pytest.mark.parametrize(("elems", "present"), [
+        ([3, 10, 11], True),
+        ([10**40, 10**40 + 7, 10**40 + 2**63 - 1], True),  # elements past int64, span below 2**63
+        ([-(2**63), -5, -1], True),                          # int64 elements, span 2**63 - 1
+        ([-(2**63) - 1, -2], True),                          # the same span past int64
+        ([0, 2**63], False),
+        ([-(2**63), 2**63 - 1], False),
+    ])
+    def test_offsets_whenever_the_span_is_below_2_63(self, elems, present):
+        a = FiniteIntSet(elems)
+        if not present:
+            assert a._offsets is None
+            return
+        assert a._offsets.dtype == np.int64 and a._offsets.tolist() == [x - a[0] for x in a]
+        assert not a._offsets.flags.writeable  # the kernels may not change it in place
 
 
 class TestTrustedConstructors:

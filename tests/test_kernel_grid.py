@@ -79,6 +79,20 @@ def test_every_kernel_counts_the_same_image_on_the_grid_to_512_elements():
         assert len(cards) == 1, (name, len(a), cards)
 
 
+def test_every_timed_call_converts_a_cold_set(monkeypatch):
+    # A warm offsets cache would spare word and merge the conversion that a
+    # first call pays, and not big-int.
+    seen = []
+    real = intsets._cardinality
+    monkeypatch.setattr(intsets, "_cardinality", lambda f, a, k: seen.append("_offsets" in vars(a)) or real(f, a, k))
+    name, a = kernel_grid.cells()[0]  # 2x+y on 8 elements
+    a._offsets  # warm the grid's own set
+    for kernel in (*kernel_grid.KERNELS, "auto"):
+        del seen[:]
+        kernel_grid.timed(LinearForm(kernel_grid.FORMS[name]), a, kernel)
+        assert len(seen) >= 2 and not any(seen), kernel
+
+
 def test_runs_on_two_cells():
     proc = subprocess.run([sys.executable, "tools/kernel_grid.py", "--cells", "2"], cwd=ROOT,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},

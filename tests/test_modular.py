@@ -239,6 +239,35 @@ class TestCrtProduct:
             )
 
 
+    # Moduli at the edges of crt_product's int64 rule: combined modulus below
+    # 2**63 and (m2 - 1)**2 < 2**63, m2 the modulus of the set combined next.
+    @pytest.mark.parametrize(("moduli", "int64"), [
+        ((2**63 // 3, 3), [True]),                 # combined 2**63 - 2
+        ((2**63 // 3 + 2, 3), [False]),            # combined 2**63 + 4
+        ((7, 3_037_000_500), [True]),              # (m2 - 1)**2 just below 2**63
+        ((3, 4_000_000_000), [False]),             # m2 above 3.04e9: (m2 - 1)*inv passes 2**63
+        ((2**61 - 1, 3, 5), [True, False]),        # int64 classes carried into Python ints
+        ((2**64 + 1, 3), [False]),                 # the first set's classes already past int64
+    ], ids=["below-2**63", "above-2**63", "m2-at-sqrt", "m2-past-sqrt", "crossing", "wide-first"])
+    def test_int64_and_python_int_products_match_a_double_loop(self, moduli, int64):
+        rng = random.Random(sum(moduli))
+        sets = [ResidueSet(m, {0, 1, m - 1} | {rng.randrange(m) for _ in range(4)}) for m in moduli]
+        m, picks = moduli[0], []
+        for m2 in moduli[1:]:
+            m *= m2
+            picks.append(m < 2**63 and (m2 - 1) ** 2 < 2**63)
+        assert picks == int64
+        expected, modulus = [0], 1  # one double loop per set: x = a mod modulus, b mod n
+        for r in sets:
+            n = r.modulus
+            expected = sorted((a * n * pow(n, -1, modulus) + b * modulus * pow(modulus, -1, n)) % (modulus * n)
+                              for a in expected for b in r.classes)
+            modulus *= n
+        combined = crt_product(sets)
+        assert combined.modulus == modulus and combined.classes == tuple(expected)
+        assert all(type(c) is int for c in combined.classes)
+
+
 class TestRectify:
     def test_least_nonnegative(self):
         assert rectify(ResidueSet(13, [0, 1, 6]), 0).elements == (0, 1, 6)
@@ -273,10 +302,52 @@ class TestRectify:
         big = ResidueSet(10**30 + 1, [5, 10**30])
         assert rectify(big, -(10**40)) == FiniteIntSet(-(10**40) + (c + 10**40) % (10**30 + 1) for c in big)
 
+    @pytest.mark.parametrize("window", [10**200, -(10**200), 2**63 - 10_007, 2**63 - 10_006, -(2**63),
+                                        -(2**63) - 1, -(2**70), 1])
+    def test_windows_past_int64_give_python_ints_and_cached_offsets(self, window):
+        # The offsets are int64 (m < 2**63); the elements w + offset are
+        # Python ints, past int64 from the windows 2**63 - m + 1 and -2**63 - 1 on.
+        m = 10_007  # offsets 0 and m - 1 present: the set fills its window [w, w + m)
+        r = ResidueSet(m, random.Random(61).sample(range(m), 500) + [window % m, (window - 1) % m])
+        a = rectify(r, window)
+        assert a.elements == tuple(sorted(window + (c - window) % m for c in r.classes))
+        assert all(type(x) is int for x in a.elements)
+        assert "_offsets" in vars(a) and a._offsets.tolist() == [x - a[0] for x in a.elements]
+        with pytest.raises(ValueError):
+            rectify(r, True)
+
+    def test_a_modulus_past_int64_rectifies_in_python_ints(self):
+        m = 2**64 + 1
+        r = ResidueSet(m, [0, 5, 2**63, 2**64])
+        for window in (0, -(10**200), 2**70):
+            a = rectify(r, window)
+            assert a.elements == tuple(sorted(window + (c - window) % m for c in r.classes))
+            assert all(type(x) is int for x in a.elements)
+
     @pytest.mark.parametrize("window", [0.0, 1.5, True, np.int64(3)], ids=["float", "fraction", "bool", "numpy"])
     def test_rejects_a_non_integer_window(self, window):
         with pytest.raises(ValueError, match="^window_start must be an integer, got "):
             rectify(ResidueSet(13, [0, 1, 6]), window)
+
+
+# The sets of perfbench's dense-construct workload: |A| and |f(A)| for 2x+y, x+y and x-y.
+DENSE_CONSTRUCT = {
+    "qr": ((13, 29, 37, 53), 2, 39_312, (1_886_562, 1_477_677, 1_477_677)),
+    "cubes": ((97, 103), 3, 1_088, (29_114, 19_725, 19_725)),
+}
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("shift", [0, 10**9 + 7, -(2**70)])
+@pytest.mark.parametrize("name", list(DENSE_CONSTRUCT))
+def test_dense_construct_counts_at_translates(name, shift):
+    # Shifting every class and the window by s translates the set by s, so
+    # the counts stay; at s = -2**70 the elements are past int64 but the span is not.
+    primes, k, size, counts = DENSE_CONSTRUCT[name]
+    locals_ = [ResidueSet(p, {(pow(x, k, p) + shift) % p for x in range(1, p)}) for p in primes]
+    a = rectify(crt_product(locals_), shift)
+    assert len(a) == size and shift <= a[0] and a[-1] < shift + math.prod(primes)
+    assert tuple(image_cardinality(LinearForm(f), a) for f in ((2, 1), (1, 1), (1, -1))) == counts
 
 
 class TestLocalSolution:
