@@ -22,13 +22,16 @@ x + y + z on a set with distinct pair sums forms C(n+2, 3) sums in its
 last stage, not n*C(n+1, 2).  A block forms only the sums it keeps, as a
 staircase of rectangles and small masked squares.  For c*(x - y) it
 forms each positive difference once: A - A = -D, {0}, D for its
-positive values D.  A window of at most 2**63 integers holds each offset
-in one int64.  A wider one first divides every offset by their gcd g,
-which is exact since x -> g*x is injective, so a dilated set usually
-lands back on one int64; if the reduced window still spans more than
-2**63 integers, each offset is held as k limbs of _LIMB_BITS = 62 bits,
-least significant first: two such limbs and a carry sum below 2**63, so
-the limb-wise outer sum cannot overflow (see _limb_fold).
+positive values D.  No partial sum passes the window's span S, so a
+span below 2**32 holds each offset in one uint32, below 2**63 in one
+int64, and a wider one in k limbs of _LIMB_BITS = 62 bits, least
+significant first: two such limbs and a carry sum below 2**63, so the
+limb-wise outer sum cannot overflow (see _limb_fold).
+
+Before planning, image and image_cardinality divide a set whose image's
+window is wider than BITSET_WIDTH_CAP by the gcd g of its offsets
+(_reduced): f(min A + g*B) = (sum c)*min A + g*f(B), and x -> s + g*x is
+increasing, so a dilated set is planned and folded on B.
 
 A FiniteIntSet holds its elements as a tuple of Python ints, which is
 all that equality, hashing, repr and pickling see.  Beside it, built
@@ -37,8 +40,8 @@ least element as a read-only int64 array whenever its span is below
 2**63, however large the elements are (_offsets); rectify hands the
 array over as it builds the set.  The word fold and a merge whose window
 holds at most 2**63 integers (one limb) build each term's offsets from
-it in numpy (_term_offsets).  The big-int fold, a merge on the gcd of
-its offsets and a merge on several limbs keep Python ints (_terms).
+it in numpy (_term_offsets).  The big-int fold, the gcd of a set past
+int64 and a merge on several limbs keep Python ints (_terms).
 
 The bitmask kernel keeps the accumulated sumset in one of two exact
 representations, the one with the lower predicted time: a Python int,
@@ -261,15 +264,49 @@ def normalize_form(form: LinearForm) -> LinearForm:
 
 
 def image(form: LinearForm, a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
-    """The image f(A) = {sum ui*ai : ai in A}, sorted and deduplicated."""
+    """The image f(A) = {sum ui*ai : ai in A}, sorted and deduplicated.
+
+    Where f(A)'s window does not fit BITSET_WIDTH_CAP, A = min A + g*B
+    with g the gcd of A's offsets (_reduced); the kernel is planned and run
+    on B, and each value x of f(B) maps back to (sum ui)*min A + g*x.
+    """
     a = _as_set(a)
-    return _image(form, a, _plan(form.coefficients, a))
+    b, g = _reduced(form.coefficients, a)
+    values = _image(form, b, _plan(form.coefficients, b))
+    if g == 1:
+        return values
+    shift = sum(form.coefficients) * a.elements[0]
+    return FiniteIntSet._from_sorted([shift + g * x for x in values.elements])
 
 
 def image_cardinality(form: LinearForm, a: FiniteIntSet | Iterable[int]) -> int:
-    """|f(A)| without materializing the image when a bitmask kernel runs."""
-    a = _as_set(a)
-    return _cardinality(form, a, _plan(form.coefficients, a))
+    """|f(A)| = |f(B)| (_reduced), without materializing the image when a bitmask kernel runs."""
+    b = _reduced(form.coefficients, _as_set(a))[0]
+    return _cardinality(form, b, _plan(form.coefficients, b))
+
+
+def _reduced(coefficients: Sequence[int], a: FiniteIntSet) -> tuple[FiniteIntSet, int]:
+    """(B, g) with A = min A + g*B, where g > 1 is the gcd of A's offsets
+    from min A and f(A)'s window is wider than BITSET_WIDTH_CAP; else (A, 1).
+
+    f(min A + g*B) = (sum c)*min A + g*f(B), and x -> s + g*x with g > 0 is
+    increasing, so f(A) is f(B) mapped value by value, in order, and
+    |f(A)| = |f(B)|; B = (A - min A)/g is sorted and distinct as A is.  B's
+    window is g times narrower, so a dilated set can reach the bitset
+    kernels or one int64.  A window that fits BITSET_WIDTH_CAP is left as it
+    is: _plan already weighs every kernel there.
+    """
+    lo = a.elements[0]
+    if sum(map(abs, coefficients)) * (a.elements[-1] - lo) < BITSET_WIDTH_CAP:
+        return a, 1
+    o = a._offsets
+    g = int(np.gcd.reduce(o)) if o is not None else math.gcd(*(x - lo for x in a.elements))
+    if g == 1:
+        return a, 1
+    if o is None:
+        return FiniteIntSet._from_sorted([(x - lo) // g for x in a.elements]), g
+    o = o // g
+    return FiniteIntSet._from_sorted(o.tolist(), o), g
 
 
 def _as_set(a: FiniteIntSet | Iterable[int]) -> FiniteIntSet:
@@ -356,8 +393,7 @@ def _image(form: LinearForm, a: FiniteIntSet, kernel: str) -> FiniteIntSet:
     coefficients = form.coefficients
     base, fold = _ends(coefficients, a)[0], _pair_fold(coefficients)
     if kernel == "merge":
-        limbs, g = _sort_fold(coefficients, a, fold)
-        values = [base + g * x for x in _decode(limbs)]
+        values = [base + x for x in _decode(_sort_fold(coefficients, a, fold))]
         return FiniteIntSet._from_sorted([-x for x in reversed(values)] + [0] + values
                                          if fold == "mirrored" else values)
     return FiniteIntSet._from_sorted(_bits.decode(_mask(coefficients, a, fold, kernel), base))
@@ -367,7 +403,7 @@ def _cardinality(form: LinearForm, a: FiniteIntSet, kernel: str) -> int:
     """|f(A)| on the kernel, one of _KERNEL_NS's names."""
     fold = _pair_fold(form.coefficients)
     if kernel == "merge":
-        count = _sort_fold(form.coefficients, a, fold)[0].shape[1]
+        count = _sort_fold(form.coefficients, a, fold).shape[1]
         return 2 * count + 1 if fold == "mirrored" else count
     return _mask(form.coefficients, a, fold, kernel).bit_count()
 
@@ -381,43 +417,40 @@ def _mask(coefficients: tuple[int, ...], a: FiniteIntSet, fold: str | None, kern
     return _big_int_fold(_terms(coefficients, a))
 
 
-def _sort_fold(coefficients: tuple[int, ...], a: FiniteIntSet, fold: str | None) -> tuple[np.ndarray, int]:
+def _sort_fold(coefficients: tuple[int, ...], a: FiniteIntSet, fold: str | None) -> np.ndarray:
     """The image's distinct offsets from min f(A), the sum of the terms' first elements.
 
-    Returns (limbs, g): each column of the (k, count) int64 array limbs is
-    one distinct offset divided by g, sum(limbs[j] << 62*j).  Every partial
-    sum of offsets is at most the window width W minus 1.  If W <= 2**63,
-    g = 1 and k = 1.  Wider windows divide every offset by their gcd g > 0
-    first, which keeps distinct offsets distinct; if the reduced window
-    (W - 1)/g + 1 is above 2**63, k = ceil(bitlen((W - 1)/g) / 62).
+    Each column of the returned (k, count) limb array is one distinct
+    offset, sum(limbs[j] << 62*j).  Every partial sum of offsets is at most
+    the window's span S, the window width minus 1.  If S < 2**32, k = 1
+    and the limbs are uint32; if S < 2**63, k = 1 and they are int64; else
+    k = ceil(bitlen(S) / 62) int64 limbs.  No sum exceeds S, so no dtype
+    overflows.  A dilated set reaches here from image and
+    image_cardinality already divided by its gcd (_reduced).
 
     Equal terms, those of equal coefficients, are moved next to each other
     and converted once, so that _limb_fold folds each run of them on
     multisets.  A mirrored fold, terms B, -B (c*(x - y)), B sorted, gives
     b_i - b_(n-1-j) at (i, j), positive iff i + j >= n; those pairs give
     the positive values D only, and the image is -D, {0}, D.  One limb
-    reads the terms off A's int64 offsets (_term_offsets); the gcd and
-    wider limbs are taken in Python ints (_terms, _limbs).
+    reads the terms off A's int64 offsets (_term_offsets), cast to uint32
+    under 2**32; wider limbs are taken in Python ints (_terms, _limbs).
     """
     # Each distinct coefficient once, with the length of its run, in the order they first appear.
     runs = [(c, len(list(group))) for c, group in itertools.groupby(sorted(coefficients, key=coefficients.index))]
     distinct = [c for c, _ in runs]
     span = sum(abs(c) * r for c, r in runs) * (a.elements[-1] - a.elements[0])
     if span < 1 << 63:
-        terms, g = [offsets[None] for offsets in _term_offsets(distinct, a)], 1
+        dtype = np.uint32 if span < 1 << 32 else np.int64
+        terms = [offsets.astype(dtype, copy=False)[None] for offsets in _term_offsets(distinct, a)]
     else:
-        terms = _terms(distinct, a)
-        g = math.gcd(*(x - t[0] for t in terms for x in t))
-        if g > 1:
-            terms = [[(x - t[0]) // g for x in t] for t in terms]
-            span //= g
-        k = 1 if span < 1 << 63 else -(-span.bit_length() // _LIMB_BITS)
-        terms = [_limbs(t, k) for t in terms]
-    return _limb_fold([offs for offs, (_, r) in zip(terms, runs) for _ in range(r)], fold == "mirrored"), g
+        k = -(-span.bit_length() // _LIMB_BITS)
+        terms = [_limbs(t, k) for t in _terms(distinct, a)]
+    return _limb_fold([offs for offs, (_, r) in zip(terms, runs) for _ in range(r)], fold == "mirrored")
 
 
 def _limb_fold(terms: list[np.ndarray], mirrored: bool) -> np.ndarray:
-    """Fold offsets held as (k, n) int64 limb arrays; returns the distinct sums.
+    """Fold offsets held as (k, n) limb arrays; returns the distinct sums.
 
     Each stage adds the accumulator's limbs to the next term's limb by
     limb, row i of the accumulator keeping the term's columns j >= J[i]
@@ -425,8 +458,10 @@ def _limb_fold(terms: list[np.ndarray], mirrored: bool) -> np.ndarray:
     the high ones.  Before the carry every limb is a sum of two limbs below
     2**62; a carry adds at most 1 to the next limb, so nothing overflows.
     Afterwards every limb is below 2**62, since every partial sum is below
-    2**(62*k): equal values have equal columns.  One limb holds 63 bits and
-    never carries; its sums come out sorted, wider ones unordered.
+    2**(62*k): equal values have equal columns.  One limb never carries:
+    it is uint32 where the span is below 2**32 and int64 below 2**63
+    (_sort_fold), and no sum exceeds the span.  One-limb sums come out
+    sorted, wider ones unordered.
 
     A run of equal terms T, ..., T (c*(x1 + ... + xr)) forms each multiset
     of indices into T once.  Each column folded from part of the run
@@ -494,13 +529,15 @@ def _staircase(acc: np.ndarray, left: np.ndarray | None, offs: np.ndarray,
     masked.  Steps are sized so that squares hold about _STAIR_AREA values,
     and a rectangle smaller than that is masked with its square, which
     costs less than adding it apart.  Without left, every row keeps every
-    column: one rectangle.
+    column: one rectangle.  The sums keep acc's dtype, uint32 or int64:
+    adds are array with array, and no sum passes the fold's span, which
+    _sort_fold chose that dtype to hold.
     """
     (k, m), n = acc.shape, offs.shape[1]
     if left is None:
         block = (acc[:, :, None] + offs[:, None, :]).reshape(k, -1)
         return block, np.tile(np.arange(n), m) if tracked else None
-    block = np.empty((k, n * m - int(left.sum())), np.int64)
+    block = np.empty((k, n * m - int(left.sum())), acc.dtype)
     js = np.empty(block.shape[1], np.int64) if tracked else None
     spread = int(left[-1] - left[0])
     step = m if spread == 0 else max(math.isqrt(_STAIR_AREA * m // spread), 1)
@@ -536,15 +573,17 @@ def _carry(limbs: np.ndarray) -> np.ndarray:
 def _distinct_columns(limbs: np.ndarray, js: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
     """The distinct columns of a canonical limb array, and given each column's J, each value's least J.
 
-    One limb without J is sorted in place, far faster here than np.unique.
-    Other columns are grouped in one pass by a hash of all their limbs,
-    built in place: one sort of hash << b | index (2**b > column count),
-    far faster than an argsort, groups them by hash mod 2**(64 - b), so
-    each value lies in one run.  If every run is one column and there is
-    no J, limbs is returned as it is.  A run whose columns all agree is one
-    value, with the run's least J; only the runs that still mix values are
-    lexsorted.  With js, the distinct columns come back ordered by their
-    least J, together with it; without, with None.
+    One limb without J is sorted in place, far faster here than np.unique,
+    and twice as fast on uint32 as on int64.  Other columns are grouped in
+    one pass by a hash of all their limbs, built on an int64 copy (widened
+    from uint32, which has no room to pack the index): one sort of
+    hash << b | index (2**b > column count), far faster than an argsort,
+    groups them by hash mod 2**(64 - b), so each value lies in one run.
+    If every run is one column and there is no J, limbs is returned as it
+    is.  A run whose columns all agree is one value, with the run's least
+    J; only the runs that still mix values are lexsorted.  With js, the
+    distinct columns come back ordered by their least J, together with it;
+    without, with None.
     """
     if len(limbs) == 1 and js is None:
         keys = limbs[0]
@@ -552,7 +591,7 @@ def _distinct_columns(limbs: np.ndarray, js: np.ndarray | None) -> tuple[np.ndar
         new = np.ones(len(keys), bool)
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
         return keys[new][None], None
-    packed = limbs[-1].copy()
+    packed = limbs[-1].astype(np.int64)
     for limb in limbs[-2::-1]:
         packed *= _HASH_MUL
         packed += limb
@@ -765,11 +804,10 @@ def _ceiling(length: int, images: list[tuple[int, int]]) -> np.ndarray:
 
 
 def _limbs(term: list[int], k: int) -> np.ndarray:
-    """The term's offsets as a (k, len(term)) int64 array of limbs, low limb first.
+    """The term's offsets as a (k, len(term)) int64 array of 62-bit limbs, low limb first.
 
-    The top limb keeps every bit above the others, so one limb holds the
-    whole offset, up to 63 bits (a gcd-reduced window).  Offsets are taken
-    in Python ints: the terms that come here span 2**63 or more.
+    Offsets are taken in Python ints: the terms that come here span 2**63
+    or more, and k >= 2 limbs hold them.
     """
     offsets = [x - term[0] for x in term]
     low = [[x >> j * _LIMB_BITS & _LIMB_MASK for x in offsets] for j in range(k - 1)]

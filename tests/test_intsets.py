@@ -187,7 +187,7 @@ class TestImage:
         # are dispatched but not run.  The window of x + y on [0, d] spans
         # 2d + 1 integers: d = 2**26 - 1 fits BITSET_WIDTH_CAP, 2**26 does not.
         calls = []
-        stubs = {"_sort_fold": (np.zeros((1, 0), np.int64), 1), "_big_int_fold": 0}
+        stubs = {"_sort_fold": np.zeros((1, 0), np.int64), "_big_int_fold": 0}
         for name, result in stubs.items():
             monkeypatch.setattr(intsets, name, lambda *args, name=name, result=result: calls.append(name) or result)
         fits, wide = 2**26 - 1, 2**26
@@ -429,38 +429,49 @@ class TestWideSortFold:
         assert len(limb_folds) == 4 * 2 + 4
 
     def test_gcd_reduces_dilated_windows_to_int64(self, monkeypatch):
+        # image and image_cardinality divide a window too wide for the bitset
+        # kernels by the gcd of A's offsets (_reduced); merge run by its
+        # label on the reduced set then folds one limb.
         limb_folds = spy(monkeypatch, "_limb_fold")
         rng = random.Random(53)
+
+        def reduced_merge(coeffs, elems):
+            """merge's limb folds on B = (A - min A)/g, after checking _reduced and f(A) and f(B) exactly."""
+            f, a = LinearForm(coeffs), FiniteIntSet(elems)
+            g = math.gcd(*(x - a[0] for x in a))
+            b, got = intsets._reduced(coeffs, a)
+            assert got == g and list(b) == [(x - a[0]) // g for x in a]
+            assert_image_exact(coeffs, elems)
+            del limb_folds[:]
+            expected = brute_image(coeffs, b.elements)
+            assert list(intsets._image(f, b, "merge")) == expected
+            assert intsets._cardinality(f, b, "merge") == len(expected)
+            assert len(limb_folds) == 2
+            return g, [terms for terms, _ in limb_folds]
+
         for dilation in (10**40, 2**124 + 1, 3 * 2**61):
             for coeffs, n in (((1, -1), 40), ((2, 1), 40), ((1, 1, 1), 12)):
                 base = rng.sample(range(0, 3000, 3), n)  # the gcd of offsets is 3*dilation or more
                 elems = sorted(dilation * b - 10**35 for b in base)
                 span = width(coeffs, elems) - 1
-                g = math.gcd(*(x - elems[0] for x in elems))
+                g, folds = reduced_merge(coeffs, elems)
                 assert span >= 2**63 and g % (3 * dilation) == 0
-                del limb_folds[:]
-                assert_image_exact(coeffs, elems)
-                assert len(limb_folds) == 4
-                for terms, _ in limb_folds:
-                    assert terms[0].shape[0] == 1  # one int64 limb
+                for terms in folds:
+                    assert terms[0].shape[0] == 1  # one limb
                     assert sum(int(t[0, -1]) for t in terms) == span // g < 3000 * len(coeffs)
         # Doubling a set whose sum window is just under 2**63 gives a window
         # between 2**63 and 2**64, which the gcd brings back under 2**63.
         elems = [0, 2**62 - 2] + rng.sample(range(1, 2**62 - 2), 30)
         doubled = [2 * x + 5 for x in elems]
         assert 2**63 < width((1, 1), doubled) < 2**64
-        del limb_folds[:]
-        assert_image_exact((1, 1), doubled)
-        assert len(limb_folds) == 4
-        assert all(terms[0].shape[0] == 1 for terms, _ in limb_folds)
+        g, folds = reduced_merge((1, 1), doubled)
+        assert g == 2 and all(terms[0].shape[0] == 1 and terms[0].dtype == np.int64 for terms in folds)
         # 2x+y on 5*B, B of span d with 2**61 < d < 2**63/3: the gcd 5 leaves
         # one limb, and 2B's offsets pass 2**62, so that limb keeps its top bit.
         d = 2**61 + 2**59
         elems = [5 * x - 10**30 for x in [0, 1, d] + rng.sample(range(2, d), 20)]
-        del limb_folds[:]
-        assert_image_exact((2, 1), elems)
-        assert len(limb_folds) == 4
-        assert all(terms[0].shape[0] == 1 and max(int(t.max()) for t in terms) >= 2**62 for terms, _ in limb_folds)
+        g, folds = reduced_merge((2, 1), elems)
+        assert g == 5 and all(terms[0].shape[0] == 1 and max(int(t.max()) for t in terms) >= 2**62 for terms in folds)
 
     def test_limb_blocks_merge(self, monkeypatch):
         # A cap of 128 limb values holds one row of 60 two-limb offsets per
@@ -485,6 +496,7 @@ class TestWideSortFold:
         limb_folds = spy(monkeypatch, "_limb_fold")
         rng = random.Random(61)
         forms = ((1, 1), (1, -1), (2, 1), (-2, 3), (1, 1, 1), (1, -1, 2))
+        reduced = set()
         for i in range(24):
             dilation = (2**62, 3 * 2**61, 2**124 + 1, 10**40)[i % 4]
             n = rng.randint(16, 24)
@@ -492,12 +504,14 @@ class TestWideSortFold:
             elems = {dilation * b for b in base} | {dilation * b + 1 for b in base[:rng.randint(0, 4)]}
             shift = rng.randrange(-(10**45), 10**45)
             elems = sorted(x + shift for x in elems)
+            reduced.add(intsets._reduced(forms[0], FiniteIntSet(elems))[1] > 1)
             for coeffs in forms:
                 if len(coeffs) == 3:
                     elems = elems[:10]
                 assert_image_exact(coeffs, elems)
-        # the gcd step sends the sets without a shifted copy to one int64 limb
-        assert {terms[0].shape[0] == 1 for terms, _ in limb_folds} == {True, False}
+        # the gcd step (_reduced) divides the sets without a shifted copy, and merge folds the rest on limbs
+        assert reduced == {True, False}
+        assert limb_folds and all(terms[0].shape[0] > 1 for terms, _ in limb_folds)
         assert not lexsorts
 
     def test_hash_clashes_fall_back_to_lexsort(self, monkeypatch):
@@ -510,6 +524,109 @@ class TestWideSortFold:
             elems = [2**62 * b + i % 2 - 10**30 for i, b in enumerate(rng.sample(range(300), 12))]
             assert_image_exact(coeffs, elems)
         assert lexsorts
+
+
+def expected_mask(values):
+    """The bitset fold's mask of a sorted image: bit v - min for each value v."""
+    offsets = np.array([v - values[0] for v in values], np.int64)
+    data = np.zeros(int(offsets[-1]) // 8 + 1, np.uint8)
+    np.bitwise_or.at(data, offsets >> 3, (1 << (offsets & 7)).astype(np.uint8))
+    return int.from_bytes(data.tobytes(), "little")
+
+
+def assert_every_kernel_on(coeffs, elems, expected):
+    """Each kernel that A's window lets run, by its label on A itself: the bitset
+    folds, by their masks, where the window fits BITSET_WIDTH_CAP, and merge always."""
+    f, a = LinearForm(coeffs), FiniteIntSet(elems)
+    assert list(intsets._image(f, a, "merge")) == expected, coeffs
+    assert intsets._cardinality(f, a, "merge") == len(expected), coeffs
+    if width(coeffs, elems) <= intsets.BITSET_WIDTH_CAP:
+        mask, fold = expected_mask(expected), intsets._pair_fold(coeffs)
+        for kernel in ("big-int", "word"):
+            assert intsets._mask(coeffs, a, fold, kernel) == mask, (coeffs, kernel)
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestNarrowMerges:
+    """A window too wide for the bitset kernels is divided by the gcd of A's
+    offsets before planning (_reduced), and a one-limb merge whose span is
+    below 2**32 folds on uint32; both against brute force."""
+
+    @pytest.mark.parametrize("shift", [0, -(10**30)], ids=["at-0", "past-int64"])
+    @pytest.mark.parametrize("coeffs", [(1, 1), (1, -1), (2, 1), (1, 1, 1)], ids=["x+y", "x-y", "2x+y", "x+y+z"])
+    def test_spans_at_the_uint32_edge(self, monkeypatch, coeffs, shift):
+        # The largest span below 2**32 folds on uint32 and the least at or
+        # above it on int64: 2**32 - 2 and 2**32 for height 2, 2**32 - 1 and
+        # 2**32 + 2 for height 3.  The ends and their neighbours give sums
+        # at the top of the window.
+        limb_folds = spy(monkeypatch, "_limb_fold")
+        h = LinearForm(coeffs).height
+        rng = random.Random(109)
+        for d, dtype in (((2**32 - 1) // h, np.uint32), ((2**32 - 1) // h + 1, np.int64)):
+            elems = [shift + x for x in [0, 1, 2, d - 2, d - 1, d] + rng.sample(range(3, d - 2), 14)]
+            assert (width(coeffs, elems) - 1 < 2**32) == (dtype is np.uint32)
+            del limb_folds[:]
+            assert_image_exact(coeffs, elems)
+            assert len(limb_folds) == 4  # auto and merge: no gcd, and no bitset window fits
+            assert {terms[0].dtype for terms, _ in limb_folds} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["one-block", "chunk64"])
+    def test_tracked_stage_on_uint32_limbs(self, monkeypatch, chunk):
+        # x + y + z keeps each pair sum's least last index J on uint32 limbs;
+        # the hash that groups them is taken on an int64 copy.
+        if chunk is not None:
+            monkeypatch.setattr(intsets, "_SORT_CHUNK", chunk)
+        top = (2**32 - 1) // 3
+        elems = sorted({0, top} | set(random.Random(113).sample(range(1, 200), 40))
+                       | {top - x for x in range(0, 200, 7)})
+        results, real = [], intsets._distinct_columns
+        monkeypatch.setattr(intsets, "_distinct_columns",
+                            lambda limbs, *args: results.append((limbs.dtype, *real(limbs, *args))) or results[-1][1:])
+        assert intsets._cardinality(LinearForm((1, 1, 1)), FiniteIntSet(elems), "merge") == len(brute_image((1, 1, 1), elems))
+        tracked = [r for r in results if r[2] is not None]
+        assert tracked and {dtype for dtype, *_ in results} == {np.dtype(np.uint32)}
+        _, limbs, js = tracked[-1]  # the stage's last merge
+        least = {}
+        for j, y in enumerate(elems):
+            for x in elems[:j + 1]:
+                least.setdefault(x + y, j)
+        assert dict(zip(limbs[0].tolist(), js.tolist())) == least
+        assert (np.diff(js) >= 0).all()
+
+    @pytest.mark.parametrize("g", [3, 3 * 2**61, 2**124 + 1], ids=["3", "3*2^61", "2^124+1"])
+    @pytest.mark.parametrize("t", [-7, -(10**30) - 1, 2**70], ids=["negative", "below-int64", "above-int64"])
+    def test_dilated_sets_map_back_from_the_reduced_image(self, g, t):
+        # A = t + g*B with gcd(B) = 1: image and image_cardinality plan on B
+        # and map each value x of f(B) to (sum c)*min A + g*x.  B spans 2**25,
+        # so even at g = 3 A's window is wider than BITSET_WIDTH_CAP.
+        rng = random.Random(127)
+        base = [0, 1, 2**25] + rng.sample(range(2, 3000), 9)
+        elems = [t + g * b for b in base]
+        for coeffs in ((1, 1), (1, -1), (2, 1), (-3, 1), (-2, -2), (1, 1, 1), (1, -1, -1), (2, -5, 2)):
+            f, a = LinearForm(coeffs), FiniteIntSet(elems)
+            b, got = intsets._reduced(coeffs, a)
+            assert got == g and list(b) == sorted(base)
+            expected = brute_image(coeffs, elems)
+            assert list(image(f, a)) == expected, coeffs
+            assert image_cardinality(f, a) == len(expected), coeffs
+            assert_every_kernel_on(coeffs, elems, expected)
+
+    @pytest.mark.parametrize("coeffs", [(1, 1), (1, -1), (-3, 1), (1, 1, 1)], ids=["x+y", "x-y", "-3x+y", "x+y+z"])
+    def test_raw_windows_at_the_bitset_cap(self, coeffs):
+        # With g = 3, height*g*d just under BITSET_WIDTH_CAP keeps A as it
+        # is, and just over it divides A by 3; every kernel on A agrees.
+        h, g, cap = LinearForm(coeffs).height, 3, intsets.BITSET_WIDTH_CAP
+        rng = random.Random(131)
+        for d, reduced in (((cap - 1) // (h * g), False), ((cap - 1) // (h * g) + 1, True)):
+            base = [0, 1, d - 1, d] + rng.sample(range(2, d - 1), 6)
+            elems = [-(2**63) - 5 + g * x for x in base]
+            assert (h * (max(elems) - min(elems)) >= cap) == reduced
+            f, a = LinearForm(coeffs), FiniteIntSet(elems)
+            assert intsets._reduced(coeffs, a) == ((FiniteIntSet(base), g) if reduced else (a, 1))
+            expected = brute_image(coeffs, elems)
+            assert list(image(f, a)) == expected
+            assert image_cardinality(f, a) == len(expected)
+            assert_every_kernel_on(coeffs, elems, expected)
 
 
 def pair_fold_sets():
@@ -579,11 +696,12 @@ class TestPairFolds:
         elems = random.Random(107).sample(range(10**9), 2050)
         a = FiniteIntSet(elems)
         stairs, distinct = spy(monkeypatch, "_staircase"), spy(monkeypatch, "_distinct_columns")
-        limbs, g = intsets._sort_fold(DIFFERENCE.coefficients, a, "mirrored")
-        assert len(stairs) == len(distinct) == 1 and g == 1
+        limbs = intsets._sort_fold(DIFFERENCE.coefficients, a, "mirrored")
+        assert len(stairs) == len(distinct) == 1 and limbs.dtype == np.uint32  # the span, 2e9, is below 2**32
         assert stairs[0][0].shape[1] == 2049 and distinct[0][0].shape[1] == 2050 * 2049 // 2
         fold = brute_image(DIFFERENCE.coefficients, elems)
-        assert (limbs[0] + (min(elems) - max(elems))).tolist() == [x for x in fold if x > 0]
+        base = min(elems) - max(elems)
+        assert [base + x for x in limbs[0].tolist()] == [x for x in fold if x > 0]
         assert 2 * limbs.shape[1] + 1 == len(fold)
 
     def test_other_forms_hold_every_tuple(self, monkeypatch):
